@@ -25,13 +25,7 @@ from .evaluation import (
 )
 from .finetune import prepare_finetune, write_finetune_file
 from .llm import ChatEndpointConfig, RateLimiter, chat_complete, parse_response
-from .matching import (
-    HttpSimilarityProvider,
-    formula_match,
-    semantic_match,
-    soft_match,
-    strict_match,
-)
+from .matching import TIERS, HttpSimilarityProvider
 from .materials import parse_material, expand_substitutions
 from .prompts import build_ner_prompt, build_re_prompt, re_prompt_seed
 
@@ -102,21 +96,11 @@ def cmd_parse_material(args) -> int:
 
 
 def cmd_match(args) -> int:
-    lexicon = _load_lexicon(args)
-    if args.matcher == "strict":
-        matched = strict_match(args.a, args.b)
-        outcome = {"matched": matched, "tier": "strict" if matched else "none",
-                   "similarity": None, "detail": None}
-    elif args.matcher == "soft":
-        outcome = soft_match(args.a, args.b, args.threshold).to_dict()
-    elif args.matcher == "semantic":
-        provider = _semantic_provider(args)
-        if provider is None:
-            raise MatEvalError("semantic matching needs --semantic-endpoint")
-        outcome = semantic_match(args.a, args.b, args.threshold, provider).to_dict()
-    else:
-        outcome = formula_match(args.a, args.b, lexicon=lexicon).to_dict()
-    _emit_json(outcome, args)
+    provider = _semantic_provider(args) if args.matcher == "semantic" else None
+    if args.matcher == "semantic" and provider is None:
+        raise MatEvalError("semantic matching needs --semantic-endpoint")
+    tier = TIERS[args.matcher](args.threshold, provider, _load_lexicon(args))
+    _emit_json(tier.outcome(args.a, args.b).to_dict(), args)
     return EXIT_OK
 
 

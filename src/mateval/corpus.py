@@ -176,11 +176,23 @@ def load_corpus(path: str) -> list[Document]:
 
 
 def load_predictions(path: str) -> list[PredictionSet]:
-    """Load a prediction JSONL file (see module docstring for the schema)."""
+    """Load a prediction JSONL file (see module docstring for the schema).
+
+    Raises:
+        SchemaViolationError: malformed line, including a null entity value.
+        DuplicateIdError: a second line for the same (doc_id, run).
+    """
     predictions = []
+    seen: dict[tuple[str, str], int] = {}
     for lineno, payload in _iter_jsonl(path):
         doc_id = _require(payload, "doc_id", str, lineno)
         run_label = str(payload.get("run", "run1"))
+        first = seen.setdefault((doc_id, run_label), lineno)
+        if first != lineno:
+            raise DuplicateIdError(
+                f"duplicate prediction {doc_id!r}/{run_label!r} at line {lineno} "
+                f"(first at line {first})"
+            )
         entities: dict[str, list[str]] = {}
         raw_entities = payload.get("entities", {})
         if not isinstance(raw_entities, dict):
@@ -192,6 +204,8 @@ def load_predictions(path: str) -> list[PredictionSet]:
                 )
             if not isinstance(values, list):
                 raise SchemaViolationError(lineno, f"entities.{class_}", "expected list")
+            if None in values:
+                raise SchemaViolationError(lineno, f"entities.{class_}", "null entity")
             entities[class_] = [str(v) for v in values]
         relations = payload.get("relations", [])
         if not isinstance(relations, list):

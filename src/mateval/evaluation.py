@@ -10,8 +10,8 @@ SHA-256 digest of the sub-seed key.
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .corpus import Document, PredictionSet, RelationGroup
 from .errors import (
@@ -19,14 +19,7 @@ from .errors import (
     ProviderUnavailableError,
     UnknownDocumentError,
 )
-from .matching import (
-    SimilarityProvider,
-    material_variants,
-    semantic_match,
-    soft_match,
-    strict_match,
-)
-from .materials import compositions_equal
+from .matching import TIERS, SimilarityProvider, StrictTier, Tier, normalize_whitespace
 from .scoring import (
     MatchCounts,
     RunAggregate,
@@ -172,6 +165,10 @@ def _filter_with_notes(
 ) -> tuple[list[RelationGroup], list[str]]:
     kept = []
     notes = []
+    pools = {
+        slot: set(map(normalize_whitespace, supplied.get(slot, [])))
+        for slot in RELATION_SLOTS
+    }
     for block in blocks:
         slots = _block_slots(block)
         if slots["material"] is None:
@@ -183,10 +180,7 @@ def _filter_with_notes(
         unsupplied = None
         for slot in RELATION_SLOTS:
             value = slots[slot]
-            if value is None:
-                continue
-            pool = supplied.get(slot, [])
-            if not any(strict_match(value, candidate) for candidate in pool):
+            if value is not None and normalize_whitespace(value) not in pools[slot]:
                 unsupplied = (slot, value)
                 break
         if unsupplied:
@@ -215,18 +209,24 @@ def filter_relation_blocks(blocks, supplied: dict[str, list[str]]) -> list[Relat
     return kept
 
 
-def _groups_match(expected: RelationGroup, predicted: RelationGroup, slot_matcher) -> bool:
-    if not slot_matcher(expected.material, predicted.material):
-        return False
-    if not slot_matcher(expected.tc, predicted.tc):
-        return False
-    if (expected.pressure is None) != (predicted.pressure is None):
-        return False
-    if expected.pressure is not None and not slot_matcher(
-        expected.pressure, predicted.pressure
-    ):
-        return False
-    return True
+class _GroupTier:
+    """A slot tier lifted to relation groups: material and tc must match,
+    and pressure must be absent on both sides or present and matching."""
+
+    def __init__(self, slot: Tier):
+        self.slot = slot
+        self.closed_form = slot.closed_form
+
+    def key(self, group: RelationGroup) -> tuple:
+        key = self.slot.key
+        pressure = None if group.pressure is None else key(group.pressure)
+        return key(group.material), key(group.tc), pressure
+
+    def verify(self, ka: tuple, kb: tuple) -> bool:
+        return all(
+            (x is None) == (y is None) and (x is None or self.slot.verify(x, y))
+            for x, y in zip(ka, kb)
+        )
 
 
 def match_relation_groups(
@@ -240,46 +240,7 @@ def match_relation_groups(
     Predicted groups are assumed to have passed
     :func:`filter_relation_blocks`.
     """
-    return count_matches(
-        expected,
-        predicted,
-        lambda e, p: _groups_match(e, p, strict_match),
-    )
-
-
-def _build_matcher(name: str, threshold: float, provider: SimilarityProvider | None):
-    """Boolean predicate for a matcher tier, memoized per evaluation."""
-    if name == "strict":
-        return strict_match
-    if name == "soft":
-        @lru_cache(maxsize=None)
-        def soft(a: str, b: str) -> bool:
-            return soft_match(a, b, threshold).matched
-
-        return soft
-    if name == "formula":
-        # parse and expand each entity once, not once per compared pair
-        variants = lru_cache(maxsize=None)(material_variants)
-
-        @lru_cache(maxsize=None)
-        def formula(a: str, b: str) -> bool:
-            if strict_match(a, b):
-                return True
-            left, right = variants(a), variants(b)
-            if left is None or right is None:
-                return False
-            return any(
-                compositions_equal(va, vb) for va in left for vb in right
-            )
-
-        return formula
-    if name == "semantic":
-        @lru_cache(maxsize=None)
-        def semantic(a: str, b: str) -> bool:
-            return semantic_match(a, b, threshold, provider).matched
-
-        return semantic
-    raise ValueError(f"unknown matcher {name!r}")
+    return count_matches(expected, predicted, _GroupTier(StrictTier()))
 
 
 def _group_predictions(
@@ -296,6 +257,12 @@ def _group_predictions(
     return index, by_run
 
 
+def _natural_key(label: str) -> tuple:
+    """Sort key that orders digit runs by value: run2 before run10."""
+    parts = re.split(r"(\d+)", label)
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)], label
+
+
 def _evaluate(
     documents: list[Document],
     by_run: dict[str, dict[str, PredictionSet]],
@@ -305,11 +272,11 @@ def _evaluate(
 ) -> EvalReport:
     """Shared run/matcher/document loop for NER and RE evaluation."""
     report = EvalReport(task=config.task, config=config.to_dict())
-    run_labels = sorted(by_run) or ["run1"]
+    run_labels = sorted(by_run, key=_natural_key) or ["run1"]
     report.config["run_labels"] = run_labels
     ordered_docs = sorted(documents, key=lambda d: d.id)
     for name in config.matchers:
-        matcher = _build_matcher(name, config.threshold, provider)
+        matcher = TIERS[name](config.threshold, provider)
         block = MatcherBlock()
         try:
             for run_label in run_labels:
@@ -394,11 +361,6 @@ def evaluate_re(
                 message = f"doc {doc.id}: {note}"
                 if message not in report.warnings:
                     report.warnings.append(message)
-        counts = count_matches(
-            doc.relations,
-            kept,
-            lambda e, p: _groups_match(e, p, matcher),
-        )
-        return counts, len(doc.relations)
+        return count_matches(doc.relations, kept, _GroupTier(matcher)), len(doc.relations)
 
     return _evaluate(documents, by_run, config, provider, count_for_doc)

@@ -5,17 +5,34 @@ Four tiers: strict (exact after whitespace normalization), soft
 cross-encoder service behind :class:`SimilarityProvider`), and formula
 matching (normalize both sides to chemical compositions and compare
 element by element, expanding substitution clauses).
+
+Evaluations score through :class:`Tier` objects: a per-string ``key``,
+computed once per distinct string, and an exact pairwise ``verify`` whose
+filters are necessary conditions of a match, so verdicts (and reports)
+equal the public predicates'. Strict keys are normalized texts and match
+on equality, so counting reduces to a multiset intersection. Soft rejects
+a pair when ``2.0*bound/length`` misses the threshold, where ``bound`` is
+the shorter length or the character-multiset intersection size: both are
+at least difflib's match count, so the same expression bounds ``ratio()``
+from above, bit for bit. Formula buckets each string's variants by element
+set, which :func:`~mateval.materials.compositions_equal` requires to be
+equal, and compares only variants in the same bucket.
 """
 
+import functools
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from difflib import SequenceMatcher
+from typing import NamedTuple
 
 import requests
 
 from .errors import MatEvalError, ProviderUnavailableError
 from .materials import (
     DEFAULT_TOL,
+    Composition,
     compositions_equal,
     expand_substitutions,
     format_composition,
@@ -145,20 +162,13 @@ def semantic_match(
 
 def material_variants(
     text: str, lexicon: tuple[str, ...] | None = None
-) -> list[dict] | None:
-    """Candidate compositions of a material expression, or None.
+) -> list[Composition]:
+    """Candidate compositions of a material expression, in expansion order.
 
-    Parses the expression and expands its substitution sets; any parse or
-    expansion failure yields None. This is the per-string half of formula
-    matching, split out so evaluations can cache it per entity instead of
-    re-parsing on every pair.
+    The per-string half of formula matching: parses the expression and
+    expands its substitution sets, raising MatEvalError on either failure.
     """
-    try:
-        return [
-            v.composition for v in expand_substitutions(parse_material(text, lexicon))
-        ]
-    except MatEvalError:
-        return None
+    return [v.composition for v in expand_substitutions(parse_material(text, lexicon))]
 
 
 def formula_match(
@@ -176,22 +186,118 @@ def formula_match(
     either side fold into a non-match with the failure recorded in
     ``detail``.
     """
-    if strict_match(a, b):
-        return MatchOutcome(True, "strict")
-    try:
-        left = expand_substitutions(parse_material(a, lexicon))
-    except MatEvalError as exc:
-        return MatchOutcome(False, "none", detail=f"left side unparseable: {exc}")
-    try:
-        right = expand_substitutions(parse_material(b, lexicon))
-    except MatEvalError as exc:
-        return MatchOutcome(False, "none", detail=f"right side unparseable: {exc}")
-    for va in left:
-        for vb in right:
-            if compositions_equal(va.composition, vb.composition, tol):
-                detail = (
-                    f"{format_composition(va.composition)} ~ "
-                    f"{format_composition(vb.composition)}"
-                )
-                return MatchOutcome(True, "formula", detail=detail)
-    return MatchOutcome(False, "none", detail="no composition variant pair matched")
+    return FormulaTier(lexicon=lexicon, tol=tol).outcome(a, b)
+
+
+class Tier:
+    """A matcher tier: a per-string ``key`` and an exact pairwise ``verify``.
+
+    ``verify(key(a), key(b)) == outcome(a, b).matched`` for every pair.
+    Keys are cached per tier object (build one per evaluation);
+    ``closed_form`` tiers match on key equality.
+    """
+
+    closed_form = False
+
+    def __init__(
+        self,
+        threshold: float = DEFAULT_THRESHOLD,
+        provider: SimilarityProvider | None = None,
+        lexicon: tuple[str, ...] | None = None,
+        tol: float = DEFAULT_TOL,
+    ):
+        self.threshold, self.provider, self.lexicon, self.tol = threshold, provider, lexicon, tol
+        self._keys: dict = {}
+
+    def key(self, text: str):
+        found = self._keys.get(text)
+        if found is None:
+            found = self._keys[text] = self.make_key(text)
+        return found
+
+
+class StrictTier(Tier):
+    closed_form = True
+    make_key = staticmethod(normalize_whitespace)
+    verify = staticmethod(operator.eq)
+
+    def outcome(self, a: str, b: str) -> MatchOutcome:
+        return MatchOutcome(True, "strict") if strict_match(a, b) else MatchOutcome(False)
+
+
+class SoftTier(Tier):
+    @staticmethod
+    def make_key(text: str) -> tuple[str, int, Counter]:
+        norm = normalize_whitespace(text)
+        return norm, len(norm), Counter(norm)
+
+    def verify(self, ka: tuple, kb: tuple) -> bool:
+        (a, la, ca), (b, lb, cb) = ka, kb
+        length, t = la + lb, self.threshold
+        if a == b:  # ratio() of equal strings is exactly 1.0
+            return 1.0 >= t
+        if 2.0 * min(la, lb) / length < t or 2.0 * sum((ca & cb).values()) / length < t:
+            return False
+        return soft_match(a, b, t).matched
+
+    def outcome(self, a: str, b: str) -> MatchOutcome:
+        return soft_match(a, b, self.threshold)
+
+
+class SemanticTier(Tier):
+    """Raw-text keys; the provider is asked once per distinct pair."""
+
+    make_key = staticmethod(str)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.verify = functools.cache(lambda a, b: self.outcome(a, b).matched)
+
+    def outcome(self, a: str, b: str) -> MatchOutcome:
+        return semantic_match(a, b, self.threshold, self.provider)
+
+
+class FormulaKey(NamedTuple):
+    text: str  # whitespace-normalized, for the strict fast path
+    variants: list  # (element set, composition), in expansion order
+    buckets: dict  # element set -> compositions, in expansion order
+    error: str | None  # why the text has no variants
+
+
+class FormulaTier(Tier):
+    def make_key(self, text: str) -> FormulaKey:
+        try:
+            compositions, error = material_variants(text, self.lexicon), None
+        except MatEvalError as exc:  # keep the message, not the traceback
+            compositions, error = [], str(exc)
+        variants = [(frozenset(c), c) for c in compositions]
+        buckets: dict = {}
+        for elements, composition in variants:
+            buckets.setdefault(elements, []).append(composition)
+        return FormulaKey(normalize_whitespace(text), variants, buckets, error)
+
+    def witness(self, ka: FormulaKey, kb: FormulaKey) -> tuple[dict, dict] | None:
+        """The first variant pair, in expansion order, with equal compositions."""
+        for elements, va in ka.variants:
+            for vb in kb.buckets.get(elements, ()):
+                if compositions_equal(va, vb, self.tol):
+                    return va, vb
+        return None
+
+    def verify(self, ka: FormulaKey, kb: FormulaKey) -> bool:
+        return ka.text == kb.text or self.witness(ka, kb) is not None
+
+    def outcome(self, a: str, b: str) -> MatchOutcome:
+        ka, kb = self.key(a), self.key(b)
+        if ka.text == kb.text:
+            return MatchOutcome(True, "strict")
+        for side, k in (("left", ka), ("right", kb)):
+            if k.error is not None:
+                return MatchOutcome(False, "none", detail=f"{side} side unparseable: {k.error}")
+        pair = self.witness(ka, kb)
+        if pair is None:
+            return MatchOutcome(False, "none", detail="no composition variant pair matched")
+        return MatchOutcome(True, "formula", detail=" ~ ".join(map(format_composition, pair)))
+
+
+TIERS = {"strict": StrictTier, "soft": SoftTier, "semantic": SemanticTier, "formula": FormulaTier}

@@ -31,6 +31,8 @@ DEFAULT_TOL = 1e-6
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 _PERCENT_TOKEN_RE = re.compile(r"\d+(?:\.\d+)?\s*%$")
+# a sign spaced between a decimal and a lone letter, as in "O 7 - δ"
+_SPACED_SIGN_RE = re.compile(r"(\d)\s*([+-])\s*([^\W\d_])(?![^\W\d_])")
 # trailing "(X = Sb, Pb and Sn)" style clause
 _PAREN_CLAUSE_RE = re.compile(r"\(\s*([A-Za-z])\s*=\s*([^()]*)\)\s*$")
 # trailing "samples with x = 0.35, 0.45 and 0.5" / "where R = Zn and Ni" clause
@@ -140,19 +142,57 @@ def strip_adjuncts(
 def canonicalize_amount(text: str) -> str:
     """Canonicalize a symbolic amount: drop whitespace, lowercase the variable.
 
-    Accepts ``v`` or ``c±v`` where ``c`` is a decimal and ``v`` a letter.
-    Idempotent. Raises UnparseableMaterialError for anything richer.
+    Accepts ``v`` or ``c±v`` where ``c`` is a decimal and ``v`` a letter
+    (``x``, ``δ``, ...): the amount grammar the parser reads. Idempotent.
+    Raises UnparseableMaterialError for anything richer.
     """
-    squeezed = re.sub(r"\s+", "", text)
-    m = re.fullmatch(r"(?:(\d+(?:\.\d+)?)([+-]))?([A-Za-z])", squeezed)
-    if not m:
+    amount = _parse_amount_text(text)
+    if isinstance(amount, float):
         raise UnparseableMaterialError(f"unsupported amount expression: {text!r}")
-    coeff, sign, var = m.groups()
-    return f"{coeff}{sign}{var.lower()}" if coeff else var.lower()
+    return amount
+
+
+def _parse_amount_text(text: str) -> Amount:
+    """A whole amount (``c``, ``c±v`` or ``v``); whitespace is ignored."""
+    squeezed = re.sub(r"\s+", "", text).lower()
+    read = _read_amount(squeezed, 0)
+    if read is None or read[1] != len(squeezed):
+        raise UnparseableMaterialError(f"unsupported amount expression: {text!r}")
+    return read[0]
+
+
+def _variable(ch: str) -> str | None:
+    """The canonical (lowercase) variable a character names, or None."""
+    low = ch.lower()
+    return low if len(low) == 1 and low.islower() else None
+
+
+def _read_amount(text: str, i: int) -> tuple[Amount, int] | None:
+    """Read the one amount grammar at ``text[i:]``: ``c``, ``c±v`` or ``v``.
+
+    ``c`` is a decimal and ``v`` any cased letter; a bare ``v`` must be
+    lowercase, since an uppercase letter starts the next element symbol.
+    Returns the amount (float or canonical string) and the end index.
+    """
+    m = _NUMBER_RE.match(text, i)
+    if m is None:
+        if i < len(text) and _variable(text[i]) == text[i]:
+            return text[i], i + 1
+        return None
+    j = m.end()
+    var = _variable(text[j + 1]) if j + 1 < len(text) and text[j] in "+-" else None
+    if var:
+        return f"{m.group(0)}{text[j]}{var}", j + 2
+    return float(m.group(0)), j
 
 
 def _is_placeholder(letter: str) -> bool:
     return len(letter) == 1 and letter.isupper() and not is_element(letter)
+
+
+def _join_spaced_sign(m: re.Match) -> str:
+    """``7 - δ`` -> ``7-δ`` when the letter is a lowercase variable."""
+    return "".join(m.groups()) if _variable(m.group(3)) == m.group(3) else m.group(0)
 
 
 def _scan_amount(token: str, i: int) -> tuple[Amount | None, int]:
@@ -162,33 +202,16 @@ def _scan_amount(token: str, i: int) -> tuple[Amount | None, int]:
         if j == -1:
             raise UnparseableMaterialError(f"unbalanced parenthesis in {token!r}")
         return _parse_amount_text(token[i + 1: j]), j + 1
-    m = _NUMBER_RE.match(token, i)
-    if m:
-        j = m.end()
-        if (
-            j + 1 < len(token)
-            and token[j] in "+-"
-            and token[j + 1].isalpha()
-        ):
-            if j + 2 < len(token) and token[j + 2].islower():
-                raise UnparseableMaterialError(
-                    f"ambiguous variable in amount: {token!r}"
-                )
-            expr = f"{m.group(0)}{token[j]}{token[j + 1].lower()}"
-            return expr, j + 2
-        return float(m.group(0)), j
-    if i < len(token) and token[i].islower():
-        if i + 1 == len(token) or token[i + 1].isupper() or token[i + 1] == "(":
-            return token[i], i + 1
-        raise UnparseableMaterialError(f"cannot read amount in {token!r}")
-    return None, i
-
-
-def _parse_amount_text(text: str) -> Amount:
-    squeezed = re.sub(r"\s+", "", text)
-    if _NUMBER_RE.fullmatch(squeezed):
-        return float(squeezed)
-    return canonicalize_amount(squeezed)
+    read = _read_amount(token, i)
+    if read is None:
+        return None, i
+    amount, j = read
+    if isinstance(amount, str) and j < len(token):
+        if len(amount) > 1 and token[j].islower():
+            raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
+        if len(amount) == 1 and not (token[j].isupper() or token[j] == "("):
+            raise UnparseableMaterialError(f"cannot read amount in {token!r}")
+    return amount, j
 
 
 def _parse_fragment(token: str) -> list[tuple[str, Amount | None]]:
@@ -212,14 +235,6 @@ def _parse_fragment(token: str) -> list[tuple[str, Amount | None]]:
         amount, i = _scan_amount(token, i)
         pairs.append((symbol, amount))
     return pairs
-
-
-def _is_amount_token(token: str) -> bool:
-    if _NUMBER_RE.fullmatch(token):
-        return True
-    if re.fullmatch(r"\d+(?:\.\d+)?[+-][A-Za-z]", token):
-        return True
-    return bool(re.fullmatch(r"[a-z]", token))
 
 
 def _split_candidates(body: str) -> list[str]:
@@ -295,16 +310,17 @@ def parse_material(
         core = core[: m.start()].strip()
 
     pairs: list[tuple[str, Amount | None]] = []
-    for token in core.split():
+    for token in _SPACED_SIGN_RE.sub(_join_spaced_sign, core).split():
         if _PERCENT_TOKEN_RE.fullmatch(token):
             adjuncts.append(token)
             continue
-        if _is_amount_token(token):
+        read = _read_amount(token, 0)
+        if read is not None and read[1] == len(token):
             if not pairs or pairs[-1][1] is not None:
                 raise UnparseableMaterialError(
                     f"amount {token!r} has no element to attach to in {raw!r}"
                 )
-            pairs[-1] = (pairs[-1][0], _parse_amount_text(token))
+            pairs[-1] = (pairs[-1][0], read[0])
             continue
         pairs.extend(_parse_fragment(token))
 
@@ -434,7 +450,8 @@ def compositions_equal(
 
     Numeric amounts must agree within ``tol``; symbolic amounts must have
     identical canonical text after one consistent variable renaming applied
-    across the whole composition. Total and symmetric; never raises.
+    across the whole composition. Compositions over different element sets
+    are never equal. Total and symmetric; never raises.
     """
     try:
         na = {k: _norm_amount(v) for k, v in a.items()}
@@ -464,18 +481,21 @@ def compositions_equal(
 def format_composition(composition: Composition) -> str:
     """Render a composition back to fused-formula text, e.g. ``La2-xSrxCuO4``.
 
-    Amount 1 is omitted, matching standard chemical notation; the result of a
-    substitution-free composition reparses to an equal composition.
+    Amount 1 is omitted, matching standard chemical notation; a bare
+    variable that would fuse with its symbol into another element (``S`` +
+    ``n``) is parenthesized. The result of a substitution-free composition
+    reparses to an equal composition.
     """
     parts = []
     for symbol, amount in composition.items():
         amount = _norm_amount(amount)
         if isinstance(amount, str):
-            parts.append(f"{symbol}{amount}")
+            fused = is_element(symbol + amount)  # only a bare variable can fuse
+            parts.append(f"{symbol}({amount})" if fused else f"{symbol}{amount}")
         elif abs(amount - 1.0) <= 1e-12:
             parts.append(symbol)
         elif abs(amount - round(amount)) <= 1e-9:
             parts.append(f"{symbol}{int(round(amount))}")
         else:
-            parts.append(f"{symbol}{format(amount, '.10g')}")
+            parts.append(f"{symbol}{format(amount, '.10f').rstrip('0')}")
     return "".join(parts)

@@ -2,12 +2,16 @@
 
 Counts come from a MAXIMUM one-to-one assignment between expected and
 predicted items (augmenting-path bipartite matching), so scores are
-invariant under any permutation of either list. Scores are micro-averaged
+invariant under any permutation of either list. The match matrix is built
+from per-item keys when the matcher is a tier (see :mod:`mateval.matching`);
+when the tier's match is key equality, the assignment size is the multiset
+intersection of the keys and no matrix is built. Scores are micro-averaged
 by summing counts corpus-wide before applying the P/R/F1 formulas.
 """
 
 import math
 import statistics
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -92,15 +96,22 @@ def count_matches(
     tp is the size of a maximum one-to-one assignment (Kuhn's augmenting
     paths over the match matrix), which makes the result independent of the
     order of either list; duplicates are honoured as multiset multiplicity.
-    The matcher is called as ``matcher(expected_item, predicted_item)``.
+    The matcher is called as ``matcher(expected_item, predicted_item)``, or
+    is a tier whose ``verify`` is called on the items' ``key``s; a tier
+    with ``closed_form`` set matches on key equality, an equivalence
+    relation, so tp is the size of the keys' multiset intersection.
     The search is iterative, so corpus-sized lists cannot hit the
     interpreter recursion limit.
     """
     n, m = len(expected), len(predicted)
-    adjacency = [
-        [j for j in range(m) if matcher(expected[i], predicted[j])]
-        for i in range(n)
-    ]
+    key = getattr(matcher, "key", None)
+    if key is not None:
+        expected, predicted = [key(x) for x in expected], [key(y) for y in predicted]
+        if matcher.closed_form:
+            tp = sum((Counter(expected) & Counter(predicted)).values())
+            return MatchCounts(tp=tp, fp=m - tp, fn=n - tp)
+        matcher = matcher.verify
+    adjacency = [[j for j, p in enumerate(predicted) if matcher(e, p)] for e in expected]
     owner = [-1] * m  # predicted index -> expected index
     matched_pred = [-1] * n  # expected index -> predicted index
 

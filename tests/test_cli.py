@@ -75,6 +75,13 @@ class TestMatchCommand:
         assert payload["matched"] is True
         assert payload["tier"] == "formula"
 
+    def test_strict_match(self, capsys):
+        code, out, _ = run_cli(["match", "--matcher", "strict", "355  ml", " 355 ml"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "matched": True, "tier": "strict", "similarity": None, "detail": None,
+        }
+
     def test_soft_match(self, capsys):
         code, out, _ = run_cli(
             ["match", "--matcher", "soft", "solar cell", "solar cells"], capsys

@@ -111,6 +111,26 @@ class TestLoadPredictions:
         with pytest.raises(SchemaViolationError):
             load_predictions(str(path))
 
+    def test_duplicate_doc_run_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [
+            {"doc_id": "d1", "run": "run1", "entities": {"material": ["MgB2"]}},
+            {"doc_id": "d1", "run": "run2", "entities": {"material": ["MgB2"]}},
+            {"doc_id": "d1", "run": "run1", "relations": []},
+        ])
+        with pytest.raises(DuplicateIdError, match="line 3 .first at line 1"):
+            load_predictions(str(path))
+
+    def test_null_entity_value(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [
+            {"doc_id": "d1", "entities": {"material": ["MgB2"]}},
+            {"doc_id": "d2", "entities": {"material": ["MgB2", None]}},
+        ])
+        with pytest.raises(SchemaViolationError, match="line 2") as info:
+            load_predictions(str(path))
+        assert info.value.line == 2
+
 
 class TestValidateCorpus:
     def test_clean_fixture(self):

@@ -106,6 +106,16 @@ class TestEvaluateNer:
         report = evaluate_ner(docs, preds, EvalConfig(task="ner_material"))
         report.verify()
 
+    def test_run_labels_sort_naturally(self):
+        docs = [Document(id="d1", text="t", entities=[EntityMention("MgB2", "material")])]
+        preds = [ner_pred("d1", ["MgB2"] * (i % 2), run=f"run{i}") for i in range(11, 0, -1)]
+        report = evaluate_ner(docs, preds, EvalConfig(task="ner_material"))
+        labels = [f"run{i}" for i in range(1, 12)]
+        assert report.config["run_labels"] == labels
+        runs = report.matchers["strict"].runs
+        assert [r.run for r in runs] == labels
+        assert [r.scores.f1 for r in runs] == [float(i % 2) for i in range(1, 12)]
+
     def test_quantity_class(self):
         docs = [
             Document(

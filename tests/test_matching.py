@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mateval.errors import ProviderUnavailableError
+from mateval.errors import MatEvalError, ProviderUnavailableError
 from mateval.matching import (
+    FormulaTier,
     MatchOutcome,
+    SoftTier,
+    StrictTier,
     formula_match,
+    material_variants,
     ratcliff_obershelp,
     semantic_match,
     soft_match,
     strict_match,
 )
+from mateval.materials import compositions_equal
 
 MIXTURE = (
     "(1-x/2)La 2 O 3 /xSrCO 3 /CuO in molar ratio "
@@ -263,3 +268,70 @@ class TestThreadSafety:
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda p: formula_match(*p).matched, pairs))
         assert threaded == serial
+
+
+def reference_formula(a: str, b: str) -> bool:
+    """Unpruned formula predicate: every variant pair through compositions_equal."""
+    if strict_match(a, b):
+        return True
+    try:
+        left, right = material_variants(a), material_variants(b)
+    except MatEvalError:
+        return False
+    return any(compositions_equal(x, y) for x in left for y in right)
+
+
+FRAGMENTS = [
+    "La", "Sr", "Cu", "O", "Fe", "As", "Mg", "B", "Sb", "Pb", "X", "x", "2", "4",
+    "0.5", "1-x", "7-δ", " - ", "(X = Sb, Pb)", " with x = 0.1 and 0.2",
+    "hole-doped ", " ", "  ", "\t", "ab", "ba",
+]
+texts = st.one_of(
+    st.lists(st.sampled_from(FRAGMENTS), max_size=6).map("".join),
+    st.text(alphabet="ab \t\n", max_size=8),
+)
+# exact ratios (1/2, 2/3, 4/5, 9/10) make bounds land on the threshold itself
+thresholds = st.one_of(
+    st.sampled_from([1.0, 0.5, 2 / 3, 0.8, 0.9]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+class TestTierExactness:
+    @settings(max_examples=400, deadline=None)
+    @given(texts, texts, thresholds)
+    def test_pruned_tiers_agree_with_unpruned_predicates(self, a, b, threshold):
+        for tier, expected in (
+            (StrictTier(), strict_match(a, b)),
+            (SoftTier(threshold), soft_match(a, b, threshold).matched),
+            (FormulaTier(), reference_formula(a, b)),
+        ):
+            assert tier.verify(tier.key(a), tier.key(b)) == expected
+        assert formula_match(a, b).matched == reference_formula(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts, texts)
+    def test_soft_bounds_never_undercut_ratio(self, a, b):
+        (a, la, ca), (b, lb, cb) = SoftTier.make_key(a), SoftTier.make_key(b)
+        if la + lb:
+            ratio = ratcliff_obershelp(a, b)
+            assert 2.0 * min(la, lb) / (la + lb) >= ratio
+            assert 2.0 * sum((ca & cb).values()) / (la + lb) >= ratio
+
+    def test_empty_strings_match_at_threshold_one(self):
+        tier = SoftTier(1.0)
+        assert tier.verify(tier.key(""), tier.key(" \t"))
+
+    def test_threshold_above_one_matches_nothing(self):
+        tier = SoftTier(1.5)
+        assert not tier.verify(tier.key("MgB2"), tier.key("MgB2"))
+        assert not soft_match("MgB2", "MgB2", 1.5).matched
+
+    def test_witness_is_first_matching_variant_pair(self):
+        outcome = formula_match("Zr 5 X 3 (X = Sb, Pb, Sn)", "Zr5Pb3")
+        assert outcome.detail == "Zr5Pb3 ~ Zr5Pb3"
+
+    def test_greek_variable_amounts_match(self):
+        assert formula_match("YBa2Cu3O7-δ", "YBa2Cu3O7 - δ").matched
+        assert formula_match("YBa2Cu3O7-δ", "YBa 2 Cu 3 O 7-δ").tier == "formula"
+        assert FormulaTier().key("YBa2Cu3O7-δ").buckets

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mateval.errors import (
     EmptyInputError,
+    MatEvalError,
     ExpansionLimitError,
     MixtureNotSupportedError,
     UnparseableMaterialError,
@@ -248,12 +249,36 @@ class TestCompositionsEqual:
             assert compositions_equal(comp, comp)
 
 
+class TestAmountGrammar:
+    def test_greek_variable_is_reflexive(self):
+        comp = parse_material("YBa2Cu3O7-δ").composition
+        assert comp["O"] == "7-δ"
+        assert compositions_equal(comp, comp)
+
+    @pytest.mark.parametrize("text", ["YBa 2 Cu 3 O 7-δ", "YBa2Cu3O7 - δ", "YBa2Cu3O7-Δ"])
+    def test_renderings_share_one_grammar(self, text):
+        assert parse_material(text).composition == parse_material("YBa2Cu3O7-δ").composition
+
+    def test_sign_before_element_is_not_an_amount(self):
+        with pytest.raises(UnparseableMaterialError):
+            parse_material("MgB2 + C")
+
+    @pytest.mark.parametrize("comp,text", [
+        ({"S": "n"}, "S(n)"),
+        ({"O": 0.00001}, "O0.00001"),
+    ])
+    def test_format_reparses(self, comp, text):
+        assert format_composition(comp) == text
+        assert compositions_equal(parse_material(text).composition, comp)
+
+
 class TestCanonicalization:
     @pytest.mark.parametrize("text,expected", [
         ("1-x", "1-x"),
         (" 1 - X ", "1-x"),
         ("x", "x"),
         ("2+Y", "2+y"),
+        ("7 - Δ", "7-δ"),
     ])
     def test_canonical_forms(self, text, expected):
         assert canonicalize_amount(text) == expected
@@ -295,6 +320,24 @@ def compositions(draw):
     return comp
 
 
+SYMBOLS = ["La", "Sr", "Cu", "O", "Fe", "S", "B", "A", "X", "Δ"]
+AMOUNTS = [
+    "", "2", "0.5", "0.00001", "12345.678901234", "x", "n", "δ", "1-x", "2+y",
+    "7-δ", "7-Δ", "7 - δ", "(1-x)", "(x)", "-", "İ",
+]
+CLAUSES = ["", " (X = Sb, Pb)", " with x = 0.1 and 0.2", " samples with δ = 0.1"]
+formulas = st.builds(
+    lambda parts, clause: "".join(parts) + clause,
+    st.lists(
+        st.builds("{}{}{}".format, st.sampled_from(SYMBOLS), st.sampled_from(["", " "]),
+                  st.sampled_from(AMOUNTS)).map(lambda part: part + " "),
+        min_size=1, max_size=5,
+    ),
+    st.sampled_from(CLAUSES),
+)
+material_texts = st.one_of(formulas, st.text(max_size=12))
+
+
 class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(compositions())
@@ -319,6 +362,19 @@ class TestProperties:
     @given(compositions())
     def test_equality_reflexive(self, comp):
         assert compositions_equal(comp, comp)
+
+    @settings(max_examples=500, deadline=None)
+    @given(material_texts)
+    def test_every_accepted_variant_is_reflexive_and_reparses(self, text):
+        try:
+            variants = expand_substitutions(parse_material(text))
+        except MatEvalError:
+            return
+        for variant in variants:
+            comp = variant.composition
+            assert compositions_equal(comp, comp)
+            rendered = format_composition(comp)
+            assert compositions_equal(parse_material(rendered).composition, comp)
 
     def test_expansion_preserves_slot_count(self):
         pm = parse_material("Zr 5 X 3 (X = Sb, Pb, Sn)")

@@ -4,9 +4,18 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mateval.errors import EmptyRunsError
-from mateval.matching import formula_match, strict_match
+from mateval.matching import (
+    FormulaTier,
+    SoftTier,
+    StrictTier,
+    formula_match,
+    soft_match,
+    strict_match,
+)
 from mateval.scoring import (
     MatchCounts,
     Scores,
@@ -125,6 +134,53 @@ class TestCountMatches:
             expected, predicted, lambda e, p: p in adj[e]
         )
         assert counts.tp == n
+
+
+items = st.lists(
+    st.sampled_from([
+        "MgB2", " MgB2", "MgB2  ", "H2S", "H 2 S", "H2 S", "", " ", "La2-xSrxCuO4",
+        "La 2-x Sr x CuO 4", "hole-doped La 2-x Sr x CuO 4",
+    ]),
+    max_size=8,
+)
+
+
+class TestTierCounting:
+    @settings(max_examples=200, deadline=None)
+    @given(items, items)
+    def test_strict_closed_form_equals_assignment(self, expected, predicted):
+        closed = count_matches(expected, predicted, StrictTier())
+        assert closed == count_matches(expected, predicted, strict_match)
+        want = Counter(" ".join(e.split()) for e in expected) & Counter(
+            " ".join(p.split()) for p in predicted
+        )
+        assert closed.tp == sum(want.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(items, items, st.sampled_from([0.5, 0.9, 1.0]))
+    def test_keyed_tiers_equal_their_predicates(self, expected, predicted, threshold):
+        soft = count_matches(expected, predicted, SoftTier(threshold))
+        assert soft == count_matches(
+            expected, predicted, lambda a, b: soft_match(a, b, threshold).matched
+        )
+        formula = count_matches(expected, predicted, FormulaTier())
+        assert formula == count_matches(
+            expected, predicted, lambda a, b: formula_match(a, b).matched
+        )
+
+    def test_agrees_with_scipy_assignment(self):
+        numpy = pytest.importorskip("numpy")
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(13)
+        for _ in range(300):
+            n, m = rng.randint(0, 12), rng.randint(0, 12)
+            density = rng.choice([0.1, 0.3, 0.6])
+            matrix = numpy.array(
+                [[rng.random() < density for _ in range(m)] for _ in range(n)], dtype=bool
+            ).reshape(n, m)
+            rows, cols = optimize.linear_sum_assignment(matrix, maximize=True)
+            counts = count_matches(range(n), range(m), lambda i, j: matrix[i, j])
+            assert counts.tp == int(matrix[rows, cols].sum())
 
 
 class TestPrf:
