@@ -26,7 +26,6 @@ from .evaluation import (
     evaluate_re,
     filter_relation_blocks,
     match_relation_groups,
-    shuffle_entities,
 )
 from .finetune import FineTuneRecord, prepare_finetune, write_finetune_file
 from .llm import (
@@ -55,7 +54,7 @@ from .materials import (
     parse_material,
     strip_adjuncts,
 )
-from .prompts import PromptBundle, build_ner_prompt, build_re_prompt
+from .prompts import PromptBundle, build_ner_prompt, build_re_prompt, shuffle_entities
 from .scoring import (
     MatchCounts,
     RunAggregate,

@@ -187,7 +187,7 @@ def cmd_extract(args) -> int:
     documents = corpus_mod.load_corpus(args.corpus)
     cfg = _endpoint_config(args)
     seed = _resolve_seed(args)
-    class_ = {"ner_material": "material", "ner_quantity": "quantity"}.get(args.task)
+    class_ = corpus_mod.TASK_CLASSES.get(args.task)
     hints = _load_hints(args.hints, class_ or "material")
     limiter = RateLimiter(cfg.max_concurrency, cfg.min_interval)
     _check_output(args.output, args.force)
@@ -198,14 +198,9 @@ def cmd_extract(args) -> int:
         run_label = f"run{run_index}"
         for doc in sorted(documents, key=lambda d: d.id):
             if args.task == "re":
-                entities = {
-                    slot: doc.entity_texts(slot)
-                    for slot in ("material", "tc", "pressure")
-                    if doc.entity_texts(slot)
-                }
                 bundle = build_re_prompt(
                     doc.text,
-                    entities,
+                    doc.relation_entities(),
                     mode=args.mode,
                     shuffle_seed=(
                         re_prompt_seed(seed, doc.id, run_label)

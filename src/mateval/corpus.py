@@ -24,8 +24,13 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import DuplicateIdError, SchemaViolationError
+from .scoring import RunAggregate
 
 ENTITY_CLASSES = ("material", "quantity", "tc", "pressure")
+# the entity class each NER task extracts
+TASK_CLASSES = {"ner_material": "material", "ner_quantity": "quantity"}
+# the slots of a relation group, in prompt and report order
+RELATION_SLOTS = ("material", "tc", "pressure")
 
 _WS_RE = re.compile(r"\s+")
 
@@ -63,6 +68,12 @@ class Document:
 
     def entity_texts(self, class_: str) -> list[str]:
         return [e.text for e in self.entities if e.class_ == class_]
+
+    def relation_entities(self) -> dict[str, list[str]]:
+        """The non-empty entity list of each relation slot, in slot order:
+        the lists an RE prompt supplies."""
+        lists = {slot: self.entity_texts(slot) for slot in RELATION_SLOTS}
+        return {slot: texts for slot, texts in lists.items() if texts}
 
 
 @dataclass
@@ -383,8 +394,6 @@ def _render_markdown(payload: dict) -> str:
 
 
 def _table_f1_from_dict(agg: dict) -> tuple[float, float]:
-    from .scoring import RunAggregate
-
     return RunAggregate(
         mean_f1=agg["mean_f1"] * 100,
         std_f1=agg["std_f1"] * 100,

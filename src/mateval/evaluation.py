@@ -1,20 +1,17 @@
 """NER and RE evaluation across matchers and runs.
 
 Scoring is deterministic and order-invariant: documents are processed in id
-order, counts use maximum bipartite matching, and entity shuffling (which
-affects prompt construction only, never scoring) uses per-document sub-seeds
-derived from (seed, doc id) so results reproduce across platforms and
-parallel schedules. The PRNG is Python's Mersenne Twister seeded from a
-SHA-256 digest of the sub-seed key.
+order and counts use maximum bipartite matching. The shuffle mode and seed
+of an RE configuration are echoed in the report; they shape prompts (see
+:mod:`mateval.prompts`), never scores.
 """
 
-import hashlib
-import random
 import re
 from dataclasses import dataclass, field
 
-from .corpus import Document, PredictionSet, RelationGroup
+from .corpus import RELATION_SLOTS, TASK_CLASSES, Document, PredictionSet, RelationGroup
 from .errors import (
+    DuplicateIdError,
     NoMatchersSelectedError,
     ProviderUnavailableError,
     UnknownDocumentError,
@@ -30,9 +27,7 @@ from .scoring import (
 )
 
 MATCHER_NAMES = ("strict", "soft", "semantic", "formula")
-TASKS = ("ner_material", "ner_quantity", "re")
-TASK_CLASSES = {"ner_material": "material", "ner_quantity": "quantity"}
-RELATION_SLOTS = ("material", "tc", "pressure")
+TASKS = (*TASK_CLASSES, "re")
 
 
 @dataclass(frozen=True)
@@ -123,29 +118,6 @@ class EvalReport:
             recomputed = aggregate_runs([r.scores for r in block.runs])
             if recomputed != block.aggregate:
                 raise AssertionError(f"inconsistent aggregate for {name!r}")
-
-
-def derive_subseed(seed: int, *parts: str) -> int:
-    """Stable 64-bit sub-seed from a seed and context parts (e.g. doc id)."""
-    key = ":".join([str(seed), *map(str, parts)])
-    return int(hashlib.sha256(key.encode("utf-8")).hexdigest()[:16], 16)
-
-
-def shuffle_entities(
-    entities: dict[str, list[str]], seed: int
-) -> dict[str, list[str]]:
-    """Independently permute each class list with a deterministic PRNG.
-
-    The same seed always produces the same output; each class draws its own
-    generator so adding a class never perturbs the others.
-    """
-    shuffled = {}
-    for class_, values in entities.items():
-        rng = random.Random(derive_subseed(seed, class_))
-        items = list(values)
-        rng.shuffle(items)
-        shuffled[class_] = items
-    return shuffled
 
 
 def _block_slots(block) -> dict[str, str | None]:
@@ -253,7 +225,12 @@ def _group_predictions(
             raise UnknownDocumentError(
                 f"prediction references unknown document {pred.doc_id!r}"
             )
-        by_run.setdefault(pred.run_label, {})[pred.doc_id] = pred
+        run = by_run.setdefault(pred.run_label, {})
+        if pred.doc_id in run:
+            raise DuplicateIdError(
+                f"duplicate prediction for doc_id {pred.doc_id!r}, run {pred.run_label!r}"
+            )
+        run[pred.doc_id] = pred
     return index, by_run
 
 
@@ -353,9 +330,8 @@ def evaluate_re(
     max_warnings = 50
 
     def count_for_doc(doc, pred, matcher, report):
-        supplied = {slot: doc.entity_texts(slot) for slot in RELATION_SLOTS}
         blocks = pred.relations if pred else []
-        kept, notes = _filter_with_notes(blocks, supplied)
+        kept, notes = _filter_with_notes(blocks, doc.relation_entities())
         for note in notes:
             if len(report.warnings) < max_warnings:
                 message = f"doc {doc.id}: {note}"

@@ -16,21 +16,17 @@ import json
 import random
 from dataclasses import dataclass
 
-from .corpus import Document, RelationGroup
+from .corpus import TASK_CLASSES, Document, RelationGroup
 from .errors import EmptyCorpusError
-from .evaluation import derive_subseed, shuffle_entities
 from .prompts import (
-    NER_SYSTEM_TEMPLATE,
-    MATERIAL_USER_PROMPT,
-    QUANTITY_USER_PROMPT,
-    RE_SYSTEM_PROMPT,
-    RE_RULES_BLOCK,
-    RE_USER_TEMPLATE,
-    render_entity_lists,
+    PromptBundle,
+    build_ner_prompt,
+    build_re_prompt,
+    derive_subseed,
+    shuffle_entities,
 )
 
 STRATEGIES = ("base", "document_order", "augmented")
-RELATION_CLASSES = ("material", "tc", "pressure")
 
 # reshuffle attempts before conceding that a different ordering is impossible
 _MAX_RESHUFFLES = 8
@@ -69,44 +65,17 @@ def render_pseudo_entities(class_: str, texts: list[str]) -> str:
     return "\n".join([f"{label}:"] + [f" - {t}" for t in texts])
 
 
-def _re_user_prompt(doc: Document, entities: dict[str, list[str]]) -> str:
-    user = RE_USER_TEMPLATE.replace("{text}", doc.text).replace(
-        "{entities}", render_entity_lists(entities)
-    )
-    return f"{user}\n\n{RE_RULES_BLOCK}"
-
-
-def _re_record(doc: Document, entities: dict[str, list[str]], strategy: str) -> FineTuneRecord:
+def _record(doc: Document, bundle: PromptBundle, answer: str, strategy: str) -> FineTuneRecord:
+    """The extraction prompt without format instructions, then the pseudo-format answer."""
     return FineTuneRecord(
         messages=(
-            {"role": "system", "content": RE_SYSTEM_PROMPT},
-            {"role": "user", "content": _re_user_prompt(doc, entities)},
-            {"role": "assistant", "content": render_pseudo_relations(doc.relations)},
+            {"role": "system", "content": bundle.system},
+            {"role": "user", "content": bundle.user},
+            {"role": "assistant", "content": answer},
         ),
         strategy=strategy,
         source_doc=doc.id,
     )
-
-
-def _ner_record(doc: Document, task: str, strategy: str) -> FineTuneRecord:
-    class_ = "material" if task == "ner_material" else "quantity"
-    user = MATERIAL_USER_PROMPT if task == "ner_material" else QUANTITY_USER_PROMPT
-    return FineTuneRecord(
-        messages=(
-            {"role": "system", "content": NER_SYSTEM_TEMPLATE.replace("{text}", doc.text)},
-            {"role": "user", "content": user},
-            {
-                "role": "assistant",
-                "content": render_pseudo_entities(class_, doc.entity_texts(class_)),
-            },
-        ),
-        strategy=strategy,
-        source_doc=doc.id,
-    )
-
-
-def _doc_entities(doc: Document) -> dict[str, list[str]]:
-    return {c: doc.entity_texts(c) for c in RELATION_CLASSES if doc.entity_texts(c)}
 
 
 def _shuffled_copy(
@@ -116,22 +85,28 @@ def _shuffled_copy(
 
 
 def _doc_records(doc: Document, task: str, strategy: str, seed: int) -> list[FineTuneRecord]:
-    if task in ("ner_material", "ner_quantity"):
-        return [_ner_record(doc, task, strategy)]
     if task != "re":
-        raise ValueError(f"unknown task {task!r}")
-    entities = _doc_entities(doc)
+        bundle = build_ner_prompt(task, doc.text)  # ValueError for an unknown task
+        class_ = TASK_CLASSES[task]
+        answer = render_pseudo_entities(class_, doc.entity_texts(class_))
+        return [_record(doc, bundle, answer, strategy)]
+    entities = doc.relation_entities()
     if not entities:
         return []
+    answer = render_pseudo_relations(doc.relations)
+
+    def record(ordered: dict[str, list[str]]) -> FineTuneRecord:
+        return _record(doc, build_re_prompt(doc.text, ordered), answer, strategy)
+
     if strategy == "document_order":
-        return [_re_record(doc, entities, strategy)]
+        return [record(entities)]
     base_entities = _shuffled_copy(entities, seed, doc.id, 0)
-    records = [_re_record(doc, base_entities, strategy)]
+    records = [record(base_entities)]
     if strategy == "augmented":
         for attempt in range(1, _MAX_RESHUFFLES + 1):
             candidate = _shuffled_copy(entities, seed, doc.id, attempt)
             if candidate != base_entities:
-                records.append(_re_record(doc, candidate, strategy))
+                records.append(record(candidate))
                 break
         # single-ordering examples (all lists length <= 1) stay unduplicated
     return records
@@ -155,8 +130,14 @@ def prepare_finetune(
     which avoids that leakage. Both are disjoint, exhaustive, and
     reproducible under the seed.
 
+    Each record's system and user messages are the extraction prompt
+    (:func:`~mateval.prompts.build_ner_prompt` or
+    :func:`~mateval.prompts.build_re_prompt`) without format instructions.
+
     Raises:
         EmptyCorpusError: no usable documents.
+        EmptyTextError: a document that yields a record has whitespace-only
+            text.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import requests
 
+from .corpus import RELATION_SLOTS, TASK_CLASSES
 from .errors import (
     EndpointError,
     MissingCredentialError,
@@ -275,11 +276,11 @@ def parse_json_response(raw: str, task: str):
                 raise ResponseParseError("relation blocks must be objects", raw)
             block = {
                 k: str(v) for k, v in item.items()
-                if k in ("material", "tc", "pressure") and v is not None
+                if k in RELATION_SLOTS and v is not None
             }
             blocks.append(block)
         return blocks
-    keys = ("material",) if task == "ner_material" else ("quantity",)
+    keys = (TASK_CLASSES[task],)
     entities = []
     for item in payload:
         value = _entity_from_obj(item, keys)
@@ -306,9 +307,6 @@ def parse_pseudo_format(raw: str, task: str):
     return _parse_pseudo_entities(raw, task)
 
 
-_RELATION_KEYS = ("material", "tc", "pressure")
-
-
 def _parse_pseudo_relations(raw: str) -> list[dict]:
     blocks: list[dict] = []
     current: dict = {}
@@ -327,16 +325,16 @@ def _parse_pseudo_relations(raw: str) -> list[dict]:
         text = line.strip()
         markers = list(_KEY_MARKER_RE.finditer(text))
         for marker in markers:
-            if marker.group(1).lower() not in _RELATION_KEYS:
+            if marker.group(1).lower() not in RELATION_SLOTS:
                 logger.warning("ignoring unknown key %r in response", marker.group(1))
-        if not any(m.group(1).lower() in _RELATION_KEYS for m in markers):
+        if not any(m.group(1).lower() in RELATION_SLOTS for m in markers):
             continue
         saw_marker = True
         # a value runs from its key's colon to the next key of any kind, so
         # unknown-key segments never leak into the preceding value
         for i, marker in enumerate(markers):
             key = marker.group(1).lower()
-            if key not in _RELATION_KEYS:
+            if key not in RELATION_SLOTS:
                 continue
             end = markers[i + 1].start() if i + 1 < len(markers) else len(text)
             value = text[marker.end(): end].strip().strip(",").rstrip(":").strip()

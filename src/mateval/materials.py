@@ -12,6 +12,7 @@ rather than mis-parsed.
 """
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -92,7 +93,9 @@ def strip_adjuncts(
 
     Matching is case-insensitive, longest phrase first, and respects word
     boundaries; the removed surface strings are returned in removal order
-    (prefixes left to right, then suffixes right to left).
+    (prefixes left to right, then suffixes right to left). A phrase that is
+    all the text left is kept as the core, so ``"BULK"`` (the rendering of
+    ``B U L K``) stays a formula.
 
     Args:
         raw: material expression, e.g. ``"hole-doped La 2-x Sr x CuO 4"``.
@@ -115,14 +118,10 @@ def strip_adjuncts(
         for phrase in phrases:
             p = phrase.lower()
             if suffix:
-                if low.endswith(p) and (
-                    len(s) == len(p) or s[-len(p) - 1].isspace()
-                ):
+                if low.endswith(p) and len(s) > len(p) and s[-len(p) - 1].isspace():
                     return s[: -len(p)].strip(), s[len(s) - len(p):]
             else:
-                if low.startswith(p) and (
-                    len(s) == len(p) or s[len(p)].isspace()
-                ):
+                if low.startswith(p) and len(s) > len(p) and s[len(p)].isspace():
                     return s[len(p):].strip(), s[: len(p)]
         return s, None
 
@@ -167,6 +166,14 @@ def _variable(ch: str) -> str | None:
     return low if len(low) == 1 and low.islower() else None
 
 
+def _finite(value: float) -> float:
+    """``value`` if finite: a decimal of 309+ digits reads as ``inf``, and
+    ``inf - inf`` is NaN, which no tolerance comparison can judge."""
+    if not math.isfinite(value):
+        raise UnparseableMaterialError(f"amount out of range: {value}")
+    return value
+
+
 def _read_amount(text: str, i: int) -> tuple[Amount, int] | None:
     """Read the one amount grammar at ``text[i:]``: ``c``, ``c±v`` or ``v``.
 
@@ -180,10 +187,11 @@ def _read_amount(text: str, i: int) -> tuple[Amount, int] | None:
             return text[i], i + 1
         return None
     j = m.end()
+    value = _finite(float(m.group(0)))
     var = _variable(text[j + 1]) if j + 1 < len(text) and text[j] in "+-" else None
     if var:
         return f"{m.group(0)}{text[j]}{var}", j + 2
-    return float(m.group(0)), j
+    return value, j
 
 
 def _is_placeholder(letter: str) -> bool:
@@ -256,7 +264,7 @@ def _parse_clause(variable: str, body: str) -> list[SubstitutionSet]:
         if not cands:
             continue
         if all(_NUMBER_RE.fullmatch(c) for c in cands):
-            values: list[Amount] = [float(c) for c in cands]
+            values: list[Amount] = [_finite(float(c)) for c in cands]
             var = var.lower()
         elif all(is_element(c) for c in cands):
             values = list(cands)
@@ -330,7 +338,7 @@ def parse_material(
         if symbol in composition:
             prev = composition[symbol]
             if isinstance(prev, float) and isinstance(value, float):
-                composition[symbol] = prev + value
+                composition[symbol] = _finite(prev + value)
             else:
                 raise UnparseableMaterialError(
                     f"repeated element {symbol!r} with symbolic amounts in {raw!r}"
@@ -366,7 +374,7 @@ def _substitute_element(
         key = element if key == variable else key
         if key in out:
             if isinstance(out[key], float) and isinstance(amount, float):
-                out[key] = out[key] + amount  # type: ignore[operator]
+                out[key] = _finite(out[key] + amount)  # type: ignore[operator]
             else:
                 raise UnparseableMaterialError(
                     f"substituting {variable}->{element} collides with a "
@@ -387,7 +395,7 @@ def _substitute_numeric(
                 resolved = value
             else:
                 coeff = float(amount[:-2])
-                resolved = coeff + value if amount[-2] == "+" else coeff - value
+                resolved = _finite(coeff + value if amount[-2] == "+" else coeff - value)
             if resolved > DEFAULT_TOL:
                 out[key] = resolved
             # amounts evaluating to zero vacate the site entirely
@@ -465,7 +473,7 @@ def compositions_equal(
     for key, va in na.items():
         vb = nb[key]
         if isinstance(va, float) and isinstance(vb, float):
-            if abs(va - vb) > tol:
+            if not abs(va - vb) <= tol:  # a NaN difference is never equal
                 return False
         elif isinstance(va, str) and isinstance(vb, str):
             if va[:-1] != vb[:-1]:

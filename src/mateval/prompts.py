@@ -4,13 +4,21 @@ Templates reproduce the extraction pipeline's wording exactly, including the
 sample oddities in the in-context relation examples; determinism matters
 more than tidiness here, since evaluations compare byte-identical reruns.
 Assembly is pure: the same inputs (and shuffle seed) always produce the
-same bundle.
+same bundle. This is the only module that assembles prompt text: extraction
+sends a bundle's ``user_message()``, and fine-tune preparation trains on its
+``system`` and ``user`` text, so training and inference prompts cannot drift.
+
+Entity shuffling affects prompt construction only, never scoring. It uses
+sub-seeds derived from (seed, doc id, ...) so prompts reproduce across
+platforms and parallel schedules; the PRNG is Python's Mersenne Twister
+seeded from a SHA-256 digest of the sub-seed key.
 """
 
+import hashlib
+import random
 from dataclasses import dataclass
 
 from .errors import EmptyTextError, NoEntitiesError
-from .evaluation import derive_subseed, shuffle_entities
 
 DEFAULT_TEMPERATURE = 0.0
 
@@ -166,9 +174,7 @@ class PromptBundle:
 
     def user_message(self) -> str:
         """User content as sent over the wire (format instructions last)."""
-        if self.format_instructions:
-            return f"{self.user}\n\n{self.format_instructions}"
-        return self.user
+        return f"{self.user}\n\n{self.format_instructions}"
 
 
 def build_ner_prompt(
@@ -221,7 +227,6 @@ def build_re_prompt(
     shuffle_seed: int | None = None,
     model: str = "gpt-3.5-turbo",
     temperature: float = DEFAULT_TEMPERATURE,
-    format_instructions: bool = True,
 ) -> PromptBundle:
     """Assemble the RE prompt from a passage and its entity lists.
 
@@ -246,15 +251,34 @@ def build_re_prompt(
     return PromptBundle(
         system=RE_SYSTEM_PROMPT,
         user=user,
-        format_instructions=(
-            FORMAT_INSTRUCTIONS_TEMPLATE.replace("{schema}", RELATION_SCHEMA)
-            if format_instructions
-            else ""
-        ),
+        format_instructions=FORMAT_INSTRUCTIONS_TEMPLATE.replace("{schema}", RELATION_SCHEMA),
         model=model,
         temperature=temperature,
         task="re",
     )
+
+
+def derive_subseed(seed: int, *parts: str) -> int:
+    """Stable 64-bit sub-seed from a seed and context parts (e.g. doc id)."""
+    key = ":".join([str(seed), *map(str, parts)])
+    return int(hashlib.sha256(key.encode("utf-8")).hexdigest()[:16], 16)
+
+
+def shuffle_entities(
+    entities: dict[str, list[str]], seed: int
+) -> dict[str, list[str]]:
+    """Independently permute each class list with a deterministic PRNG.
+
+    The same seed always produces the same output; each class draws its own
+    generator so adding a class never perturbs the others.
+    """
+    shuffled = {}
+    for class_, values in entities.items():
+        rng = random.Random(derive_subseed(seed, class_))
+        items = list(values)
+        rng.shuffle(items)
+        shuffled[class_] = items
+    return shuffled
 
 
 def re_prompt_seed(seed: int, doc_id: str, run_label: str) -> int:

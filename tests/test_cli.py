@@ -75,6 +75,15 @@ class TestMatchCommand:
         assert payload["matched"] is True
         assert payload["tier"] == "formula"
 
+    def test_formula_overflowing_amounts(self, capsys):
+        a, b = "O" + "9" * 400, "O" + "8" * 400
+        code, out, _ = run_cli(["match", "--matcher", "formula", a, b], capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["matched"] is False
+        assert "out of range" in payload["detail"]
+        code, _, err = run_cli(["parse-material", a], capsys)
+        assert code == 3 and "out of range" in err
+
     def test_strict_match(self, capsys):
         code, out, _ = run_cli(["match", "--matcher", "strict", "355  ml", " 355 ml"], capsys)
         assert code == 0

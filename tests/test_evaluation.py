@@ -13,6 +13,7 @@ from mateval.corpus import (
     load_corpus,
 )
 from mateval.errors import (
+    DuplicateIdError,
     NoMatchersSelectedError,
     ProviderUnavailableError,
     UnknownDocumentError,
@@ -23,8 +24,8 @@ from mateval.evaluation import (
     evaluate_re,
     filter_relation_blocks,
     match_relation_groups,
-    shuffle_entities,
 )
+from mateval.prompts import shuffle_entities
 from mateval.scoring import MatchCounts
 
 DATA = Path(__file__).parent / "data"
@@ -67,6 +68,12 @@ class TestEvaluateNer:
         agg = report.matchers["strict"].aggregate
         assert agg.n_runs == 3
         assert agg.std_f1 == 0.0
+
+    def test_duplicate_doc_run_prediction_sets(self):
+        docs = [Document(id="d1", text="t", entities=[EntityMention("MgB2", "material")])]
+        preds = [ner_pred("d1", ["MgB2"]), ner_pred("d1", [])]
+        with pytest.raises(DuplicateIdError, match=r"doc_id 'd1', run 'run1'"):
+            evaluate_ner(docs, preds, EvalConfig(task="ner_material"))
 
     def test_unknown_document(self):
         docs = [Document(id="d1", text="t")]

@@ -1,0 +1,101 @@
+"""The package's import graph, read from the source with ``ast``.
+
+Prompt text is assembled in one module that depends on nothing but the
+error types, so extraction and fine-tune preparation cannot drift apart,
+and the task/slot vocabulary is spelled out once, in ``corpus``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mateval"
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+def _imported(node: ast.ImportFrom) -> list[tuple[str, list[str]]]:
+    """(package module, imported names) for one ``from ... import``."""
+    if node.level == 1 and node.module is None:  # from . import corpus
+        return [(alias.name, []) for alias in node.names]
+    module = node.module or ""
+    if node.level == 0:
+        if not module.startswith("mateval."):
+            return []
+        module = module.removeprefix("mateval.")
+    return [(module, [alias.name for alias in node.names])]
+
+
+def _imports(tree: ast.Module) -> list[tuple[str, list[str]]]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(_imported(node))
+        elif isinstance(node, ast.Import):
+            found.extend(
+                (alias.name.removeprefix("mateval."), [])
+                for alias in node.names
+                if alias.name.startswith("mateval.")
+            )
+    return found
+
+
+DEPS = {name: {module for module, _ in _imports(tree)} for name, tree in TREES.items()}
+
+
+def test_prompts_depends_only_on_errors():
+    assert DEPS["prompts"] == {"errors"}
+
+
+@pytest.mark.parametrize("module", ["finetune", "llm"])
+def test_llm_plumbing_stays_below_evaluation(module):
+    assert DEPS[module] <= {"corpus", "errors", "prompts"}
+
+
+def test_only_the_entry_points_import_evaluation():
+    assert {name for name, deps in DEPS.items() if "evaluation" in deps} == {"cli", "__init__"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_function_local_imports(module):
+    tree = TREES[module]
+    top_level = {id(node) for node in tree.body}
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top_level
+    ]
+    assert nested == []
+
+
+def test_no_template_constant_leaves_prompts():
+    leaked = [
+        (name, imported)
+        for name, tree in TREES.items()
+        if name != "prompts"
+        for module, names in _imports(tree)
+        if module == "prompts"
+        for imported in names
+        if imported.isupper()
+    ]
+    assert leaked == []
+
+
+def _literals(node_type) -> Counter:
+    counts: Counter = Counter()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, node_type):
+                try:
+                    value = ast.literal_eval(node)
+                except ValueError:
+                    continue
+                counts[repr(value)] += 1
+    return counts
+
+
+def test_vocabulary_is_spelled_out_once():
+    assert _literals(ast.Tuple)[repr(("material", "tc", "pressure"))] == 1
+    task_classes = {"ner_material": "material", "ner_quantity": "quantity"}
+    assert _literals(ast.Dict)[repr(task_classes)] == 1

@@ -32,7 +32,7 @@ from mateval.llm import (
     parse_pseudo_format,
     parse_response,
 )
-from mateval.prompts import build_ner_prompt, build_re_prompt
+from mateval.prompts import build_ner_prompt, build_re_prompt, derive_subseed
 
 DATA = Path(__file__).parent / "data"
 
@@ -161,6 +161,26 @@ class TestChatComplete:
         bundle = build_ner_prompt("ner_material", "text")
         assert chat_complete(bundle, cfg, transport=flaky) == "answer"
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("task", ["ner_material", "ner_quantity", "re"])
+    def test_sent_messages_are_the_bundle(self, monkeypatch, task):
+        monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
+        sent = []
+
+        def capture(cfg, credential, payload):
+            sent.append(payload["messages"])
+            return "answer"
+
+        if task == "re":
+            bundle = build_re_prompt("text", {"material": ["MgB2"], "tc": ["39 K"]})
+        else:
+            bundle = build_ner_prompt(task, "text")
+        cfg = ChatEndpointConfig(credential_env="MATEVAL_TEST_KEY")
+        chat_complete(bundle, cfg, transport=capture)
+        assert sent == [[
+            {"role": "system", "content": bundle.system},
+            {"role": "user", "content": bundle.user + "\n\n" + bundle.format_instructions},
+        ]]
 
     def test_retries_exhausted(self, monkeypatch):
         monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
@@ -446,6 +466,39 @@ class TestPrepareFinetune:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
             prepare_finetune([], "re", "base")
+
+    @pytest.mark.parametrize("task", ["ner_material", "ner_quantity", "re"])
+    @pytest.mark.parametrize("strategy", ["base", "document_order", "augmented"])
+    def test_records_carry_the_extraction_prompt(self, task, strategy):
+        docs = {d.id: d for d in load_corpus(str(DATA / "corpus.jsonl"))}
+        docs.update((d.id, d) for d in synthetic_corpus(4))
+        train, test = prepare_finetune(list(docs.values()), task, strategy, seed=7)
+        assert train and test
+        for record in train + test:
+            doc = docs[record.source_doc]
+            if task != "re":
+                bundles = [build_ner_prompt(task, doc.text)]
+            elif strategy == "document_order":
+                bundles = [build_re_prompt(doc.text, doc.relation_entities())]
+            else:
+                # copy 0 is the base ordering, later copies augmented ones
+                copies = range(9) if strategy == "augmented" else range(1)
+                bundles = [
+                    build_re_prompt(doc.text, doc.relation_entities(),
+                                    shuffle_seed=derive_subseed(7, doc.id, str(c)))
+                    for c in copies
+                ]
+            system, user, _ = (m["content"] for m in record.messages)
+            assert (system, user) in [(b.system, b.user) for b in bundles]
+
+    @pytest.mark.parametrize("task", ["ner_material", "re"])
+    def test_whitespace_text_raises(self, task):
+        doc = Document(
+            id="blank", text="  \n",
+            entities=[EntityMention("MgB2", "material"), EntityMention("39 K", "tc")],
+        )
+        with pytest.raises(EmptyTextError):
+            prepare_finetune([doc], task, "base")
 
     def test_document_split_keeps_augmented_copies_together(self):
         docs = synthetic_corpus(10)

@@ -201,6 +201,14 @@ class TestFormulaMatch:
         assert not outcome.matched
         assert "exceed the expansion cap" in outcome.detail
 
+    def test_overflowing_amounts_do_not_match(self):
+        a, b = "O" + "9" * 400, "O" + "8" * 400
+        outcome = formula_match(a, b)
+        assert not outcome.matched
+        assert "out of range" in outcome.detail
+        tier = FormulaTier()
+        assert not tier.verify(tier.key(a), tier.key(b))
+
     def test_identical_strings_take_strict_tier(self):
         outcome = formula_match("anything at all", "anything at all")
         assert outcome.matched and outcome.tier == "strict"

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mateval.errors import (
@@ -229,6 +229,10 @@ class TestCompositionsEqual:
         assert compositions_equal({"Mg": 1.0}, {"Mg": 1.0 + 5e-7})
         assert not compositions_equal({"Mg": 1.0}, {"Mg": 1.001})
 
+    def test_non_finite_amounts_never_equal(self):
+        for value in (float("inf"), float("nan")):
+            assert not compositions_equal({"O": value}, {"O": value})
+
     def test_numeric_vs_symbolic_never_equal(self):
         assert not compositions_equal({"Eu": 0.5}, {"Eu": "x"})
 
@@ -365,6 +369,13 @@ class TestProperties:
 
     @settings(max_examples=500, deadline=None)
     @given(material_texts)
+    # amounts that read as inf, or sum to inf when parsed or expanded
+    @example("O" + "9" * 400)
+    @example("Ox with x = " + "9" * 400)
+    @example("O" + "9" * 308 + " O" + "9" * 308)
+    @example("X" + "9" * 308 + " O" + "9" * 308 + " (X = O)")
+    @example("O(" + "9" * 308 + "+x) with x = " + "9" * 308)
+    @example("B U L K")  # renders as the adjunct word "BULK"
     def test_every_accepted_variant_is_reflexive_and_reparses(self, text):
         try:
             variants = expand_substitutions(parse_material(text))
