@@ -105,9 +105,14 @@ def cmd_match(args) -> int:
 
 
 def _semantic_provider(args) -> HttpSimilarityProvider | None:
-    """Provider from --semantic-endpoint/--timeout, falling back to --config."""
+    """Provider from --semantic-endpoint/--timeout, falling back to --config.
+
+    ``max_concurrency`` and ``min_interval`` come from --config, or from the
+    ``ChatEndpointConfig`` defaults without one.
+    """
     endpoint = args.semantic_endpoint
     timeout = args.timeout
+    cfg = ChatEndpointConfig()
     if getattr(args, "config", None):
         cfg = ChatEndpointConfig.from_file(args.config)
         endpoint = endpoint or cfg.semantic_endpoint
@@ -115,7 +120,12 @@ def _semantic_provider(args) -> HttpSimilarityProvider | None:
             timeout = cfg.timeout
     if not endpoint:
         return None
-    return HttpSimilarityProvider(endpoint, timeout if timeout is not None else 10.0)
+    return HttpSimilarityProvider(
+        endpoint,
+        timeout if timeout is not None else 10.0,
+        max_concurrency=cfg.max_concurrency,
+        min_interval=cfg.min_interval,
+    )
 
 
 def _run_eval(args, task: str) -> int:
@@ -189,14 +199,22 @@ def cmd_extract(args) -> int:
     seed = _resolve_seed(args)
     class_ = corpus_mod.TASK_CLASSES.get(args.task)
     hints = _load_hints(args.hints, class_ or "material")
-    limiter = RateLimiter(cfg.max_concurrency, cfg.min_interval)
+    # dry-run reads local fixtures: no endpoint to wait on, so threads only
+    # contend for the interpreter lock
+    limiter = RateLimiter(1 if cfg.dry_run else cfg.max_concurrency, cfg.min_interval)
     _check_output(args.output, args.force)
 
-    lines = []
-    failures = []
+    docs = sorted(documents, key=lambda d: d.id)
+    skipped = []
+    if args.task == "re":  # nothing to relate: skipped, as in prepare-finetune
+        skipped = [doc.id for doc in docs if not doc.relation_entities()]
+        docs = [doc for doc in docs if doc.relation_entities()]
+    for doc_id in skipped:
+        _note(f"skipped {doc_id}: no material, tc or pressure entities to relate")
+    jobs = []  # (doc_id, run_label, bundle) in output order
     for run_index in range(1, args.runs + 1):
         run_label = f"run{run_index}"
-        for doc in sorted(documents, key=lambda d: d.id):
+        for doc in docs:
             if args.task == "re":
                 bundle = build_re_prompt(
                     doc.text,
@@ -218,18 +236,27 @@ def cmd_extract(args) -> int:
                     model=cfg.model,
                     temperature=args.temperature,
                 )
-            raw = chat_complete(bundle, cfg, doc_id=doc.id, run=run_label, limiter=limiter)
-            try:
-                parsed = parse_response(raw, args.task, args.response_format)
-            except MatEvalError as exc:
-                failures.append(f"{doc.id}/{run_label}: {exc}")
-                parsed = []
-            record: dict = {"doc_id": doc.id, "run": run_label}
-            if args.task == "re":
-                record["relations"] = parsed
-            else:
-                record["entities"] = {class_: parsed}
-            lines.append(record)
+            jobs.append((doc.id, run_label, bundle))
+    # up to max_concurrency requests at once; responses keep (run, doc) order
+    raws = limiter.map(
+        lambda job: chat_complete(job[2], cfg, doc_id=job[0], run=job[1], limiter=limiter),
+        jobs,
+    )
+
+    lines = []
+    failures = []
+    for (doc_id, run_label, _), raw in zip(jobs, raws):
+        try:
+            parsed = parse_response(raw, args.task, args.response_format)
+        except MatEvalError as exc:
+            failures.append(f"{doc_id}/{run_label}: {exc}")
+            parsed = []
+        record: dict = {"doc_id": doc_id, "run": run_label}
+        if args.task == "re":
+            record["relations"] = parsed
+        else:
+            record["entities"] = {class_: parsed}
+        lines.append(record)
 
     serialized = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     if args.output:
@@ -239,7 +266,7 @@ def cmd_extract(args) -> int:
         sys.stdout.write(serialized)
     for failure in failures:
         _note(f"unparseable response: {failure}")
-    return EXIT_WARNINGS if failures else EXIT_OK
+    return EXIT_WARNINGS if failures or skipped else EXIT_OK
 
 
 def cmd_prepare_finetune(args) -> int:

@@ -29,6 +29,8 @@ from .scoring import RunAggregate
 ENTITY_CLASSES = ("material", "quantity", "tc", "pressure")
 # the entity class each NER task extracts
 TASK_CLASSES = {"ner_material": "material", "ner_quantity": "quantity"}
+# the header of a pseudo-format NER answer, per entity class
+PSEUDO_HEADERS = {"material": "materials", "quantity": "quantities"}
 # the slots of a relation group, in prompt and report order
 RELATION_SLOTS = ("material", "tc", "pressure")
 

@@ -16,7 +16,14 @@ from .errors import (
     ProviderUnavailableError,
     UnknownDocumentError,
 )
-from .matching import TIERS, SimilarityProvider, StrictTier, Tier, normalize_whitespace
+from .matching import (
+    TIERS,
+    SemanticTier,
+    SimilarityProvider,
+    StrictTier,
+    Tier,
+    normalize_whitespace,
+)
 from .scoring import (
     MatchCounts,
     RunAggregate,
@@ -194,11 +201,29 @@ class _GroupTier:
         pressure = None if group.pressure is None else key(group.pressure)
         return key(group.material), key(group.tc), pressure
 
+    def slot_matches(self, x, y) -> bool:
+        return (x is None) == (y is None) and (x is None or self.slot.verify(x, y))
+
     def verify(self, ka: tuple, kb: tuple) -> bool:
-        return all(
-            (x is None) == (y is None) and (x is None or self.slot.verify(x, y))
-            for x, y in zip(ka, kb)
-        )
+        return all(map(self.slot_matches, ka, kb))
+
+    def prefetch(self, items) -> None:
+        """Batch a semantic slot tier's calls one slot at a time: material
+        pairs, then tc where the materials matched, then pressure. These are
+        the calls ``verify``'s short-circuit makes, and no others."""
+        pairs = [
+            (self.key(e), self.key(p))
+            for expected, predicted in items
+            for e in expected
+            for p in predicted
+        ]
+        for slot in range(3):  # material, tc, pressure
+            self.slot.score_pairs(
+                (ka[slot], kb[slot])
+                for ka, kb in pairs
+                if ka[slot] is not None and kb[slot] is not None
+            )
+            pairs = [(ka, kb) for ka, kb in pairs if self.slot_matches(ka[slot], kb[slot])]
 
 
 def match_relation_groups(
@@ -245,35 +270,48 @@ def _evaluate(
     by_run: dict[str, dict[str, PredictionSet]],
     config: EvalConfig,
     provider: SimilarityProvider | None,
-    count_for_doc,
+    doc_items,
+    lift=lambda tier: tier,
 ) -> EvalReport:
-    """Shared run/matcher/document loop for NER and RE evaluation."""
+    """Shared run/matcher/document loop for NER and RE evaluation.
+
+    ``doc_items(doc, prediction, report)`` gives a document's expected and
+    predicted lists, once per run; ``lift(tier)`` is the tier they are
+    counted with. A semantic tier scores every pair of every run in one
+    provider batch before counting.
+    """
     report = EvalReport(task=config.task, config=config.to_dict())
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
     report.config["run_labels"] = run_labels
     ordered_docs = sorted(documents, key=lambda d: d.id)
+    items = {
+        run_label: [
+            doc_items(doc, by_run.get(run_label, {}).get(doc.id), report)
+            for doc in ordered_docs
+        ]
+        for run_label in run_labels
+    }
     for name in config.matchers:
         matcher = TIERS[name](config.threshold, provider)
+        tier = lift(matcher)
         block = MatcherBlock()
         try:
+            if isinstance(matcher, SemanticTier):
+                tier.prefetch([item for run in items.values() for item in run])
             for run_label in run_labels:
-                doc_preds = by_run.get(run_label, {})
-                per_doc_counts = []
-                per_doc_detail = []
-                expected_total = 0
-                for doc in ordered_docs:
-                    counts, n_expected = count_for_doc(
-                        doc, doc_preds.get(doc.id), matcher, report
-                    )
-                    expected_total += n_expected
-                    per_doc_counts.append(counts)
-                    per_doc_detail.append({"doc_id": doc.id, **counts.to_dict()})
+                per_doc_counts = [
+                    count_matches(expected, predicted, tier)
+                    for expected, predicted in items[run_label]
+                ]
                 block.runs.append(
                     RunScores(
                         run=run_label,
                         scores=micro_average(per_doc_counts),
-                        expected_total=expected_total,
-                        per_document=per_doc_detail,
+                        expected_total=sum(len(e) for e, _ in items[run_label]),
+                        per_document=[
+                            {"doc_id": doc.id, **counts.to_dict()}
+                            for doc, counts in zip(ordered_docs, per_doc_counts)
+                        ],
                     )
                 )
         except ProviderUnavailableError as exc:
@@ -302,12 +340,10 @@ def evaluate_ner(
     class_ = TASK_CLASSES[config.task]
     _, by_run = _group_predictions(documents, predictions)
 
-    def count_for_doc(doc, pred, matcher, report):
-        expected = doc.entity_texts(class_)
-        predicted = pred.entities.get(class_, []) if pred else []
-        return count_matches(expected, predicted, matcher), len(expected)
+    def doc_items(doc, pred, report):
+        return doc.entity_texts(class_), pred.entities.get(class_, []) if pred else []
 
-    return _evaluate(documents, by_run, config, provider, count_for_doc)
+    return _evaluate(documents, by_run, config, provider, doc_items)
 
 
 def evaluate_re(
@@ -329,7 +365,7 @@ def evaluate_re(
     _, by_run = _group_predictions(documents, predictions)
     max_warnings = 50
 
-    def count_for_doc(doc, pred, matcher, report):
+    def doc_items(doc, pred, report):
         blocks = pred.relations if pred else []
         kept, notes = _filter_with_notes(blocks, doc.relation_entities())
         for note in notes:
@@ -337,6 +373,6 @@ def evaluate_re(
                 message = f"doc {doc.id}: {note}"
                 if message not in report.warnings:
                     report.warnings.append(message)
-        return count_matches(doc.relations, kept, _GroupTier(matcher)), len(doc.relations)
+        return doc.relations, kept
 
-    return _evaluate(documents, by_run, config, provider, count_for_doc)
+    return _evaluate(documents, by_run, config, provider, doc_items, _GroupTier)

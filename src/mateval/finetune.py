@@ -3,8 +3,8 @@
 ``base`` shuffles the entity lists rendered into each RE prompt (seeded),
 ``document_order`` keeps them in appearance order, and ``augmented`` adds one
 extra independently-shuffled copy per example, dropping copies whose
-ordering coincides with the base record, so the total lands between N and
-2N. Assistant answers always use the pseudo format, never JSON: the hosted
+prompt renders exactly as the base record's, so the total lands between N
+and 2N. Assistant answers always use the pseudo format, never JSON: the hosted
 fine-tuning pipeline produced unreliable JSON, and the pseudo format is
 parsed back locally by ``parse_pseudo_format``.
 
@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .corpus import TASK_CLASSES, Document, RelationGroup
+from .corpus import PSEUDO_HEADERS, TASK_CLASSES, Document, RelationGroup
 from .errors import EmptyCorpusError
 from .prompts import (
     PromptBundle,
@@ -61,8 +61,7 @@ def render_pseudo_entities(class_: str, texts: list[str]) -> str:
     """Expected-answer text for NER: a labelled bullet list."""
     if not texts:
         return "None"
-    label = "materials" if class_ == "material" else "quantities"
-    return "\n".join([f"{label}:"] + [f" - {t}" for t in texts])
+    return "\n".join([f"{PSEUDO_HEADERS[class_]}:"] + [f" - {t}" for t in texts])
 
 
 def _record(doc: Document, bundle: PromptBundle, answer: str, strategy: str) -> FineTuneRecord:
@@ -100,13 +99,15 @@ def _doc_records(doc: Document, task: str, strategy: str, seed: int) -> list[Fin
 
     if strategy == "document_order":
         return [record(entities)]
-    base_entities = _shuffled_copy(entities, seed, doc.id, 0)
-    records = [record(base_entities)]
+    base = record(_shuffled_copy(entities, seed, doc.id, 0))
+    records = [base]
     if strategy == "augmented":
         for attempt in range(1, _MAX_RESHUFFLES + 1):
-            candidate = _shuffled_copy(entities, seed, doc.id, attempt)
-            if candidate != base_entities:
-                records.append(record(candidate))
+            # compare rendered prompts: distinct orderings can render alike
+            # when a value contains the ", " that joins a list
+            candidate = record(_shuffled_copy(entities, seed, doc.id, attempt))
+            if candidate != base:
+                records.append(candidate)
                 break
         # single-ordering examples (all lists length <= 1) stay unduplicated
     return records

@@ -11,6 +11,7 @@ evaluations.
 
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import requests
 
-from .corpus import RELATION_SLOTS, TASK_CLASSES
+from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
 from .errors import (
     EndpointError,
     MissingCredentialError,
@@ -94,6 +95,9 @@ class RateLimiter:
     """
 
     def __init__(self, max_concurrency: int = 4, min_interval: float = 0.0):
+        if max_concurrency < 1:
+            raise ValueError("max_concurrency must be >= 1")
+        self.max_concurrency = max_concurrency
         self._slots = threading.Semaphore(max_concurrency)
         self._lock = threading.Lock()
         self._interval = min_interval
@@ -111,9 +115,67 @@ class RateLimiter:
     def release(self):
         self._slots.release()
 
+    def map(self, fn, items) -> list:
+        """``[fn(item) for item in items]`` from up to ``max_concurrency`` threads.
+
+        Results keep input order. ``fn`` takes a slot with :meth:`acquire`
+        and :meth:`release` around each request it sends (as
+        :func:`chat_complete` and ``HttpSimilarityProvider.score`` do), so
+        request starts stay ``min_interval`` apart. The calling thread is one
+        of the workers, so ``max_concurrency=1`` starts no thread. After a
+        failure no new item starts; once the running ones finish, the failure
+        with the lowest input index is raised: items start in input order, so
+        it is the one a serial loop would have raised.
+        """
+        items = list(items)
+        results = [None] * len(items)
+        failures: dict[int, BaseException] = {}
+        lock = threading.Lock()
+        pending = iter(range(len(items)))
+
+        def work():
+            while True:
+                with lock:
+                    i = None if failures else next(pending, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # raised again by the calling thread
+                    with lock:
+                        failures[i] = exc
+
+        helpers = [
+            threading.Thread(target=work, daemon=True)
+            for _ in range(min(self.max_concurrency, len(items)) - 1)
+        ]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+        if failures:
+            raise failures[min(failures)]
+        return results
+
 
 class _TransientFailure(Exception):
-    pass
+    """A failure worth retrying; ``retry_after`` is the wait (s) the server asked for."""
+
+    def __init__(self, message: str, retry_after: float = 0.0):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+def _retry_after(response) -> float:
+    """A numeric ``Retry-After`` on a 429 or 503 reply, else 0 (dates are ignored)."""
+    if response.status_code not in (429, 503):
+        return 0.0
+    try:
+        seconds = float(response.headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0
+    return seconds if 0 <= seconds < math.inf else 0.0
 
 
 def _http_transport(cfg: ChatEndpointConfig, credential: str, payload: dict) -> str:
@@ -128,7 +190,7 @@ def _http_transport(cfg: ChatEndpointConfig, credential: str, payload: dict) -> 
     except requests.RequestException as exc:
         raise _TransientFailure(str(exc)) from exc
     if response.status_code == 429 or response.status_code >= 500:
-        raise _TransientFailure(f"HTTP {response.status_code}")
+        raise _TransientFailure(f"HTTP {response.status_code}", _retry_after(response))
     if response.status_code != 200:
         raise EndpointError(f"HTTP {response.status_code}: {response.text[:200]}")
     try:
@@ -151,7 +213,9 @@ def chat_complete(
     verbatim and performs no network activity. Live mode resolves the
     credential before any request, retries transient failures (connection
     errors, 429, 5xx) with exponential backoff, and raises EndpointError
-    once retries are exhausted.
+    once retries are exhausted. A numeric ``Retry-After`` on a 429 or 503
+    lengthens that wait to what the server asked for. With a ``limiter``,
+    each attempt holds one of its slots, never a backoff wait.
     """
     if cfg.dry_run:
         if not cfg.fixture_dir:
@@ -188,12 +252,13 @@ def chat_complete(
                 raise EndpointError(
                     f"endpoint failed after {cfg.max_retries + 1} attempts: {exc}"
                 ) from exc
-            logger.warning("transient endpoint failure (%s), retrying in %.1fs", exc, delay)
-            time.sleep(delay)
-            delay *= 2
+            wait = max(delay, exc.retry_after)
+            logger.warning("transient endpoint failure (%s), retrying in %.1fs", exc, wait)
         finally:
             if limiter:
                 limiter.release()
+        time.sleep(wait)  # outside the slot, which other requests may take meanwhile
+        delay *= 2
     raise AssertionError("unreachable")
 
 
@@ -350,7 +415,7 @@ def _parse_pseudo_relations(raw: str) -> list[dict]:
 
 
 def _parse_pseudo_entities(raw: str, task: str) -> list[str]:
-    expected_header = "materials" if task == "ner_material" else "quantities"
+    expected_header = PSEUDO_HEADERS[TASK_CLASSES[task]]
     entities = []
     saw_structure = False
     for line in raw.splitlines():

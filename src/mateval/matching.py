@@ -19,7 +19,6 @@ set, which :func:`~mateval.materials.compositions_equal` requires to be
 equal, and compares only variants in the same bucket.
 """
 
-import functools
 import operator
 import re
 from collections import Counter
@@ -30,6 +29,7 @@ from typing import NamedTuple
 import requests
 
 from .errors import MatEvalError, ProviderUnavailableError
+from .llm import RateLimiter
 from .materials import (
     DEFAULT_TOL,
     Composition,
@@ -111,20 +111,36 @@ class SimilarityProvider:
     def score(self, a: str, b: str) -> float:
         raise NotImplementedError
 
+    def score_many(self, pairs: list[tuple[str, str]]) -> list[float]:
+        """Scores of ``pairs``, in order; one ``score`` call per pair."""
+        return [self.score(a, b) for a, b in pairs]
+
 
 class HttpSimilarityProvider(SimilarityProvider):
     """Client for the similarity service wire contract.
 
     Request body ``{"text_a": ..., "text_b": ...}``, response
     ``{"score": <decimal>}``. A shared instance is safe to use from
-    multiple threads; each call enforces ``timeout``.
+    multiple threads; each call enforces ``timeout`` and takes a slot of the
+    instance's :class:`~mateval.llm.RateLimiter`, so at most
+    ``max_concurrency`` requests are in flight, their starts at least
+    ``min_interval`` seconds apart. ``score_many`` sends a batch that way.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 10.0):
+    def __init__(
+        self,
+        endpoint: str,
+        timeout: float = 10.0,
+        *,
+        max_concurrency: int = 4,
+        min_interval: float = 0.0,
+    ):
         self.endpoint = endpoint
         self.timeout = timeout
+        self.limiter = RateLimiter(max_concurrency, min_interval)
 
     def score(self, a: str, b: str) -> float:
+        self.limiter.acquire()
         try:
             response = requests.post(
                 self.endpoint,
@@ -137,6 +153,11 @@ class HttpSimilarityProvider(SimilarityProvider):
             raise ProviderUnavailableError(
                 f"similarity service at {self.endpoint} failed: {exc}"
             ) from exc
+        finally:
+            self.limiter.release()
+
+    def score_many(self, pairs: list[tuple[str, str]]) -> list[float]:
+        return self.limiter.map(lambda pair: self.score(*pair), pairs)
 
 
 def semantic_match(
@@ -245,13 +266,42 @@ class SoftTier(Tier):
 
 
 class SemanticTier(Tier):
-    """Raw-text keys; the provider is asked once per distinct pair."""
+    """Raw-text keys; the provider is asked once per distinct pair.
+
+    :meth:`prefetch` scores every pair a count is about to verify in one
+    ``score_many`` batch; ``verify`` reads that table and asks the provider
+    itself only for pairs no prefetch covered.
+    """
 
     make_key = staticmethod(str)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.verify = functools.cache(lambda a, b: self.outcome(a, b).matched)
+        self._scores: dict[tuple[str, str], float] = {}
+
+    def prefetch(self, items) -> None:
+        """Score the gold x predicted product of each ``(expected, predicted)``
+        item: the pairs ``count_matches`` will verify."""
+        self.score_pairs(
+            (a, b) for expected, predicted in items for a in expected for b in predicted
+        )
+
+    def score_pairs(self, pairs) -> None:
+        """Score each distinct pair not yet scored, in first-seen order."""
+        todo = [pair for pair in dict.fromkeys(pairs) if pair not in self._scores]
+        if not todo:
+            return
+        if self.provider is None:
+            raise ProviderUnavailableError("no similarity provider configured")
+        score_many = getattr(self.provider, "score_many", None)  # duck types may lack it
+        scores = score_many(todo) if score_many else [self.provider.score(*p) for p in todo]
+        self._scores.update(zip(todo, scores))
+
+    def verify(self, a: str, b: str) -> bool:
+        similarity = self._scores.get((a, b))
+        if similarity is None:
+            similarity = self._scores[a, b] = self.outcome(a, b).similarity
+        return similarity >= self.threshold
 
     def outcome(self, a: str, b: str) -> MatchOutcome:
         return semantic_match(a, b, self.threshold, self.provider)

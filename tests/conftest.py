@@ -1,8 +1,11 @@
-"""Shared fixtures: paths and a stub semantic-similarity HTTP service."""
+"""Shared fixtures: paths, a stub semantic-similarity HTTP service and a
+scripted OpenAI-compatible chat service."""
 
+import hashlib
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,89 @@ def semantic_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+
+
+def digest_reply(prompt: str) -> tuple[int, str]:
+    """Default chat reply: one block naming a digest of the prompt, so every
+    prompt gets its own answer and a reordering shows in the output."""
+    return 200, json.dumps([{"material": hashlib.sha256(prompt.encode()).hexdigest()[:12]}])
+
+
+class ChatStub:
+    """State of the scripted chat service.
+
+    A request takes the next ``script`` entry, ``(status, headers, body
+    bytes)``, while there is one; otherwise ``reply(prompt)``, where the
+    prompt is every message's content joined by newlines, gives ``(status,
+    assistant text)``. Every request first sleeps ``delay`` seconds.
+    ``max_inflight`` is the most requests seen at once: a request stops
+    counting before its reply is written, so a client that waits for each
+    reply is never overcounted.
+    """
+
+    def __init__(self, url: str):
+        self.url = url
+        self.script: list[tuple[int, dict, bytes]] = []
+        self.reply = digest_reply
+        self.delay = 0.0
+        self.requests = 0
+        self.max_inflight = 0
+        self._inflight = 0
+        self.lock = threading.Lock()
+
+    def answer(self, body: dict) -> tuple[int, dict, bytes]:
+        with self.lock:
+            self.requests += 1
+            self._inflight += 1
+            self.max_inflight = max(self.max_inflight, self._inflight)
+            scripted = self.script.pop(0) if self.script else None
+        try:
+            time.sleep(self.delay)
+            if scripted:
+                return scripted
+            status, text = self.reply("\n".join(m["content"] for m in body["messages"]))
+            payload = {"choices": [{"message": {"role": "assistant", "content": text}}]}
+            return status, {}, json.dumps(payload).encode()
+        finally:
+            with self.lock:
+                self._inflight -= 1
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        status, headers, payload = self.server.stub.answer(json.loads(self.rfile.read(length)))
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+class _ChatServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out closed the socket before the reply
+
+
+@pytest.fixture
+def chat_stub():
+    """A fresh scripted chat service; ``url`` is its ``base_url``."""
+    server = _ChatServer(("127.0.0.1", 0), _ChatHandler)
+    server.stub = ChatStub(f"http://127.0.0.1:{server.server_port}/v1")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.stub
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
 
 
 @pytest.fixture(scope="session")

@@ -99,3 +99,23 @@ def test_vocabulary_is_spelled_out_once():
     assert _literals(ast.Tuple)[repr(("material", "tc", "pressure"))] == 1
     task_classes = {"ner_material": "material", "ner_quantity": "quantity"}
     assert _literals(ast.Dict)[repr(task_classes)] == 1
+    # the pseudo-format headers, written by finetune and read by llm
+    pseudo_headers = {"material": "materials", "quantity": "quantities"}
+    assert _literals(ast.Dict)[repr(pseudo_headers)] == 1
+
+
+def test_threads_come_from_threading_alone():
+    # concurrent.futures costs every start-up, --help included, ~10 ms
+    imported = {
+        alias.name.split(".")[0]
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        (node.module or "").split(".")[0]
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert not imported & {"concurrent", "multiprocessing", "asyncio"}

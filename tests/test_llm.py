@@ -423,6 +423,14 @@ class TestPrepareFinetune:
         assert base_n == 40
         assert base_n < aug_n <= 2 * base_n
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_augmented_never_repeats_a_rendered_prompt(self, seed):
+        # both orderings of "a" and "a, a" render as "materials: a, a, a"
+        doc = make_re_doc("commas", ["a", "a, a"], ["1 K"], [RelationGroup("a", "1 K")])
+        train, test = prepare_finetune([doc], "re", "augmented", seed=seed, split_ratio=0.5)
+        users = [r.messages[1]["content"] for r in train + test]
+        assert len(users) == len(set(users)) == 1
+
     def test_augmented_collapses_single_orderings(self):
         docs = [
             make_re_doc("solo", ["OnlyMat"], ["1 K"], [RelationGroup("OnlyMat", "1 K")])
