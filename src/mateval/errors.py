@@ -58,6 +58,14 @@ class NoEntitiesError(MatEvalError):
     """A relation-extraction prompt needs at least one non-empty entity list."""
 
 
+class ConfigError(MatEvalError, ValueError):
+    """An endpoint config file has an unknown key or an invalid value.
+
+    Also a ValueError, so callers that catch ValueError from
+    ``ChatEndpointConfig.from_file`` keep working.
+    """
+
+
 class EndpointError(MatEvalError):
     """The chat endpoint failed (after retries, for transient faults)."""
 

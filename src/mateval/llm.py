@@ -9,26 +9,26 @@ trimming, trailing commas) because deeper repair would quietly corrupt
 evaluations.
 """
 
+import io
 import json
 import logging
 import math
 import os
 import re
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import requests
 
 from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
 from .errors import (
+    ConfigError,
     EndpointError,
     MissingCredentialError,
     MissingFixtureError,
     ResponseParseError,
 )
 from .prompts import PromptBundle
+from .transport import NO_REPLY, RateLimiter, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +62,13 @@ class ChatEndpointConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ChatEndpointConfig":
-        """Read ``key=value`` lines; unknown keys are rejected."""
+        """Read ``key=value`` lines.
+
+        Text that is not UTF-8, an unknown key, a value that does not
+        convert, a negative count or interval, no concurrency slot, or a
+        timeout that is not positive and finite raises ConfigError naming
+        ``path:line``.
+        """
         cfg = cls()
         casts = {
             "timeout": float,
@@ -72,91 +78,39 @@ class ChatEndpointConfig:
             "max_concurrency": int,
             "dry_run": lambda v: v.lower() in ("1", "true", "yes"),
         }
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if not hasattr(cfg, key):
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                setattr(cfg, key, casts.get(key, str)(value))
+        valid = {  # NaN fails every comparison
+            "timeout": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+            "backoff_base": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
+            "min_interval": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
+            "max_retries": (lambda v: v >= 0, "must be >= 0"),
+            "max_concurrency": (lambda v: v >= 1, "must be >= 1"),
+        }
+        keys = {field.name for field in fields(cls)}
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            lines = io.StringIO(data.decode("utf-8"), newline=None)
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from exc
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, _, text = line.partition("=")
+            key, text = key.strip(), text.strip()
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                value = casts.get(key, str)(text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad {key} {text!r}: {exc}") from exc
+            if key in valid and not valid[key][0](value):
+                raise ConfigError(f"{path}:{lineno}: {key} {valid[key][1]}, got {text!r}")
+            setattr(cfg, key, value)
         return cfg
-
-
-class RateLimiter:
-    """In-flight cap plus a minimum interval between request starts.
-
-    Shareable across threads; ``acquire`` blocks until a slot is free and
-    the interval has elapsed.
-    """
-
-    def __init__(self, max_concurrency: int = 4, min_interval: float = 0.0):
-        if max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
-        self.max_concurrency = max_concurrency
-        self._slots = threading.Semaphore(max_concurrency)
-        self._lock = threading.Lock()
-        self._interval = min_interval
-        self._last_start = 0.0
-
-    def acquire(self):
-        self._slots.acquire()
-        if self._interval > 0:
-            with self._lock:
-                wait = self._last_start + self._interval - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-                self._last_start = time.monotonic()
-
-    def release(self):
-        self._slots.release()
-
-    def map(self, fn, items) -> list:
-        """``[fn(item) for item in items]`` from up to ``max_concurrency`` threads.
-
-        Results keep input order. ``fn`` takes a slot with :meth:`acquire`
-        and :meth:`release` around each request it sends (as
-        :func:`chat_complete` and ``HttpSimilarityProvider.score`` do), so
-        request starts stay ``min_interval`` apart. The calling thread is one
-        of the workers, so ``max_concurrency=1`` starts no thread. After a
-        failure no new item starts; once the running ones finish, the failure
-        with the lowest input index is raised: items start in input order, so
-        it is the one a serial loop would have raised.
-        """
-        items = list(items)
-        results = [None] * len(items)
-        failures: dict[int, BaseException] = {}
-        lock = threading.Lock()
-        pending = iter(range(len(items)))
-
-        def work():
-            while True:
-                with lock:
-                    i = None if failures else next(pending, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:  # raised again by the calling thread
-                    with lock:
-                        failures[i] = exc
-
-        helpers = [
-            threading.Thread(target=work, daemon=True)
-            for _ in range(min(self.max_concurrency, len(items)) - 1)
-        ]
-        for helper in helpers:
-            helper.start()
-        work()
-        for helper in helpers:
-            helper.join()
-        if failures:
-            raise failures[min(failures)]
-        return results
 
 
 class _TransientFailure(Exception):
@@ -167,12 +121,12 @@ class _TransientFailure(Exception):
         self.retry_after = retry_after
 
 
-def _retry_after(response) -> float:
+def _retry_after(status: int, headers) -> float:
     """A numeric ``Retry-After`` on a 429 or 503 reply, else 0 (dates are ignored)."""
-    if response.status_code not in (429, 503):
+    if status not in (429, 503):
         return 0.0
     try:
-        seconds = float(response.headers.get("Retry-After", ""))
+        seconds = float(headers.get("Retry-After", ""))
     except ValueError:
         return 0.0
     return seconds if 0 <= seconds < math.inf else 0.0
@@ -181,22 +135,24 @@ def _retry_after(response) -> float:
 def _http_transport(cfg: ChatEndpointConfig, credential: str, payload: dict) -> str:
     url = cfg.base_url.rstrip("/") + "/chat/completions"
     try:
-        response = requests.post(
-            url,
-            json=payload,
-            headers={"Authorization": f"Bearer {credential}"},
-            timeout=cfg.timeout,
+        status, headers, body = post_json(
+            url, payload, cfg.timeout, {"Authorization": f"Bearer {credential}"}
         )
-    except requests.RequestException as exc:
+    except NO_REPLY as exc:
         raise _TransientFailure(str(exc)) from exc
-    if response.status_code == 429 or response.status_code >= 500:
-        raise _TransientFailure(f"HTTP {response.status_code}", _retry_after(response))
-    if response.status_code != 200:
-        raise EndpointError(f"HTTP {response.status_code}: {response.text[:200]}")
+    if status == 429 or status >= 500:
+        raise _TransientFailure(f"HTTP {status}", _retry_after(status, headers))
+    if status != 200:
+        raise EndpointError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
     try:
-        return response.json()["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError) as exc:
+        content = json.loads(body)["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise EndpointError(f"malformed endpoint response: {exc}") from exc
+    if not isinstance(content, str):
+        raise EndpointError(
+            f"malformed endpoint response: content is {type(content).__name__}, not str"
+        )
+    return content
 
 
 def chat_complete(

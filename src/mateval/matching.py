@@ -19,6 +19,7 @@ set, which :func:`~mateval.materials.compositions_equal` requires to be
 equal, and compares only variants in the same bucket.
 """
 
+import json
 import operator
 import re
 from collections import Counter
@@ -26,10 +27,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import NamedTuple
 
-import requests
-
 from .errors import MatEvalError, ProviderUnavailableError
-from .llm import RateLimiter
 from .materials import (
     DEFAULT_TOL,
     Composition,
@@ -38,6 +36,7 @@ from .materials import (
     format_composition,
     parse_material,
 )
+from .transport import NO_REPLY, RateLimiter, post_json
 
 DEFAULT_THRESHOLD = 0.9
 
@@ -120,9 +119,11 @@ class HttpSimilarityProvider(SimilarityProvider):
     """Client for the similarity service wire contract.
 
     Request body ``{"text_a": ..., "text_b": ...}``, response
-    ``{"score": <decimal>}``. A shared instance is safe to use from
+    ``{"score": <decimal>}``. No reply, a non-2xx reply, or a score that is
+    not a number in ``[0, 1]`` raises ProviderUnavailableError, so the
+    matcher is reported as skipped. A shared instance is safe to use from
     multiple threads; each call enforces ``timeout`` and takes a slot of the
-    instance's :class:`~mateval.llm.RateLimiter`, so at most
+    instance's :class:`~mateval.transport.RateLimiter`, so at most
     ``max_concurrency`` requests are in flight, their starts at least
     ``min_interval`` seconds apart. ``score_many`` sends a batch that way.
     """
@@ -142,14 +143,14 @@ class HttpSimilarityProvider(SimilarityProvider):
     def score(self, a: str, b: str) -> float:
         self.limiter.acquire()
         try:
-            response = requests.post(
-                self.endpoint,
-                json={"text_a": a, "text_b": b},
-                timeout=self.timeout,
-            )
-            response.raise_for_status()
-            return float(response.json()["score"])
-        except (requests.RequestException, ValueError, KeyError) as exc:
+            status, _, body = post_json(self.endpoint, {"text_a": a, "text_b": b}, self.timeout)
+            if not 200 <= status < 300:
+                raise ValueError(f"HTTP {status}")
+            score = float(json.loads(body)["score"])
+            if not 0.0 <= score <= 1.0:  # NaN fails too
+                raise ValueError(f"score {score} is not in [0, 1]")
+            return score
+        except (*NO_REPLY, ValueError, KeyError, TypeError) as exc:
             raise ProviderUnavailableError(
                 f"similarity service at {self.endpoint} failed: {exc}"
             ) from exc

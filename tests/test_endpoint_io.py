@@ -17,11 +17,17 @@ import pytest
 from mateval import llm
 from mateval.cli import main
 from mateval.corpus import Document, EntityMention, PredictionSet, RelationGroup
-from mateval.errors import EndpointError, MissingFixtureError, ProviderUnavailableError
+from mateval.errors import (
+    ConfigError,
+    EndpointError,
+    MissingFixtureError,
+    ProviderUnavailableError,
+)
 from mateval.evaluation import EvalConfig, _GroupTier, evaluate_ner, evaluate_re
 from mateval.llm import ChatEndpointConfig, RateLimiter, _TransientFailure, chat_complete
 from mateval.matching import HttpSimilarityProvider, SemanticTier, SimilarityProvider
 from mateval.prompts import build_ner_prompt
+from mateval.transport import NO_REPLY, post_json
 
 DATA = Path(__file__).parent / "data"
 KEY_ENV = "MATEVAL_TEST_KEY"
@@ -456,3 +462,121 @@ class TestBatchedSemanticScoring:
             task="ner_material", matchers=("semantic", "strict")), provider)
         assert "semantic" not in report.matchers and "strict" in report.matchers
         assert report.skipped[0].startswith("semantic: similarity service at")
+
+
+class TestPostJson:
+    """``transport.post_json`` returns every reply and raises only ``NO_REPLY``."""
+
+    def test_error_statuses_are_returned(self, chat_stub):
+        chat_stub.script = [(404, {"X-Probe": "1"}, b"gone"), (307, {"Location": "/x"}, b"")]
+        status, headers, body = post_json(chat_stub.url, {"a": 1}, 5.0)
+        assert (status, headers["X-Probe"], body) == (404, "1", b"gone")
+        assert post_json(chat_stub.url, {}, 5.0)[0] == 307  # a POST is not redirected
+        assert chat_stub.requests == 2
+
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:9/", "localhost:8040/score", "file:///score",
+        "http://[::1/", "http://127.0.0.1:port/",
+    ])
+    def test_no_reply_is_one_exception_family(self, url):
+        with pytest.raises(NO_REPLY):
+            post_json(url, {}, 0.5)
+
+
+class TestMalformedChatReplies:
+    @pytest.mark.parametrize("body", [
+        b'{"choices": null}',
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": "text"}',
+        b'[]',
+    ])
+    def test_reply_without_string_content_is_an_endpoint_error(self, chat_stub, sleeps, body):
+        chat_stub.script = [(200, {}, body)]
+        bundle = build_ner_prompt("ner_material", "text")
+        with pytest.raises(EndpointError, match="malformed endpoint response"):
+            chat_complete(bundle, _live_config(chat_stub.url))
+        assert chat_stub.requests == 1
+
+    def test_redirect_is_reported_not_followed(self, chat_stub, sleeps):
+        chat_stub.script = [(308, {"Location": "/elsewhere"}, b"moved")]
+        bundle = build_ner_prompt("ner_material", "text")
+        with pytest.raises(EndpointError, match="HTTP 308: moved"):
+            chat_complete(bundle, _live_config(chat_stub.url, max_retries=2))
+        assert chat_stub.requests == 1
+
+
+def _predictions(tmp_path: Path) -> Path:
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"doc_id": "d1", "run": "run1",
+                                "entities": {"material": ["MgB2", "Nb3Sn"]}}) + "\n")
+    return path
+
+
+class TestSimilarityReplies:
+    """The similarity client against the scripted stub, which answers any path."""
+
+    @pytest.mark.parametrize("status, body", [
+        (200, b'{"score": null}'), (200, b'{"score": "nan"}'), (200, b'{"score": 7}'),
+        (200, b'{"score": -0.5}'), (200, b'{"score": 1e999}'), (200, b'{"score": "high"}'),
+        (200, b'{"similarity": 0.5}'), (200, b"[0.5]"), (500, b'{"score": 0.5}'),
+    ])
+    def test_bad_reply_raises_provider_error(self, chat_stub, status, body):
+        chat_stub.script = [(status, {}, body)]
+        provider = HttpSimilarityProvider(chat_stub.url + "/score", 5.0)
+        with pytest.raises(ProviderUnavailableError, match="similarity service at"):
+            provider.score("a", "b")
+
+    def test_scores_in_range_are_accepted(self, chat_stub):
+        chat_stub.script = [(200, {}, b'{"score": 0}'), (200, {}, b'{"score": 1.0}')]
+        provider = HttpSimilarityProvider(chat_stub.url + "/score", 5.0)
+        assert [provider.score("a", "b"), provider.score("a", "a")] == [0.0, 1.0]
+
+    def test_out_of_range_score_skips_the_matcher(self, chat_stub, capsys, tmp_path):
+        chat_stub.script = [(200, {}, b'{"score": 7}')] * 50
+        cfg = _write_config(tmp_path / "c.cfg", chat_stub.url, 1,
+                            semantic_endpoint=chat_stub.url + "/score")
+        code, out, err = _extract(
+            ["eval-ner", "--corpus", DATA / "corpus.jsonl", "--predictions",
+             _predictions(tmp_path), "--matchers", "semantic,strict", "--config", cfg],
+            capsys)
+        assert code == 1, err
+        report = json.loads(out)
+        assert list(report["matchers"]) == ["strict"]
+        assert "is not in [0, 1]" in report["skipped"][0]
+
+
+BAD_CONFIGS = {
+    "unknown key": b"bogus = 1",
+    "method name as key": b"from_file = 1",
+    "uncastable value": b"max_concurrency = x",
+    "no slot": b"max_concurrency = 0",
+    "negative interval": b"min_interval = -1",
+    "nan interval": b"min_interval = nan",
+    "negative retries": b"max_retries = -1",
+    "zero timeout": b"timeout = 0",
+    "no equals sign": b"max_concurrency",
+    "not utf-8": b"model = caf\xe9",
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("line", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    @pytest.mark.parametrize("command", ["extract", "eval-ner"])
+    def test_bad_config_exits_3_naming_the_line(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# endpoint\r\nmodel = gpt-4\r\n" + line + b"\n")
+        flags = {
+            "extract": ["--task", "ner_material", "--seed", 1],
+            "eval-ner": ["--predictions", _predictions(tmp_path), "--matchers", "semantic"],
+        }[command]
+        code, out, err = _extract(
+            [command, "--corpus", DATA / "corpus.jsonl", *flags, "--config", cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {cfg}:3: ") and "Traceback" not in err
+
+    def test_bad_config_is_still_a_value_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("max_concurrency = 0\n")
+        with pytest.raises(ConfigError) as failure:
+            ChatEndpointConfig.from_file(str(cfg))
+        assert isinstance(failure.value, ValueError)

@@ -2,10 +2,14 @@
 
 Prompt text is assembled in one module that depends on nothing but the
 error types, so extraction and fine-tune preparation cannot drift apart,
-and the task/slot vocabulary is spelled out once, in ``corpus``.
+and the task/slot vocabulary is spelled out once, in ``corpus``. Both HTTP
+clients sit on ``transport``, and the package needs nothing outside the
+standard library at run time.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,7 +54,15 @@ def test_prompts_depends_only_on_errors():
 
 @pytest.mark.parametrize("module", ["finetune", "llm"])
 def test_llm_plumbing_stays_below_evaluation(module):
-    assert DEPS[module] <= {"corpus", "errors", "prompts"}
+    assert DEPS[module] <= {"corpus", "errors", "prompts", "transport"}
+
+
+def test_transport_depends_at_most_on_errors():
+    assert DEPS["transport"] <= {"errors"}
+
+
+def test_matching_does_not_borrow_from_the_chat_client():
+    assert "llm" not in DEPS["matching"]
 
 
 def test_only_the_entry_points_import_evaluation():
@@ -119,3 +131,33 @@ def test_threads_come_from_threading_alone():
         if isinstance(node, ast.ImportFrom) and node.level == 0
     }
     assert not imported & {"concurrent", "multiprocessing", "asyncio"}
+
+
+def _top_level_imports(tree: ast.Module) -> set[str]:
+    """First name of every absolute import; relative imports are the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add((node.module or "").split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_runtime_needs_only_the_standard_library(module):
+    outside = _top_level_imports(TREES[module]) - {"mateval"} - sys.stdlib_module_names
+    assert outside == set()
+
+
+def test_cli_start_up_loads_only_the_standard_library():
+    probe = (
+        "import sys; before = set(sys.modules); import mateval.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert loaded - {"mateval"} <= sys.stdlib_module_names
