@@ -43,7 +43,6 @@ def _emit_json(payload, args) -> None:
     """Print JSON to stdout, optionally mirroring it to --output."""
     output = getattr(args, "output", None)
     if output:
-        _check_output(output, getattr(args, "force", False))
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     _print_json(payload)
@@ -59,11 +58,6 @@ def _resolve_seed(args) -> int:
     seed = secrets.randbelow(2**31)
     _note(f"seed: {seed} (selected; pass --seed {seed} to reproduce)")
     return seed
-
-
-def _check_output(path: str | None, force: bool) -> None:
-    if path and os.path.exists(path) and not force:
-        raise MatEvalError(f"refusing to overwrite {path} (use --force)")
 
 
 def _load_lexicon(args):
@@ -138,7 +132,6 @@ def _run_eval(args, task: str) -> int:
         threshold=args.threshold,
         shuffle=getattr(args, "shuffle", "non_shuffled"),
         seed=args.seed if args.seed is not None else 0,
-        runs=max(1, len({p.run_label for p in predictions})),
     )
     provider = _semantic_provider(args) if "semantic" in matchers else None
     if task == "re":
@@ -150,7 +143,6 @@ def _run_eval(args, task: str) -> int:
         payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat()
-    _check_output(args.output, args.force)
     if args.output:
         corpus_mod.write_report(payload, args.format, args.output)
     _print_json(payload)
@@ -202,7 +194,6 @@ def cmd_extract(args) -> int:
     # dry-run reads local fixtures: no endpoint to wait on, so threads only
     # contend for the interpreter lock
     limiter = RateLimiter(1 if cfg.dry_run else cfg.max_concurrency, cfg.min_interval)
-    _check_output(args.output, args.force)
 
     docs = sorted(documents, key=lambda d: d.id)
     skipped = []
@@ -280,8 +271,6 @@ def cmd_prepare_finetune(args) -> int:
         split_ratio=args.split_ratio,
         split_unit=args.split_unit,
     )
-    _check_output(args.train_output, args.force)
-    _check_output(args.test_output, args.force)
     write_finetune_file(train, args.train_output)
     write_finetune_file(test, args.test_output)
     _print_json(
@@ -304,7 +293,6 @@ def cmd_report(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         payload = json.load(fh)
     rendered = corpus_mod.render_report(payload, args.format)
-    _check_output(args.output, args.force)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
@@ -416,6 +404,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refuse before any work: a semantic evaluation pays for its requests
+        for name in ("output", "train_output", "test_output"):
+            path = getattr(args, name, None)
+            if path and os.path.exists(path) and not args.force:
+                raise MatEvalError(f"refusing to overwrite {path} (use --force)")
         return args.func(args)
     except MatEvalError as exc:
         _note(f"error: {exc}")

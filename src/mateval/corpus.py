@@ -12,9 +12,11 @@ Prediction line schema::
      "entities": {class: [str]},
      "relations": [{"material"?: str, "tc"?: str, "pressure"?: str}]}
 
-Prediction relation blocks may be partial; they are filtered at evaluation
-time. The report JSON schema is whatever ``EvalReport.to_dict`` produces and
-is documented in the README.
+Both loaders read each relation object into a :class:`RelationGroup`: a
+slot that is present must be a string, and gold groups must hold material
+and tc. ``PredictionSet.relations`` may hold partial groups (a missing or
+blank slot is ``None``); they are filtered at evaluation time. The report JSON schema is whatever
+``EvalReport.to_dict`` produces and is documented in the README.
 """
 
 import csv
@@ -22,6 +24,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DuplicateIdError, SchemaViolationError
 from .scoring import RunAggregate
@@ -46,19 +49,19 @@ class EntityMention:
     span: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class RelationGroup:
-    """A (material, tc, optional pressure) triple."""
+class RelationGroup(NamedTuple):
+    """A relation; its fields are ``RELATION_SLOTS``, and a slot left out is ``None``.
 
-    material: str
-    tc: str
+    Gold groups always hold material and tc; predicted groups may lack any
+    slot until :func:`~mateval.evaluation.filter_relation_blocks` drops them.
+    """
+
+    material: str | None = None
+    tc: str | None = None
     pressure: str | None = None
 
     def to_dict(self) -> dict:
-        out = {"material": self.material, "tc": self.tc}
-        if self.pressure is not None:
-            out["pressure"] = self.pressure
-        return out
+        return {slot: value for slot, value in zip(RELATION_SLOTS, self) if value is not None}
 
 
 @dataclass
@@ -82,14 +85,15 @@ class Document:
 class PredictionSet:
     """One run's predictions for one document.
 
-    ``relations`` holds raw blocks (dicts) because model output may omit
-    slots; filtering happens in the evaluation layer.
+    ``relations`` holds :class:`RelationGroup` blocks whose slots may be
+    ``None``, because model output may omit slots; filtering happens in the
+    evaluation layer.
     """
 
     doc_id: str
     run_label: str
     entities: dict[str, list[str]] = field(default_factory=dict)
-    relations: list[dict] = field(default_factory=list)
+    relations: list[RelationGroup] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -102,29 +106,58 @@ class ValidationIssue:
         return f"{self.kind} [{self.doc_id}]: {self.detail}"
 
 
-def _require(payload: dict, key: str, kind, line: int):
-    if key not in payload:
-        raise SchemaViolationError(line, key, "missing field")
-    value = payload[key]
+def _check(value, kind, line: int, field: str):
     if not isinstance(value, kind):
         raise SchemaViolationError(
-            line, key, f"expected {kind.__name__}, got {type(value).__name__}"
+            line, field, f"expected {kind.__name__}, got {type(value).__name__}"
         )
     return value
 
 
+def _require(payload: dict, key: str, kind, line: int):
+    if key not in payload:
+        raise SchemaViolationError(line, key, "missing field")
+    return _check(payload[key], kind, line, key)
+
+
 def _iter_jsonl(path: str):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolationError(lineno, "line", f"invalid JSON: {exc}")
-            if not isinstance(payload, dict):
-                raise SchemaViolationError(lineno, "line", "expected a JSON object")
-            yield lineno, payload
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaViolationError(lineno, "line", "not UTF-8 text") from exc
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolationError(lineno, "line", f"invalid JSON: {exc}")
+        if not isinstance(payload, dict):
+            raise SchemaViolationError(lineno, "line", "expected a JSON object")
+        yield lineno, payload
+
+
+def _read_relation(item, line: int, gold: bool) -> RelationGroup:
+    """One relation object of a gold or a predicted line.
+
+    A present slot must be a string; a blank predicted slot reads as None,
+    and a gold group must hold material and tc.
+    """
+    if not isinstance(item, dict):
+        raise SchemaViolationError(line, "relations", "expected objects")
+    slots = {}
+    for slot in RELATION_SLOTS:
+        value = item.get(slot)
+        if value is not None:
+            _check(value, str, line, f"relations.{slot}")
+        slots[slot] = value if gold or value is None or value.strip() else None
+    group = RelationGroup(**slots)
+    if gold and not (group.material and group.tc):
+        raise SchemaViolationError(line, "relations", "material and tc must be non-empty")
+    return group
 
 
 def load_corpus(path: str) -> list[Document]:
@@ -161,27 +194,14 @@ def load_corpus(path: str) -> list[Document]:
                 if (
                     not isinstance(raw_span, list)
                     or len(raw_span) != 2
-                    or not all(isinstance(v, int) for v in raw_span)
+                    or not all(type(v) is int for v in raw_span)  # bool is an int
                 ):
                     raise SchemaViolationError(
                         lineno, "entities.span", "expected [start, end]"
                     )
                 span = (raw_span[0], raw_span[1])
             entities.append(EntityMention(text=etext, class_=class_, span=span))
-        relations = []
-        for item in payload.get("relations", []):
-            if not isinstance(item, dict):
-                raise SchemaViolationError(lineno, "relations", "expected objects")
-            material = _require(item, "material", str, lineno)
-            tc = _require(item, "tc", str, lineno)
-            if not material or not tc:
-                raise SchemaViolationError(
-                    lineno, "relations", "material and tc must be non-empty"
-                )
-            pressure = item.get("pressure")
-            if pressure is not None and not isinstance(pressure, str):
-                raise SchemaViolationError(lineno, "relations.pressure", "expected str")
-            relations.append(RelationGroup(material=material, tc=tc, pressure=pressure))
+        relations = [_read_relation(item, lineno, True) for item in payload.get("relations", [])]
         documents.append(
             Document(id=doc_id, text=text, entities=entities, relations=relations)
         )
@@ -192,14 +212,15 @@ def load_predictions(path: str) -> list[PredictionSet]:
     """Load a prediction JSONL file (see module docstring for the schema).
 
     Raises:
-        SchemaViolationError: malformed line, including a null entity value.
+        SchemaViolationError: malformed line, including a run label, entity
+            value or relation slot that is not a string.
         DuplicateIdError: a second line for the same (doc_id, run).
     """
     predictions = []
     seen: dict[tuple[str, str], int] = {}
     for lineno, payload in _iter_jsonl(path):
         doc_id = _require(payload, "doc_id", str, lineno)
-        run_label = str(payload.get("run", "run1"))
+        run_label = _check(payload.get("run", "run1"), str, lineno, "run")
         first = seen.setdefault((doc_id, run_label), lineno)
         if first != lineno:
             raise DuplicateIdError(
@@ -217,23 +238,12 @@ def load_predictions(path: str) -> list[PredictionSet]:
                 )
             if not isinstance(values, list):
                 raise SchemaViolationError(lineno, f"entities.{class_}", "expected list")
-            if None in values:
-                raise SchemaViolationError(lineno, f"entities.{class_}", "null entity")
-            entities[class_] = [str(v) for v in values]
-        relations = payload.get("relations", [])
-        if not isinstance(relations, list):
+            entities[class_] = [_check(v, str, lineno, f"entities.{class_}") for v in values]
+        blocks = payload.get("relations", [])
+        if not isinstance(blocks, list):
             raise SchemaViolationError(lineno, "relations", "expected a list")
-        for block in relations:
-            if not isinstance(block, dict):
-                raise SchemaViolationError(lineno, "relations", "expected objects")
-        predictions.append(
-            PredictionSet(
-                doc_id=doc_id,
-                run_label=run_label,
-                entities=entities,
-                relations=list(relations),
-            )
-        )
+        relations = [_read_relation(block, lineno, False) for block in blocks]
+        predictions.append(PredictionSet(doc_id, run_label, entities, relations))
     return predictions
 
 
@@ -281,13 +291,7 @@ def validate_corpus(documents: list[Document]) -> list[ValidationIssue]:
                         )
                     )
         for relation in doc.relations:
-            for slot, value in (
-                ("material", relation.material),
-                ("tc", relation.tc),
-                ("pressure", relation.pressure),
-            ):
-                if value is None:
-                    continue
+            for slot, value in relation.to_dict().items():
                 pools = _SLOT_CLASSES[slot]
                 if not any(value in by_class.get(c, ()) for c in pools):
                     issues.append(

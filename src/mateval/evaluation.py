@@ -44,7 +44,7 @@ class EvalConfig:
     threshold: float = 0.9
     shuffle: str = "non_shuffled"
     seed: int = 0
-    runs: int = 1
+    runs: int = 1  # unread: a report's config.runs counts its run labels
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -127,59 +127,36 @@ class EvalReport:
                 raise AssertionError(f"inconsistent aggregate for {name!r}")
 
 
-def _block_slots(block) -> dict[str, str | None]:
-    if isinstance(block, RelationGroup):
-        return {"material": block.material, "tc": block.tc, "pressure": block.pressure}
-    slots = {}
-    for slot in RELATION_SLOTS:
-        value = block.get(slot)
-        if value is not None and not str(value).strip():
-            value = None
-        slots[slot] = str(value) if value is not None else None
-    return slots
-
-
 def _filter_with_notes(
-    blocks, supplied: dict[str, list[str]]
+    blocks: list[RelationGroup], supplied: dict[str, list[str]]
 ) -> tuple[list[RelationGroup], list[str]]:
     kept = []
     notes = []
-    pools = {
-        slot: set(map(normalize_whitespace, supplied.get(slot, [])))
-        for slot in RELATION_SLOTS
-    }
-    for block in blocks:
-        slots = _block_slots(block)
-        if slots["material"] is None:
+    pools = [set(map(normalize_whitespace, supplied.get(slot, []))) for slot in RELATION_SLOTS]
+    for group in blocks:
+        if group.material is None:
             notes.append("dropped block without material")
             continue
-        if slots["tc"] is None:
-            notes.append(f"dropped block without tc (material {slots['material']!r})")
+        if group.tc is None:
+            notes.append(f"dropped block without tc (material {group.material!r})")
             continue
-        unsupplied = None
-        for slot in RELATION_SLOTS:
-            value = slots[slot]
-            if value is not None and normalize_whitespace(value) not in pools[slot]:
-                unsupplied = (slot, value)
-                break
+        unsupplied = [
+            (slot, value)
+            for slot, value, pool in zip(RELATION_SLOTS, group, pools)
+            if value is not None and normalize_whitespace(value) not in pool
+        ]
         if unsupplied:
-            notes.append(
-                f"dropped block: {unsupplied[0]} {unsupplied[1]!r} "
-                f"was not among the supplied entities"
-            )
+            slot, value = unsupplied[0]
+            notes.append(f"dropped block: {slot} {value!r} was not among the supplied entities")
             continue
-        kept.append(
-            RelationGroup(
-                material=slots["material"],
-                tc=slots["tc"],
-                pressure=slots["pressure"],
-            )
-        )
+        kept.append(group)
     return kept, notes
 
 
-def filter_relation_blocks(blocks, supplied: dict[str, list[str]]) -> list[RelationGroup]:
-    """Drop malformed or non-echoed relation blocks, preserving order.
+def filter_relation_blocks(
+    blocks: list[RelationGroup], supplied: dict[str, list[str]]
+) -> list[RelationGroup]:
+    """The blocks that survive filtering, in order: the input objects themselves.
 
     A block survives only if material and tc are present and every present
     slot value strict-matches some supplied entity of that class. Idempotent.
@@ -198,8 +175,7 @@ class _GroupTier:
 
     def key(self, group: RelationGroup) -> tuple:
         key = self.slot.key
-        pressure = None if group.pressure is None else key(group.pressure)
-        return key(group.material), key(group.tc), pressure
+        return tuple(None if value is None else key(value) for value in group)
 
     def slot_matches(self, x, y) -> bool:
         return (x is None) == (y is None) and (x is None or self.slot.verify(x, y))
@@ -217,7 +193,7 @@ class _GroupTier:
             for e in expected
             for p in predicted
         ]
-        for slot in range(3):  # material, tc, pressure
+        for slot in range(len(RELATION_SLOTS)):
             self.slot.score_pairs(
                 (ka[slot], kb[slot])
                 for ka, kb in pairs
@@ -283,6 +259,7 @@ def _evaluate(
     report = EvalReport(task=config.task, config=config.to_dict())
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
     report.config["run_labels"] = run_labels
+    report.config["runs"] = len(run_labels)
     ordered_docs = sorted(documents, key=lambda d: d.id)
     items = {
         run_label: [

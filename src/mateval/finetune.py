@@ -48,13 +48,10 @@ def render_pseudo_relations(relations: list[RelationGroup]) -> str:
     """Expected-answer text for RE: one ``key: value`` line per relation."""
     if not relations:
         return "None"
-    lines = []
-    for group in relations:
-        line = f"material: {group.material}, tc: {group.tc}"
-        if group.pressure is not None:
-            line += f", pressure: {group.pressure}"
-        lines.append(line)
-    return "\n".join(lines)
+    return "\n".join(
+        ", ".join(f"{slot}: {value}" for slot, value in group.to_dict().items())
+        for group in relations
+    )
 
 
 def render_pseudo_entities(class_: str, texts: list[str]) -> str:

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 from .errors import MatEvalError, ProviderUnavailableError
 from .materials import (
-    DEFAULT_TOL,
     Composition,
     compositions_equal,
     expand_substitutions,
@@ -196,7 +195,6 @@ def material_variants(
 def formula_match(
     a: str,
     b: str,
-    tol: float = DEFAULT_TOL,
     lexicon: tuple[str, ...] | None = None,
 ) -> MatchOutcome:
     """Compare two material expressions by normalized chemical composition.
@@ -208,7 +206,7 @@ def formula_match(
     either side fold into a non-match with the failure recorded in
     ``detail``.
     """
-    return FormulaTier(lexicon=lexicon, tol=tol).outcome(a, b)
+    return FormulaTier(lexicon=lexicon).outcome(a, b)
 
 
 class Tier:
@@ -226,9 +224,8 @@ class Tier:
         threshold: float = DEFAULT_THRESHOLD,
         provider: SimilarityProvider | None = None,
         lexicon: tuple[str, ...] | None = None,
-        tol: float = DEFAULT_TOL,
     ):
-        self.threshold, self.provider, self.lexicon, self.tol = threshold, provider, lexicon, tol
+        self.threshold, self.provider, self.lexicon = threshold, provider, lexicon
         self._keys: dict = {}
 
     def key(self, text: str):
@@ -331,7 +328,7 @@ class FormulaTier(Tier):
         """The first variant pair, in expansion order, with equal compositions."""
         for elements, va in ka.variants:
             for vb in kb.buckets.get(elements, ()):
-                if compositions_equal(va, vb, self.tol):
+                if compositions_equal(va, vb):
                     return va, vb
         return None
 

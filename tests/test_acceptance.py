@@ -188,12 +188,12 @@ def test_criterion_7_relation_block_filtering():
         "tc": ["150 K", "203 K"],
         "pressure": ["150 GPa"],
     }
-    assert filter_relation_blocks([{"tc": "4.7 K"}], supplied) == []
+    assert filter_relation_blocks([RelationGroup(tc="4.7 K")], supplied) == []
     assert filter_relation_blocks(
-        [{"material": "H2S", "tc": "999 K"}], supplied
+        [RelationGroup(material="H2S", tc="999 K")], supplied
     ) == []
     assert filter_relation_blocks(
-        [{"material": "H3S", "tc": "203 K", "pressure": "150 GPa"}], supplied
+        [RelationGroup(material="H3S", tc="203 K", pressure="150 GPa")], supplied
     ) == [RelationGroup("H3S", "203 K", "150 GPa")]
 
     rng = random.Random(707)
@@ -209,7 +209,7 @@ def test_criterion_7_relation_block_filtering():
                 value = rng.choice(pool)
                 if value is not None:
                     block[key] = value
-            blocks.append(block)
+            blocks.append(RelationGroup(**block))
         once = filter_relation_blocks(blocks, supplied)
         assert filter_relation_blocks(once, supplied) == once
     report(7, "relation block filtering")

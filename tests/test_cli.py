@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from mateval.cli import main
 
@@ -232,6 +233,43 @@ class TestEvalCommands:
         assert code == 0
         json.loads(out)  # stdout stays machine-readable
         assert "| Run | Matching |" in err
+
+
+GOOD_PREDICTION = json.dumps({"doc_id": "d1", "entities": {"material": ["MgB2"]}}).encode()
+GOOD_DOCUMENT = json.dumps({"id": "x1", "text": "MgB2 at 39 K", "entities": []}).encode()
+
+# (file kind, command, second line of the file)
+BAD_LINES = {
+    "non-utf-8 corpus": ("corpus", "eval-ner", b'{"id": "x2", "text": "caf\xe9"}'),
+    "bool span": ("corpus", "eval-ner", json.dumps({
+        "id": "x2", "text": "MgB2", "entities": [
+            {"text": "MgB2", "class": "material", "span": [True, False]}]}).encode()),
+    "non-utf-8 predictions": ("predictions", "eval-ner", b'{"doc_id": "d2", "run": "caf\xe9"}'),
+    "null run": ("predictions", "eval-ner", json.dumps({"doc_id": "d2", "run": None}).encode()),
+    "list entity": ("predictions", "eval-ner", json.dumps(
+        {"doc_id": "d2", "entities": {"material": [["MgB2"], 39]}}).encode()),
+    "number entity": ("predictions", "eval-ner", json.dumps(
+        {"doc_id": "d2", "entities": {"material": [39]}}).encode()),
+    "number relation slot": ("predictions", "eval-re", json.dumps(
+        {"doc_id": "d2", "relations": [{"material": "MgB2", "tc": 39}]}).encode()),
+}
+
+
+class TestBadInputLines:
+    @pytest.mark.parametrize("kind, command, line", BAD_LINES.values(), ids=BAD_LINES.keys())
+    def test_exits_3_naming_the_line(self, capsys, tmp_path, kind, command, line):
+        corpus, preds = tmp_path / "corpus.jsonl", tmp_path / "preds.jsonl"
+        corpus.write_bytes(GOOD_DOCUMENT + b"\n" + line + b"\n")
+        preds.write_bytes(GOOD_PREDICTION + b"\n" + line + b"\n")
+        if kind == "predictions":
+            corpus = DATA / "corpus.jsonl"
+        else:
+            preds.write_bytes(b"")
+        code, out, err = run_cli(
+            [command, "--corpus", corpus, "--predictions", preds], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: line 2, field ") and "Traceback" not in err
 
 
 class TestExtractCommand:

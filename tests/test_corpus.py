@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mateval.corpus import (
+    RELATION_SLOTS,
     Document,
     EntityMention,
     RelationGroup,
@@ -96,14 +97,14 @@ class TestLoadPredictions:
         preds = load_predictions(str(path))
         assert preds[0].entities == {"material": ["MgB2"]}
         assert preds[1].run_label == "run2"
-        assert preds[1].relations == [{"material": "MgB2"}]
+        assert preds[1].relations == [RelationGroup(material="MgB2")]
 
     def test_partial_relation_blocks_allowed(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_lines(path, [
             {"doc_id": "d1", "run": "run1", "relations": [{"tc": "4.7 K"}]},
         ])
-        assert load_predictions(str(path))[0].relations == [{"tc": "4.7 K"}]
+        assert load_predictions(str(path))[0].relations == [RelationGroup(tc="4.7 K")]
 
     def test_unknown_entity_class(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -130,6 +131,21 @@ class TestLoadPredictions:
         with pytest.raises(SchemaViolationError, match="line 2") as info:
             load_predictions(str(path))
         assert info.value.line == 2
+
+
+    def test_blank_relation_slot_reads_as_none(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [
+            {"doc_id": "d1", "relations": [{"material": " ", "tc": "4.7 K", "pressure": None}]},
+        ])
+        assert load_predictions(str(path))[0].relations == [RelationGroup(tc="4.7 K")]
+
+
+def test_relation_group_fields_are_the_relation_slots():
+    assert RelationGroup._fields == RELATION_SLOTS
+    group = RelationGroup("MgB2", "39 K")
+    assert tuple(group) == ("MgB2", "39 K", None)
+    assert group.to_dict() == {"material": "MgB2", "tc": "39 K"}
 
 
 class TestValidateCorpus:

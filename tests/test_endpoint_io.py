@@ -416,10 +416,10 @@ class TestBatchedSemanticScoring:
         docs = [Document("d1", "t", entities, [
             RelationGroup("MgB2", "39 K"), RelationGroup("H3S", "203 K", "155 GPa")])]
         blocks = [
-            {"material": "MgB2", "tc": "39 K"},
-            {"material": "H3S", "tc": "39 K", "pressure": "150 GPa"},
-            {"material": "H3S", "tc": "203 K", "pressure": "150 GPa"},
-            {"material": "H3S", "tc": "203 K"},
+            RelationGroup(material="MgB2", tc="39 K"),
+            RelationGroup(material="H3S", tc="39 K", pressure="150 GPa"),
+            RelationGroup(material="H3S", tc="203 K", pressure="150 GPa"),
+            RelationGroup(material="H3S", tc="203 K"),
         ]
         preds = [PredictionSet("d1", run, relations=blocks) for run in ("run1", "run2")]
         table = {("155 GPa", "150 GPa"): 0.95}
@@ -543,6 +543,31 @@ class TestSimilarityReplies:
         report = json.loads(out)
         assert list(report["matchers"]) == ["strict"]
         assert "is not in [0, 1]" in report["skipped"][0]
+
+
+class TestOutputRefusedBeforeWork:
+    @pytest.mark.parametrize("command", ["eval-ner", "eval-re", "match"])
+    def test_no_request_is_sent(self, chat_stub, capsys, tmp_path, command):
+        target = tmp_path / "report.json"
+        target.write_text("precious")
+        flags = {
+            "eval-ner": ["--matchers", "semantic"],
+            "eval-re": ["--matchers", "semantic"],
+            "match": ["--matcher", "semantic", "MgB2", "MgB 2"],
+        }[command]
+        preds = _predictions(tmp_path)
+        if command == "eval-re":
+            preds.write_text(json.dumps({"doc_id": "d1", "relations": [
+                {"material": "MgB2", "tc": "39 K"}]}) + "\n")
+        inputs = ["--corpus", DATA / "corpus.jsonl", "--predictions", preds]
+        code, out, err = _extract(
+            [command, *([] if command == "match" else inputs), *flags,
+             "--semantic-endpoint", chat_stub.url + "/score", "--output", target],
+            capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: refusing to overwrite {target}")
+        assert chat_stub.requests == 0
+        assert target.read_text() == "precious"
 
 
 BAD_CONFIGS = {

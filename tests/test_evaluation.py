@@ -45,6 +45,13 @@ class TestEvaluateNer:
         assert run.scores.f1 == 1.0
         assert run.scores.support == 1
 
+    def test_config_runs_counts_the_runs(self):
+        docs = [Document(id="d1", text="t", entities=[EntityMention("MgB2", "material")])]
+        preds = [ner_pred("d1", ["MgB2"]), ner_pred("d1", ["MgB2"], run="run2")]
+        report = evaluate_ner(docs, preds, EvalConfig(task="ner_material"))
+        assert report.config["run_labels"] == ["run1", "run2"]
+        assert report.config["runs"] == report.matchers["strict"].aggregate.n_runs == 2
+
     def test_formula_gain_over_strict(self):
         docs = [
             Document(
@@ -181,21 +188,21 @@ SUPPLIED = {
 
 class TestFilterRelationBlocks:
     def test_drops_block_without_material(self):
-        assert filter_relation_blocks([{"tc": "4.7 K"}], SUPPLIED) == []
+        assert filter_relation_blocks([RelationGroup(tc="4.7 K")], SUPPLIED) == []
 
     def test_drops_unsupplied_tc(self):
-        blocks = [{"material": "H2S", "tc": "999 K"}]
+        blocks = [RelationGroup(material="H2S", tc="999 K")]
         assert filter_relation_blocks(blocks, SUPPLIED) == []
 
     def test_keeps_fully_supplied_block(self):
-        blocks = [{"material": "H3S", "tc": "203 K", "pressure": "150 GPa"}]
+        blocks = [RelationGroup(material="H3S", tc="203 K", pressure="150 GPa")]
         kept = filter_relation_blocks(blocks, SUPPLIED)
         assert kept == [RelationGroup("H3S", "203 K", "150 GPa")]
 
     def test_preserves_order(self):
         blocks = [
-            {"material": "H3S", "tc": "203 K"},
-            {"material": "H2S", "tc": "150 K"},
+            RelationGroup(material="H3S", tc="203 K"),
+            RelationGroup(material="H2S", tc="150 K"),
         ]
         kept = filter_relation_blocks(blocks, SUPPLIED)
         assert [g.material for g in kept] == ["H3S", "H2S"]
@@ -218,7 +225,7 @@ class TestFilterRelationBlocks:
                     block["tc"] = t
                 if p:
                     block["pressure"] = p
-                blocks.append(block)
+                blocks.append(RelationGroup(**block))
             once = filter_relation_blocks(blocks, SUPPLIED)
             assert filter_relation_blocks(once, SUPPLIED) == once
 
@@ -262,7 +269,7 @@ class TestEvaluateRe:
 
     def perfect_preds(self, docs, run="run1"):
         return [
-            re_pred(d.id, [g.to_dict() for g in d.relations], run=run) for d in docs
+            re_pred(d.id, list(d.relations), run=run) for d in docs
         ]
 
     def test_perfect_predictions_under_both_shuffle_modes(self):
@@ -293,7 +300,7 @@ class TestEvaluateRe:
 
     def test_dropped_blocks_warn(self):
         docs = self.fixture_docs()
-        preds = [re_pred("d1", [{"material": "MgB2", "tc": "999 K"}])]
+        preds = [re_pred("d1", [RelationGroup(material="MgB2", tc="999 K")])]
         report = evaluate_re(docs, preds, EvalConfig(task="re"))
         assert any("999 K" in w for w in report.warnings)
 
