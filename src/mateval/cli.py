@@ -17,7 +17,7 @@ import sys
 
 from . import corpus as corpus_mod
 from .elements import load_adjuncts
-from .errors import MatEvalError
+from .errors import ConfigError, MatEvalError
 from .evaluation import (
     EvalConfig,
     evaluate_ner,
@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .finetune import prepare_finetune, write_finetune_file
 from .llm import ChatEndpointConfig, RateLimiter, chat_complete, parse_response
-from .matching import TIERS, HttpSimilarityProvider
+from .matching import DEFAULT_THRESHOLD, TIERS, HttpSimilarityProvider
 from .materials import parse_material, expand_substitutions
 from .prompts import build_ner_prompt, build_re_prompt, re_prompt_seed
 
@@ -98,25 +98,33 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
-def _semantic_provider(args) -> HttpSimilarityProvider | None:
-    """Provider from --semantic-endpoint/--timeout, falling back to --config.
+# argparse dest of each endpoint flag -> the ChatEndpointConfig field it sets
+_CONFIG_FLAGS = {"model": "model", "fixtures": "fixture_dir", "dry_run": "dry_run",
+                 "semantic_endpoint": "semantic_endpoint", "timeout": "timeout"}
 
-    ``max_concurrency`` and ``min_interval`` come from --config, or from the
-    ``ChatEndpointConfig`` defaults without one.
-    """
-    endpoint = args.semantic_endpoint
-    timeout = args.timeout
-    cfg = ChatEndpointConfig()
-    if getattr(args, "config", None):
-        cfg = ChatEndpointConfig.from_file(args.config)
-        endpoint = endpoint or cfg.semantic_endpoint
-        if timeout is None:
-            timeout = cfg.timeout
-    if not endpoint:
+
+def _endpoint_config(args) -> ChatEndpointConfig:
+    """--config (or the defaults), then every endpoint flag given, each set
+    and checked as the same key in the file would be."""
+    cfg = ChatEndpointConfig.from_file(args.config) if args.config else ChatEndpointConfig()
+    for dest, key in _CONFIG_FLAGS.items():
+        text = getattr(args, dest, None)
+        if text is not None:
+            try:
+                cfg.set(key, text)
+            except ConfigError as exc:
+                raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from exc
+    return cfg
+
+
+def _semantic_provider(args) -> HttpSimilarityProvider | None:
+    """Similarity client of the resolved endpoint config; None without an endpoint."""
+    cfg = _endpoint_config(args)
+    if not cfg.semantic_endpoint:
         return None
     return HttpSimilarityProvider(
-        endpoint,
-        timeout if timeout is not None else 10.0,
+        cfg.semantic_endpoint,
+        cfg.timeout,
         max_concurrency=cfg.max_concurrency,
         min_interval=cfg.min_interval,
     )
@@ -160,21 +168,6 @@ def cmd_eval_re(args) -> int:
     return _run_eval(args, "re")
 
 
-def _endpoint_config(args) -> ChatEndpointConfig:
-    cfg = (
-        ChatEndpointConfig.from_file(args.config)
-        if args.config
-        else ChatEndpointConfig()
-    )
-    if args.model:
-        cfg.model = args.model
-    if args.dry_run:
-        cfg.dry_run = True
-    if args.fixtures:
-        cfg.fixture_dir = args.fixtures
-    return cfg
-
-
 def _load_hints(path: str | None, class_: str) -> dict[str, list[str]]:
     if not path:
         return {}
@@ -186,6 +179,8 @@ def _load_hints(path: str | None, class_: str) -> dict[str, list[str]]:
 
 
 def cmd_extract(args) -> int:
+    if args.runs < 1:
+        raise ConfigError(f"--runs: must be >= 1, got {args.runs}")
     documents = corpus_mod.load_corpus(args.corpus)
     cfg = _endpoint_config(args)
     seed = _resolve_seed(args)
@@ -317,14 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="allow overwriting --output")
     p.set_defaults(func=cmd_parse_material)
 
-    p = sub.add_parser("match", help="compare two strings with one matcher")
-    p.add_argument("--matcher", choices=("strict", "soft", "semantic", "formula"),
-                   required=True)
-    p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument("--semantic-endpoint", help="similarity service URL")
-    p.add_argument("--timeout", type=float, help="similarity request timeout (s)")
+    scoring = argparse.ArgumentParser(add_help=False)  # flags of match and eval-*
+    scoring.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    scoring.add_argument("--semantic-endpoint", help="similarity service URL")
+    scoring.add_argument("--timeout", help="similarity request timeout (s)")
+    scoring.add_argument("--config", help="endpoint config file (key=value lines)")
+
+    p = sub.add_parser("match", parents=[scoring], help="compare two strings with one matcher")
+    p.add_argument("--matcher", choices=TIERS, required=True)
     p.add_argument("--adjunct-lexicon", help="JSON file overriding the adjunct lexicon")
-    p.add_argument("--config", help="endpoint config file (key=value lines)")
     p.add_argument("--output", help="also write the JSON to this file")
     p.add_argument("--force", action="store_true", help="allow overwriting --output")
     p.add_argument("a")
@@ -332,15 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_match)
 
     for name, entity_flag in (("eval-ner", True), ("eval-re", False)):
-        p = sub.add_parser(name, help=f"run {name.split('-')[1].upper()} evaluation")
+        p = sub.add_parser(name, parents=[scoring],
+                           help=f"run {name.split('-')[1].upper()} evaluation")
         p.add_argument("--corpus", required=True)
         p.add_argument("--predictions", required=True)
         p.add_argument("--matchers", default="strict",
-                       help="comma-separated subset of strict,soft,semantic,formula")
-        p.add_argument("--threshold", type=float, default=0.9)
-        p.add_argument("--semantic-endpoint")
-        p.add_argument("--timeout", type=float, help="similarity request timeout (s)")
-        p.add_argument("--config", help="endpoint config file (key=value lines)")
+                       help=f"comma-separated subset of {','.join(TIERS)}")
         p.add_argument("--seed", type=int)
         p.add_argument("--timestamps", action="store_true",
                        help="embed a generation timestamp in the report")
@@ -367,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="endpoint config file (key=value lines)")
     p.add_argument("--model")
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--dry-run", action="store_true")
+    p.add_argument("--dry-run", action="store_const", const="true")
     p.add_argument("--fixtures", help="canned-response directory for --dry-run")
     p.add_argument("--response-format", choices=("auto", "json", "pseudo"),
                    default="auto")

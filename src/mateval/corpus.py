@@ -177,7 +177,7 @@ def load_corpus(path: str) -> list[Document]:
         seen.add(doc_id)
         text = _require(payload, "text", str, lineno)
         entities = []
-        for item in payload.get("entities", []):
+        for item in _check(payload.get("entities", []), list, lineno, "entities"):
             if not isinstance(item, dict):
                 raise SchemaViolationError(lineno, "entities", "expected objects")
             etext = _require(item, "text", str, lineno)
@@ -201,7 +201,8 @@ def load_corpus(path: str) -> list[Document]:
                     )
                 span = (raw_span[0], raw_span[1])
             entities.append(EntityMention(text=etext, class_=class_, span=span))
-        relations = [_read_relation(item, lineno, True) for item in payload.get("relations", [])]
+        blocks = _check(payload.get("relations", []), list, lineno, "relations")
+        relations = [_read_relation(block, lineno, True) for block in blocks]
         documents.append(
             Document(id=doc_id, text=text, entities=entities, relations=relations)
         )
@@ -239,9 +240,7 @@ def load_predictions(path: str) -> list[PredictionSet]:
             if not isinstance(values, list):
                 raise SchemaViolationError(lineno, f"entities.{class_}", "expected list")
             entities[class_] = [_check(v, str, lineno, f"entities.{class_}") for v in values]
-        blocks = payload.get("relations", [])
-        if not isinstance(blocks, list):
-            raise SchemaViolationError(lineno, "relations", "expected a list")
+        blocks = _check(payload.get("relations", []), list, lineno, "relations")
         relations = [_read_relation(block, lineno, False) for block in blocks]
         predictions.append(PredictionSet(doc_id, run_label, entities, relations))
     return predictions

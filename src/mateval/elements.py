@@ -4,6 +4,8 @@ import json
 from functools import lru_cache
 from importlib import resources
 
+from .errors import ConfigError
+
 
 @lru_cache(maxsize=1)
 def periodic_table() -> frozenset[str]:
@@ -26,12 +28,18 @@ def default_adjuncts() -> tuple[str, ...]:
 def load_adjuncts(path: str) -> tuple[str, ...]:
     """Load a replacement adjunct lexicon from a JSON file.
 
-    Accepts either ``{"adjuncts": [...]}`` or a bare JSON list.
+    Accepts either ``{"adjuncts": [...]}`` or a bare JSON list of non-empty
+    strings; anything else raises ConfigError naming the file.
     """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    words = payload["adjuncts"] if isinstance(payload, dict) else payload
-    return tuple(str(w) for w in words)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
+    words = payload.get("adjuncts") if isinstance(payload, dict) else payload
+    if not isinstance(words, list) or not all(isinstance(w, str) and w.strip() for w in words):
+        raise ConfigError(f'{path}: expected {{"adjuncts": [...]}} or a list of non-empty strings')
+    return tuple(words)
 
 
 def is_element(symbol: str) -> bool:

@@ -59,10 +59,10 @@ class NoEntitiesError(MatEvalError):
 
 
 class ConfigError(MatEvalError, ValueError):
-    """An endpoint config file has an unknown key or an invalid value.
+    """A setting has an unknown key or an invalid value.
 
     Also a ValueError, so callers that catch ValueError from
-    ``ChatEndpointConfig.from_file`` keep working.
+    ``ChatEndpointConfig.from_file`` or a library constructor keep working.
     """
 
 

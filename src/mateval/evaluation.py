@@ -11,12 +11,14 @@ from dataclasses import dataclass, field
 
 from .corpus import RELATION_SLOTS, TASK_CLASSES, Document, PredictionSet, RelationGroup
 from .errors import (
+    ConfigError,
     DuplicateIdError,
     NoMatchersSelectedError,
     ProviderUnavailableError,
     UnknownDocumentError,
 )
 from .matching import (
+    DEFAULT_THRESHOLD,
     TIERS,
     SemanticTier,
     SimilarityProvider,
@@ -33,7 +35,6 @@ from .scoring import (
     micro_average,
 )
 
-MATCHER_NAMES = ("strict", "soft", "semantic", "formula")
 TASKS = (*TASK_CLASSES, "re")
 
 
@@ -41,25 +42,25 @@ TASKS = (*TASK_CLASSES, "re")
 class EvalConfig:
     task: str
     matchers: tuple[str, ...] = ("strict",)
-    threshold: float = 0.9
+    threshold: float = DEFAULT_THRESHOLD
     shuffle: str = "non_shuffled"
     seed: int = 0
     runs: int = 1  # unread: a report's config.runs counts its run labels
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        unknown = set(self.matchers) - set(MATCHER_NAMES)
+            raise ConfigError(f"unknown task {self.task!r}")
+        unknown = set(self.matchers) - TIERS.keys()
         if unknown:
-            raise ValueError(f"unknown matchers: {sorted(unknown)}")
+            raise ConfigError(f"unknown matchers: {sorted(unknown)}")
         if not self.matchers:
             raise NoMatchersSelectedError("select at least one matcher")
         if not 0 < self.threshold <= 1:
-            raise ValueError("threshold must be in (0, 1]")
+            raise ConfigError("threshold must be in (0, 1]")
         if self.shuffle not in ("shuffled", "non_shuffled"):
-            raise ValueError(f"unknown shuffle mode {self.shuffle!r}")
+            raise ConfigError(f"unknown shuffle mode {self.shuffle!r}")
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ConfigError("runs must be >= 1")
 
     def to_dict(self) -> dict:
         return {

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import PSEUDO_HEADERS, TASK_CLASSES, Document, RelationGroup
-from .errors import EmptyCorpusError
+from .errors import ConfigError, EmptyCorpusError
 from .prompts import (
     PromptBundle,
     build_ner_prompt,
@@ -133,16 +133,17 @@ def prepare_finetune(
     :func:`~mateval.prompts.build_re_prompt`) without format instructions.
 
     Raises:
+        ConfigError: unknown strategy or split unit, or split_ratio not in (0, 1).
         EmptyCorpusError: no usable documents.
         EmptyTextError: a document that yields a record has whitespace-only
             text.
     """
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ConfigError(f"unknown strategy {strategy!r}")
     if not 0 < split_ratio < 1:
-        raise ValueError("split_ratio must be in (0, 1)")
+        raise ConfigError("split_ratio must be in (0, 1)")
     if split_unit not in ("record", "document"):
-        raise ValueError(f"unknown split unit {split_unit!r}")
+        raise ConfigError(f"unknown split unit {split_unit!r}")
     if not documents:
         raise EmptyCorpusError("no documents to prepare")
 

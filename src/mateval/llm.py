@@ -41,10 +41,11 @@ _HEADER_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*$")
 
 @dataclass
 class ChatEndpointConfig:
-    """Connection settings for the chat endpoint.
+    """Settings of the chat endpoint and the similarity service.
 
-    ``credential_env`` names the environment variable holding the API key;
-    the key itself never lives in config files. ``dry_run`` requires
+    ``timeout``, ``max_concurrency`` and ``min_interval`` govern both
+    clients. ``credential_env`` names the environment variable holding the
+    API key, which never lives in config files. ``dry_run`` requires
     ``fixture_dir``.
     """
 
@@ -60,32 +61,47 @@ class ChatEndpointConfig:
     min_interval: float = 0.0
     semantic_endpoint: str | None = None
 
+    _CASTS = {
+        "timeout": float,
+        "backoff_base": float,
+        "min_interval": float,
+        "max_retries": int,
+        "max_concurrency": int,
+        "dry_run": lambda v: v.lower() in ("1", "true", "yes"),
+    }
+    _VALID = {  # NaN fails every comparison
+        "timeout": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+        "backoff_base": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
+        "min_interval": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
+        "max_retries": (lambda v: v >= 0, "must be >= 0"),
+        "max_concurrency": (lambda v: v >= 1, "must be >= 1"),
+    }
+
+    def set(self, key: str, text: str) -> None:
+        """Cast ``text`` to field ``key``'s type, check it and store it.
+
+        Config files and flags both set fields here. An unknown key, a value
+        that does not convert, a negative count or interval, no concurrency
+        slot, or a timeout that is not positive and finite raises ConfigError.
+        """
+        if key not in {field.name for field in fields(self)}:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            value = self._CASTS.get(key, str)(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
+        if key in self._VALID and not self._VALID[key][0](value):
+            raise ConfigError(f"{key} {self._VALID[key][1]}, got {text!r}")
+        setattr(self, key, value)
+
     @classmethod
     def from_file(cls, path: str) -> "ChatEndpointConfig":
-        """Read ``key=value`` lines.
+        """Read ``key=value`` lines through :meth:`set`.
 
-        Text that is not UTF-8, an unknown key, a value that does not
-        convert, a negative count or interval, no concurrency slot, or a
-        timeout that is not positive and finite raises ConfigError naming
-        ``path:line``.
+        Text that is not UTF-8, a line without ``=``, or a key or value
+        that :meth:`set` rejects raises ConfigError naming ``path:line``.
         """
         cfg = cls()
-        casts = {
-            "timeout": float,
-            "backoff_base": float,
-            "min_interval": float,
-            "max_retries": int,
-            "max_concurrency": int,
-            "dry_run": lambda v: v.lower() in ("1", "true", "yes"),
-        }
-        valid = {  # NaN fails every comparison
-            "timeout": (lambda v: 0 < v < math.inf, "must be positive and finite"),
-            "backoff_base": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
-            "min_interval": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
-            "max_retries": (lambda v: v >= 0, "must be >= 0"),
-            "max_concurrency": (lambda v: v >= 1, "must be >= 1"),
-        }
-        keys = {field.name for field in fields(cls)}
         with open(path, "rb") as fh:
             data = fh.read()
         try:
@@ -100,16 +116,10 @@ class ChatEndpointConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                value = casts.get(key, str)(text)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad {key} {text!r}: {exc}") from exc
-            if key in valid and not valid[key][0](value):
-                raise ConfigError(f"{path}:{lineno}: {key} {valid[key][1]}, got {text!r}")
-            setattr(cfg, key, value)
+                cfg.set(key.strip(), text.strip())
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         return cfg
 
 

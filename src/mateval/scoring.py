@@ -116,39 +116,24 @@ def count_matches(
     matched_pred = [-1] * n  # expected index -> predicted index
 
     def augment(start: int) -> bool:
-        # fast path: an adjacent free predicted item is an augmenting path
-        # of length one
-        for j in adjacency[start]:
-            if owner[j] == -1:
-                owner[j] = start
-                matched_pred[start] = j
-                return True
-        # alternating-path DFS with explicit frames
-        visited: set[int] = set()
-        parent: dict[int, int] = {}
-        frames = [(start, iter(adjacency[start]))]
-        while frames:
-            i, candidates = frames[-1]
-            pushed = False
-            for j in candidates:
-                if j in visited:
+        # breadth-first search for a free predicted item along alternating
+        # paths; reached maps each predicted item to the expected item that
+        # reached it
+        reached: dict[int, int] = {}
+        queue = [start]
+        for i in queue:
+            for j in adjacency[i]:
+                if j in reached:
                     continue
-                visited.add(j)
-                parent[j] = i
+                reached[j] = i
                 if owner[j] == -1:
-                    while True:  # flip assignments along the path
-                        holder = parent[j]
-                        released = matched_pred[holder]
-                        matched_pred[holder] = j
-                        owner[j] = holder
-                        if released == -1:
-                            return True
+                    while j != -1:  # flip assignments back along the path
+                        i = reached[j]
+                        released = matched_pred[i]
+                        owner[j], matched_pred[i] = i, j
                         j = released
-                frames.append((owner[j], iter(adjacency[owner[j]])))
-                pushed = True
-                break
-            if not pushed:
-                frames.pop()
+                    return True
+                queue.append(owner[j])
         return False
 
     tp = sum(1 for i in range(n) if augment(i))

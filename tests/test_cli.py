@@ -55,6 +55,16 @@ class TestParseMaterialCommand:
         assert code == 0
         assert json.loads(out)["adjuncts"] == ["shiny"]
 
+    @pytest.mark.parametrize("content", [
+        b'{"adjuncts": 5}', b'["caf\xe9"]', b'{"words": []}', b'[1, "bulk"]', b'["", "bulk"]',
+    ], ids=["number", "not utf-8", "no adjuncts key", "number entry", "empty entry"])
+    def test_bad_lexicon_exits_3(self, tmp_path, content):
+        lex = tmp_path / "lex.json"
+        lex.write_bytes(content)
+        result = run_subprocess(["parse-material", "MgB2", "--adjunct-lexicon", lex])
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {lex}: ") and "Traceback" not in result.stderr
+
     def test_output_file_mirrors_stdout(self, capsys, tmp_path):
         target = tmp_path / "parsed.json"
         code, out, _ = run_cli(
@@ -252,6 +262,10 @@ BAD_LINES = {
         {"doc_id": "d2", "entities": {"material": [39]}}).encode()),
     "number relation slot": ("predictions", "eval-re", json.dumps(
         {"doc_id": "d2", "relations": [{"material": "MgB2", "tc": 39}]}).encode()),
+    "null gold entities": ("corpus", "eval-ner", json.dumps(
+        {"id": "x2", "text": "MgB2", "entities": None}).encode()),
+    "object gold relations": ("corpus", "eval-re", json.dumps(
+        {"id": "x2", "text": "MgB2", "relations": {}}).encode()),
 }
 
 
@@ -270,6 +284,34 @@ class TestBadInputLines:
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: line 2, field ") and "Traceback" not in err
+
+
+# values the library rejects, given after each command's required inputs
+REJECTED_VALUES = {
+    "threshold above 1": ["eval-ner", "--threshold", "2"],
+    "unknown matcher": ["eval-ner", "--matchers", "bogus"],
+    "split ratio above 1": ["prepare-finetune", "--task", "re", "--seed", "1",
+                            "--split-ratio", "1.5"],
+    "no runs": ["extract", "--task", "ner_material", "--dry-run",
+                "--fixtures", DATA / "fixtures", "--runs", "0"],
+}
+
+
+class TestRejectedOptionValues:
+    @pytest.mark.parametrize("argv", REJECTED_VALUES.values(), ids=REJECTED_VALUES.keys())
+    def test_exits_3_without_traceback(self, tmp_path, argv):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_bytes(GOOD_PREDICTION + b"\n")
+        inputs = {
+            "eval-ner": ["--predictions", preds],
+            "prepare-finetune": ["--train-output", tmp_path / "train.jsonl",
+                                 "--test-output", tmp_path / "test.jsonl"],
+            "extract": ["--output", tmp_path / "out.jsonl"],
+        }[argv[0]]
+        result = run_subprocess([*argv, "--corpus", DATA / "corpus.jsonl", *inputs])
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "train.jsonl").exists()
 
 
 class TestExtractCommand:

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from mateval import llm
-from mateval.cli import main
+from mateval.cli import _semantic_provider, build_parser, main
 from mateval.corpus import Document, EntityMention, PredictionSet, RelationGroup
 from mateval.errors import (
     ConfigError,
@@ -605,3 +605,57 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as failure:
             ChatEndpointConfig.from_file(str(cfg))
         assert isinstance(failure.value, ValueError)
+
+
+class TestEndpointFlags:
+    """Flags go through the config's one setter: checked as file keys are,
+    and overriding them."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command", ["eval-ner", "match"])
+    def test_bad_timeout_sends_no_request(self, chat_stub, capsys, tmp_path, command, value):
+        flags = {
+            "eval-ner": ["--corpus", DATA / "corpus.jsonl", "--predictions",
+                         _predictions(tmp_path), "--matchers", "semantic"],
+            "match": ["--matcher", "semantic", "MgB2", "MgB 2"],
+        }[command]
+        code, out, err = _extract(
+            [command, *flags, "--semantic-endpoint", chat_stub.url + "/score",
+             f"--timeout={value}"], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: --timeout: timeout must be positive and finite, got {value!r}\n"
+        assert chat_stub.requests == 0
+
+    def test_flag_and_file_fail_alike(self, capsys, tmp_path):
+        cfg = tmp_path / "endpoint.cfg"
+        cfg.write_text("timeout = 0\n")
+        argv = ["eval-ner", "--corpus", DATA / "corpus.jsonl", "--predictions",
+                _predictions(tmp_path), "--matchers", "semantic"]
+        file_code, _, from_file = _extract([*argv, "--config", cfg], capsys)
+        flag_code, _, from_flag = _extract([*argv, "--timeout", "0"], capsys)
+        assert file_code == flag_code == 3
+        assert from_file.startswith(f"error: {cfg}:1: ")
+        assert from_flag.startswith("error: --timeout: ")
+        assert from_file.removeprefix(f"error: {cfg}:1: ") == from_flag.removeprefix(
+            "error: --timeout: ")
+
+    @pytest.mark.parametrize("config", ["", "max_concurrency = 2\n"],
+                             ids=["no config", "unrelated config"])
+    def test_similarity_timeout_is_the_documented_default(self, tmp_path, config):
+        cfg = tmp_path / "endpoint.cfg"
+        cfg.write_text(config)
+        args = build_parser().parse_args(
+            ["match", "--matcher", "semantic", "--semantic-endpoint", "http://127.0.0.1:9/score",
+             *(["--config", str(cfg)] if config else []), "a", "b"])
+        assert _semantic_provider(args).timeout == ChatEndpointConfig().timeout == 60.0
+
+    def test_flags_override_file_keys(self, tmp_path):
+        cfg = tmp_path / "endpoint.cfg"
+        cfg.write_text("timeout = 30\nsemantic_endpoint = http://127.0.0.1:9/a\n"
+                       "max_concurrency = 2\n")
+        args = build_parser().parse_args(
+            ["eval-ner", "--corpus", "c", "--predictions", "p", "--config", str(cfg),
+             "--semantic-endpoint", "http://127.0.0.1:9/b", "--timeout", "5"])
+        provider = _semantic_provider(args)
+        assert (provider.endpoint, provider.timeout) == ("http://127.0.0.1:9/b", 5.0)
+        assert provider.limiter.max_concurrency == 2

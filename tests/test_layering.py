@@ -2,7 +2,8 @@
 
 Prompt text is assembled in one module that depends on nothing but the
 error types, so extraction and fine-tune preparation cannot drift apart,
-and the task/slot vocabulary is spelled out once, in ``corpus``. Both HTTP
+and the task/slot vocabulary is spelled out once, in ``corpus``; the
+matcher names are the keys of ``matching.TIERS``. Both HTTP
 clients sit on ``transport``, and the package needs nothing outside the
 standard library at run time.
 """
@@ -114,6 +115,8 @@ def test_vocabulary_is_spelled_out_once():
     # the pseudo-format headers, written by finetune and read by llm
     pseudo_headers = {"material": "materials", "quantity": "quantities"}
     assert _literals(ast.Dict)[repr(pseudo_headers)] == 1
+    # the matcher names are the keys of matching.TIERS
+    assert _literals(ast.Tuple)[repr(("strict", "soft", "semantic", "formula"))] == 0
 
 
 def test_threads_come_from_threading_alone():
