@@ -14,14 +14,11 @@ from .corpus import (
     RelationGroup,
     load_corpus,
     load_predictions,
-    render_report,
     save_corpus,
     validate_corpus,
-    write_report,
 )
 from .evaluation import (
     EvalConfig,
-    EvalReport,
     evaluate_ner,
     evaluate_re,
     filter_relation_blocks,
@@ -55,6 +52,7 @@ from .materials import (
     strip_adjuncts,
 )
 from .prompts import PromptBundle, build_ner_prompt, build_re_prompt, shuffle_entities
+from .report import EvalReport, read_report, render_report, write_report
 from .scoring import (
     MatchCounts,
     RunAggregate,
@@ -108,6 +106,7 @@ __all__ = [
     "prepare_finetune",
     "prf",
     "ratcliff_obershelp",
+    "read_report",
     "render_report",
     "save_corpus",
     "semantic_match",

@@ -25,9 +25,10 @@ from .evaluation import (
 )
 from .finetune import prepare_finetune, write_finetune_file
 from .llm import ChatEndpointConfig, RateLimiter, chat_complete, parse_response
-from .matching import DEFAULT_THRESHOLD, TIERS, HttpSimilarityProvider
+from .matching import DEFAULT_THRESHOLD, TIERS, HttpSimilarityProvider, check_threshold
 from .materials import parse_material, expand_substitutions
 from .prompts import build_ner_prompt, build_re_prompt, re_prompt_seed
+from .report import read_report, render_report, write_report
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -90,6 +91,7 @@ def cmd_parse_material(args) -> int:
 
 
 def cmd_match(args) -> int:
+    check_threshold(args.threshold)
     provider = _semantic_provider(args) if args.matcher == "semantic" else None
     if args.matcher == "semantic" and provider is None:
         raise MatEvalError("semantic matching needs --semantic-endpoint")
@@ -146,16 +148,13 @@ def _run_eval(args, task: str) -> int:
         report = evaluate_re(documents, predictions, config, provider)
     else:
         report = evaluate_ner(documents, predictions, config, provider)
-    payload = report.to_dict()
     if args.timestamps:
-        payload["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat()
+        report.generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if args.output:
-        corpus_mod.write_report(payload, args.format, args.output)
-    _print_json(payload)
+        write_report(report, args.format, args.output)
+    sys.stdout.write(render_report(report, "json"))
     if args.pretty:
-        _note(corpus_mod.render_report(payload, "markdown"))
+        _note(render_report(report, "markdown"))
     return EXIT_WARNINGS if (report.skipped or report.warnings) else EXIT_OK
 
 
@@ -285,15 +284,12 @@ def cmd_prepare_finetune(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rendered = corpus_mod.render_report(payload, args.format)
+    report = read_report(args.input)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        write_report(report, args.format, args.output)
         _print_json({"input": args.input, "format": args.format, "output": args.output})
     else:
-        sys.stdout.write(rendered)
+        sys.stdout.write(render_report(report, args.format))
     return EXIT_OK
 
 

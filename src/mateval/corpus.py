@@ -1,4 +1,4 @@
-"""Corpus and prediction files in line-delimited JSON, plus report writers.
+"""Corpus and prediction files in line-delimited JSON, and the task/slot vocabulary.
 
 Corpus line schema::
 
@@ -15,11 +15,10 @@ Prediction line schema::
 Both loaders read each relation object into a :class:`RelationGroup`: a
 slot that is present must be a string, and gold groups must hold material
 and tc. ``PredictionSet.relations`` may hold partial groups (a missing or
-blank slot is ``None``); they are filtered at evaluation time. The report JSON schema is whatever
-``EvalReport.to_dict`` produces and is documented in the README.
+blank slot is ``None``); they are filtered at evaluation time. Reports live in
+:mod:`mateval.report`.
 """
 
-import csv
 import io
 import json
 import re
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DuplicateIdError, SchemaViolationError
-from .scoring import RunAggregate
+from .report import render_report  # noqa: F401  (perfbench reads corpus.render_report)
 
 ENTITY_CLASSES = ("material", "quantity", "tc", "pressure")
 # the entity class each NER task extracts
@@ -321,110 +320,3 @@ def save_corpus(documents: list[Document], path: str) -> None:
                 "relations": [r.to_dict() for r in doc.relations],
             }
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def render_report(report, format: str = "json") -> str:
-    """Render a report (EvalReport or its dict form) to json/markdown/csv."""
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
-    if format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if format == "markdown":
-        return _render_markdown(payload)
-    if format == "csv":
-        return _render_csv(payload)
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def write_report(report, format: str, path: str) -> None:
-    """Render and write a report; propagates OSError on I/O failure."""
-    rendered = render_report(report, format)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(rendered)
-
-
-def _pct(value: float) -> str:
-    return f"{value * 100:.2f}"
-
-
-def _render_markdown(payload: dict) -> str:
-    lines = [f"# Evaluation report: {payload.get('task', '?')}", ""]
-    config = payload.get("config", {})
-    if config:
-        lines.append("Config: `" + json.dumps(config, sort_keys=True) + "`")
-        lines.append("")
-    lines.append("| Run | Matching | P | R | F1 | Supp |")
-    lines.append("| --- | --- | --- | --- | --- | --- |")
-    matchers = payload.get("matchers", {})
-    run_labels: list[str] = []
-    for result in matchers.values():
-        for run in result.get("runs", []):
-            if run["run"] not in run_labels:
-                run_labels.append(run["run"])
-    for run_label in run_labels:
-        for name, result in matchers.items():
-            for run in result.get("runs", []):
-                if run["run"] != run_label:
-                    continue
-                s = run["scores"]
-                lines.append(
-                    f"| {run_label} | {name} | {_pct(s['precision'])} | "
-                    f"{_pct(s['recall'])} | {_pct(s['f1'])} | {s['support']} |"
-                )
-    lines.append("")
-    lines.append("Mean and standard deviation of F1 score")
-    lines.append("")
-    lines.append("| Matching | Avg. F1 | Std | Avg. Supp |")
-    lines.append("| --- | --- | --- | --- |")
-    for name, result in matchers.items():
-        agg = result.get("aggregate")
-        if agg is None:
-            lines.append(f"| {name} | skipped | - | - |")
-            continue
-        mean, std = _table_f1_from_dict(agg)
-        supp = int(agg["avg_support"] + 0.5)  # rendered half-up
-        lines.append(f"| {name} | {mean:.2f} | {std:.2f} | {supp} |")
-    skipped = payload.get("skipped", [])
-    if skipped:
-        lines.append("")
-        lines.append("Skipped:")
-        for note in skipped:
-            lines.append(f"- {note}")
-    warnings = payload.get("warnings", [])
-    if warnings:
-        lines.append("")
-        lines.append("Warnings:")
-        for note in warnings:
-            lines.append(f"- {note}")
-    return "\n".join(lines) + "\n"
-
-
-def _table_f1_from_dict(agg: dict) -> tuple[float, float]:
-    return RunAggregate(
-        mean_f1=agg["mean_f1"] * 100,
-        std_f1=agg["std_f1"] * 100,
-        avg_support=agg["avg_support"],
-        n_runs=agg["n_runs"],
-    ).table_f1()
-
-
-def _render_csv(payload: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["run", "matcher", "precision", "recall", "f1", "support"])
-    for name, result in payload.get("matchers", {}).items():
-        for run in result.get("runs", []):
-            s = run["scores"]
-            writer.writerow(
-                [run["run"], name, s["precision"], s["recall"], s["f1"], s["support"]]
-            )
-    writer.writerow([])
-    writer.writerow(["matcher", "mean_f1", "std_f1", "avg_support", "n_runs"])
-    for name, result in payload.get("matchers", {}).items():
-        agg = result.get("aggregate")
-        if agg is None:
-            writer.writerow([name, "skipped", "", "", ""])
-        else:
-            writer.writerow(
-                [name, agg["mean_f1"], agg["std_f1"], agg["avg_support"], agg["n_runs"]]
-            )
-    return buffer.getvalue()

@@ -38,6 +38,10 @@ class SchemaViolationError(MatEvalError):
         self.field = field
 
 
+class ReportSchemaError(MatEvalError):
+    """A stored report does not have the schema ``EvalReport.to_dict`` writes."""
+
+
 class DuplicateIdError(MatEvalError):
     """Two documents in one corpus share an id."""
 

@@ -7,7 +7,7 @@ of an RE configuration are echoed in the report; they shape prompts (see
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import RELATION_SLOTS, TASK_CLASSES, Document, PredictionSet, RelationGroup
 from .errors import (
@@ -24,16 +24,11 @@ from .matching import (
     SimilarityProvider,
     StrictTier,
     Tier,
+    check_threshold,
     normalize_whitespace,
 )
-from .scoring import (
-    MatchCounts,
-    RunAggregate,
-    Scores,
-    aggregate_runs,
-    count_matches,
-    micro_average,
-)
+from .report import EvalReport, MatcherBlock, RunScores
+from .scoring import MatchCounts, aggregate_runs, count_matches, micro_average
 
 TASKS = (*TASK_CLASSES, "re")
 
@@ -55,8 +50,7 @@ class EvalConfig:
             raise ConfigError(f"unknown matchers: {sorted(unknown)}")
         if not self.matchers:
             raise NoMatchersSelectedError("select at least one matcher")
-        if not 0 < self.threshold <= 1:
-            raise ConfigError("threshold must be in (0, 1]")
+        check_threshold(self.threshold)
         if self.shuffle not in ("shuffled", "non_shuffled"):
             raise ConfigError(f"unknown shuffle mode {self.shuffle!r}")
         if self.runs < 1:
@@ -71,61 +65,6 @@ class EvalConfig:
             "seed": self.seed,
             "runs": self.runs,
         }
-
-
-@dataclass
-class RunScores:
-    run: str
-    scores: Scores
-    expected_total: int
-    per_document: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "scores": self.scores.to_dict(),
-            "expected_total": self.expected_total,
-            "per_document": self.per_document,
-        }
-
-
-@dataclass
-class MatcherBlock:
-    runs: list[RunScores] = field(default_factory=list)
-    aggregate: RunAggregate | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": [r.to_dict() for r in self.runs],
-            "aggregate": self.aggregate.to_dict() if self.aggregate else None,
-        }
-
-
-@dataclass
-class EvalReport:
-    task: str
-    config: dict
-    matchers: dict[str, MatcherBlock] = field(default_factory=dict)
-    skipped: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "config": self.config,
-            "matchers": {k: v.to_dict() for k, v in self.matchers.items()},
-            "skipped": list(self.skipped),
-            "warnings": list(self.warnings),
-        }
-
-    def verify(self) -> None:
-        """Assert that every aggregate derives exactly from its run scores."""
-        for name, block in self.matchers.items():
-            if not block.runs:
-                continue
-            recomputed = aggregate_runs([r.scores for r in block.runs])
-            if recomputed != block.aggregate:
-                raise AssertionError(f"inconsistent aggregate for {name!r}")
 
 
 def _filter_with_notes(
@@ -272,7 +211,7 @@ def _evaluate(
     for name in config.matchers:
         matcher = TIERS[name](config.threshold, provider)
         tier = lift(matcher)
-        block = MatcherBlock()
+        runs = []
         try:
             if isinstance(matcher, SemanticTier):
                 tier.prefetch([item for run in items.values() for item in run])
@@ -281,7 +220,7 @@ def _evaluate(
                     count_matches(expected, predicted, tier)
                     for expected, predicted in items[run_label]
                 ]
-                block.runs.append(
+                runs.append(
                     RunScores(
                         run=run_label,
                         scores=micro_average(per_doc_counts),
@@ -295,8 +234,7 @@ def _evaluate(
         except ProviderUnavailableError as exc:
             report.skipped.append(f"{name}: {exc}")
             continue
-        block.aggregate = aggregate_runs([r.scores for r in block.runs])
-        report.matchers[name] = block
+        report.matchers[name] = MatcherBlock(runs, aggregate_runs([r.scores for r in runs]))
     report.verify()
     return report
 

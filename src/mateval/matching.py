@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import NamedTuple
 
-from .errors import MatEvalError, ProviderUnavailableError
+from .errors import ConfigError, MatEvalError, ProviderUnavailableError
 from .materials import (
     Composition,
     compositions_equal,
@@ -40,6 +40,12 @@ from .transport import NO_REPLY, RateLimiter, post_json
 DEFAULT_THRESHOLD = 0.9
 
 _WS_RE = re.compile(r"\s+")
+
+
+def check_threshold(threshold: float) -> None:
+    """Refuse a threshold outside (0, 1], NaN included (a tier itself takes any)."""
+    if not 0 < threshold <= 1:
+        raise ConfigError("threshold must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,8 @@ def strip_adjuncts(
 
     Args:
         raw: material expression, e.g. ``"hole-doped La 2-x Sr x CuO 4"``.
-        lexicon: descriptor phrases; defaults to the bundled list.
+        lexicon: descriptor phrases; ``None`` means the bundled list, and
+            an empty lexicon strips nothing.
 
     Returns:
         ``(core, adjuncts)`` — the trimmed expression and removed phrases.
@@ -110,7 +111,7 @@ def strip_adjuncts(
     text = raw.strip()
     if not text:
         raise EmptyInputError("material expression is empty")
-    phrases = sorted(lexicon or default_adjuncts(), key=len, reverse=True)
+    phrases = sorted(default_adjuncts() if lexicon is None else lexicon, key=len, reverse=True)
     adjuncts: list[str] = []
 
     def _strip_edge(s: str, suffix: bool) -> tuple[str, str | None]:

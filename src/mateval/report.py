@@ -1,0 +1,208 @@
+"""The evaluation report: its schema, its renderers and its reader.
+
+A report holds one :class:`MatcherBlock` per matcher that ran (the scores
+of each run and their aggregate), the evaluation's config, the matchers it
+skipped and its warnings. ``EvalReport.to_dict`` is the JSON schema,
+documented in the README. :func:`read_report` reads a stored report back
+into the same type, so ``render_report(read_report(path), "json")``
+reproduces a report that mateval wrote, byte for byte.
+"""
+
+import csv
+import io
+import json
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+
+from .errors import ReportSchemaError
+from .scoring import RunAggregate, Scores, aggregate_runs
+
+
+@dataclass
+class RunScores:
+    run: str
+    scores: Scores
+    expected_total: int
+    per_document: list[dict]
+
+    def to_dict(self) -> dict:
+        return {
+            "run": self.run,
+            "scores": self.scores.to_dict(),
+            "expected_total": self.expected_total,
+            "per_document": self.per_document,
+        }
+
+
+@dataclass
+class MatcherBlock:
+    runs: list[RunScores]
+    aggregate: RunAggregate
+
+    def to_dict(self) -> dict:
+        return {"runs": [r.to_dict() for r in self.runs], "aggregate": self.aggregate.to_dict()}
+
+
+@dataclass
+class EvalReport:
+    task: str
+    config: dict
+    matchers: dict[str, MatcherBlock] = field(default_factory=dict)
+    skipped: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+    generated_at: str | None = None  # written only when set
+
+    def to_dict(self) -> dict:
+        payload = {
+            "task": self.task,
+            "config": self.config,
+            "matchers": {k: v.to_dict() for k, v in self.matchers.items()},
+            "skipped": list(self.skipped),
+            "warnings": list(self.warnings),
+        }
+        if self.generated_at is not None:
+            payload["generated_at"] = self.generated_at
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload) -> "EvalReport":
+        """The report whose ``to_dict`` is ``payload``.
+
+        Every field is required and must have its type, except
+        ``generated_at``, which may be left out; an int is read where a
+        float is expected, and a bool is never a number. Keys outside the
+        schema are rejected. ``config`` and ``per_document`` entries are
+        taken as they are, and aggregates are not recomputed.
+
+        Raises:
+            ReportSchemaError: naming the dotted field, e.g.
+                ``matchers.strict.runs[0].scores: missing``.
+        """
+        return _read(payload, cls, "")
+
+    def verify(self) -> None:
+        """Assert that every aggregate derives exactly from its run scores."""
+        for name, block in self.matchers.items():
+            if aggregate_runs([r.scores for r in block.runs]) != block.aggregate:
+                raise AssertionError(f"inconsistent aggregate for {name!r}")
+
+
+def _read(value, kind, where: str):
+    """``value`` read as the annotated type ``kind``; ``where`` is its dotted path."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if is_dataclass(kind):
+        payload = _read(value, dict, where)
+        prefix = f"{where}." if where else ""
+        unknown = sorted(payload.keys() - {f.name for f in fields(kind)})
+        if unknown:
+            raise ReportSchemaError(f"{prefix}{unknown[0]}: unknown key")
+        found = {}
+        for f in fields(kind):
+            if f.name in payload:
+                found[f.name] = _read(payload[f.name], f.type, prefix + f.name)
+            elif f.default is not None:  # only an optional field defaults to None
+                raise ReportSchemaError(f"{prefix}{f.name}: missing")
+        return kind(**found)
+    if origin is list:
+        items = _read(value, list, where)
+        return [_read(v, args[0], f"{where}[{i}]") for i, v in enumerate(items)]
+    if origin is dict:
+        items = _read(value, dict, where).items()
+        return {k: _read(v, args[1], f"{where}.{k}") for k, v in items}
+    if origin is types.UnionType:  # `X | None`: left out when unset, never null
+        return _read(value, args[0], where)
+    # no report field is a bool, and a bool never counts as a number
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        got = f"expected {kind.__name__}, got {type(value).__name__}"
+        raise ReportSchemaError(f"{where}: {got}" if where else got)
+    return value
+
+
+def read_report(path: str) -> EvalReport:
+    """Read a stored report JSON file (see :meth:`EvalReport.from_dict`).
+
+    Raises:
+        ReportSchemaError: the file is not UTF-8 JSON or not a report; the
+            message names the file and the field.
+        OSError: unreadable path.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ReportSchemaError(f"{path}: not UTF-8 JSON: {exc}") from exc
+    try:
+        return EvalReport.from_dict(payload)
+    except ReportSchemaError as exc:
+        raise ReportSchemaError(f"{path}: {exc}") from None
+
+
+def render_report(report: EvalReport, format: str = "json") -> str:
+    """Render a report to json, markdown or csv."""
+    if format == "json":
+        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    if format == "markdown":
+        return _render_markdown(report)
+    if format == "csv":
+        return _render_csv(report)
+    raise ValueError(f"unknown report format {format!r}")
+
+
+def write_report(report: EvalReport, format: str, path: str) -> None:
+    """Render and write a report; propagates OSError on I/O failure."""
+    rendered = render_report(report, format)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(rendered)
+
+
+def _pct(value: float) -> str:
+    return f"{value * 100:.2f}"
+
+
+def _render_markdown(report: EvalReport) -> str:
+    lines = [f"# Evaluation report: {report.task}", ""]
+    if report.config:
+        lines += ["Config: `" + json.dumps(report.config, sort_keys=True) + "`", ""]
+    lines += ["| Run | Matching | P | R | F1 | Supp |", "| --- | --- | --- | --- | --- | --- |"]
+    blocks = sorted(report.matchers.items())  # name order, as in the JSON
+    run_labels = dict.fromkeys(run.run for _, block in blocks for run in block.runs)
+    for run_label in run_labels:
+        for name, block in blocks:
+            for run in block.runs:
+                if run.run != run_label:
+                    continue
+                s = run.scores
+                lines.append(
+                    f"| {run_label} | {name} | {_pct(s.precision)} | "
+                    f"{_pct(s.recall)} | {_pct(s.f1)} | {s.support} |"
+                )
+    lines += ["", "Mean and standard deviation of F1 score", "",
+              "| Matching | Avg. F1 | Std | Avg. Supp |", "| --- | --- | --- | --- |"]
+    for name, block in blocks:
+        agg = block.aggregate
+        # percentages, truncated at table precision
+        mean, std = replace(agg, mean_f1=agg.mean_f1 * 100, std_f1=agg.std_f1 * 100).table_f1()
+        supp = int(agg.avg_support + 0.5)  # rendered half-up
+        lines.append(f"| {name} | {mean:.2f} | {std:.2f} | {supp} |")
+    for title, notes in (("Skipped:", report.skipped), ("Warnings:", report.warnings)):
+        if notes:
+            lines += ["", title, *(f"- {note}" for note in notes)]
+    return "\n".join(lines) + "\n"
+
+
+def _render_csv(report: EvalReport) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["run", "matcher", "precision", "recall", "f1", "support"])
+    blocks = sorted(report.matchers.items())  # name order, as in the JSON
+    for name, block in blocks:
+        for run in block.runs:
+            s = run.scores
+            writer.writerow([run.run, name, s.precision, s.recall, s.f1, s.support])
+    writer.writerow([])
+    writer.writerow(["matcher", "mean_f1", "std_f1", "avg_support", "n_runs"])
+    for name, block in blocks:
+        agg = block.aggregate
+        writer.writerow([name, agg.mean_f1, agg.std_f1, agg.avg_support, agg.n_runs])
+    return buffer.getvalue()

@@ -294,6 +294,12 @@ REJECTED_VALUES = {
                             "--split-ratio", "1.5"],
     "no runs": ["extract", "--task", "ner_material", "--dry-run",
                 "--fixtures", DATA / "fixtures", "--runs", "0"],
+    "match threshold above 1": ["match", "--matcher", "soft", "--threshold", "2",
+                                "solar cell", "solar cell"],
+    "match threshold nan": ["match", "--matcher", "soft", "--threshold", "nan",
+                            "solar cell", "solar cell"],
+    "match negative threshold": ["match", "--matcher", "soft", "--threshold", "-1",
+                                 "abc", "xyz"],
 }
 
 
@@ -302,13 +308,15 @@ class TestRejectedOptionValues:
     def test_exits_3_without_traceback(self, tmp_path, argv):
         preds = tmp_path / "preds.jsonl"
         preds.write_bytes(GOOD_PREDICTION + b"\n")
+        corpus = ["--corpus", DATA / "corpus.jsonl"]
         inputs = {
-            "eval-ner": ["--predictions", preds],
-            "prepare-finetune": ["--train-output", tmp_path / "train.jsonl",
+            "eval-ner": [*corpus, "--predictions", preds],
+            "prepare-finetune": [*corpus, "--train-output", tmp_path / "train.jsonl",
                                  "--test-output", tmp_path / "test.jsonl"],
-            "extract": ["--output", tmp_path / "out.jsonl"],
+            "extract": [*corpus, "--output", tmp_path / "out.jsonl"],
+            "match": ["--output", tmp_path / "out.jsonl"],
         }[argv[0]]
-        result = run_subprocess([*argv, "--corpus", DATA / "corpus.jsonl", *inputs])
+        result = run_subprocess([*argv, *inputs])
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
         assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "train.jsonl").exists()

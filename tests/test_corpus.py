@@ -12,12 +12,11 @@ from mateval.corpus import (
     RelationGroup,
     load_corpus,
     load_predictions,
-    render_report,
     save_corpus,
     validate_corpus,
-    write_report,
 )
 from mateval.errors import DuplicateIdError, SchemaViolationError
+from mateval.report import EvalReport, render_report, write_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -223,11 +222,11 @@ SAMPLE_REPORT = {
 class TestReports:
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report(SAMPLE_REPORT, "json", str(path))
+        write_report(EvalReport.from_dict(SAMPLE_REPORT), "json", str(path))
         assert json.loads(path.read_text()) == SAMPLE_REPORT
 
     def test_markdown_structure(self):
-        text = render_report(SAMPLE_REPORT, "markdown")
+        text = render_report(EvalReport.from_dict(SAMPLE_REPORT), "markdown")
         assert "| Run | Matching | P | R | F1 | Supp |" in text
         assert "| run1 | strict | 50.00 | 25.00 | 33.33 | 4 |" in text
         assert "Mean and standard deviation of F1 score" in text
@@ -256,13 +255,13 @@ class TestReports:
             "skipped": [],
             "warnings": [],
         }
-        text = render_report(report, "markdown")
+        text = render_report(EvalReport.from_dict(report), "markdown")
         run_rows = [l for l in text.splitlines() if l.startswith("| run")]
         assert len(run_rows) == 3
         assert "| soft | 60.00 | 10.00 | 10 |" in text
 
     def test_csv_rows(self):
-        text = render_report(SAMPLE_REPORT, "csv")
+        text = render_report(EvalReport.from_dict(SAMPLE_REPORT), "csv")
         lines = text.strip().splitlines()
         assert lines[0] == "run,matcher,precision,recall,f1,support"
         assert lines[1].startswith("run1,strict,0.5,0.25,")
@@ -271,9 +270,9 @@ class TestReports:
         empty = {"task": "re", "config": {}, "matchers": {}, "skipped": [], "warnings": []}
         for fmt in ("json", "markdown", "csv"):
             path = tmp_path / f"r.{fmt}"
-            write_report(empty, fmt, str(path))
+            write_report(EvalReport.from_dict(empty), fmt, str(path))
             assert path.read_text()
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            render_report(SAMPLE_REPORT, "xml")
+            render_report(EvalReport.from_dict(SAMPLE_REPORT), "xml")

@@ -3,7 +3,9 @@
 Prompt text is assembled in one module that depends on nothing but the
 error types, so extraction and fine-tune preparation cannot drift apart,
 and the task/slot vocabulary is spelled out once, in ``corpus``; the
-matcher names are the keys of ``matching.TIERS``. Both HTTP
+matcher names are the keys of ``matching.TIERS``. The report schema,
+its renderers and its reader live in ``report``, on ``errors`` and
+``scoring`` alone. Both HTTP
 clients sit on ``transport``, and the package needs nothing outside the
 standard library at run time.
 """
@@ -15,6 +17,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from mateval import corpus, report
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mateval"
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
@@ -56,6 +60,14 @@ def test_prompts_depends_only_on_errors():
 @pytest.mark.parametrize("module", ["finetune", "llm"])
 def test_llm_plumbing_stays_below_evaluation(module):
     assert DEPS[module] <= {"corpus", "errors", "prompts", "transport"}
+
+
+def test_report_depends_only_on_errors_and_scoring():
+    assert DEPS["report"] <= {"errors", "scoring"}
+
+
+def test_corpus_re_exports_the_one_renderer():
+    assert corpus.render_report is report.render_report
 
 
 def test_transport_depends_at_most_on_errors():

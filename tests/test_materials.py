@@ -66,6 +66,9 @@ class TestStripAdjuncts:
         reassembled = " ".join(adjuncts) + " " + core
         assert sorted(reassembled.split()) == sorted(raw.split())
 
+    def test_empty_lexicon_strips_nothing(self):
+        assert strip_adjuncts("MgB2 thin film", ()) == ("MgB2 thin film", [])
+
     def test_custom_lexicon(self):
         core, adjuncts = strip_adjuncts("fancy MgB2", lexicon=("fancy",))
         assert (core, adjuncts) == ("MgB2", ["fancy"])
