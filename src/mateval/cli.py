@@ -40,13 +40,17 @@ def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit_json(payload, args) -> None:
     """Print JSON to stdout, optionally mirroring it to --output."""
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _print_json(payload)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if getattr(args, "output", None):
+        _write_text(args.output, text)
+    sys.stdout.write(text)
 
 
 def _note(message: str) -> None:
@@ -150,9 +154,11 @@ def _run_eval(args, task: str) -> int:
         report = evaluate_ner(documents, predictions, config, provider)
     if args.timestamps:
         report.generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    rendered = render_report(report, "json")  # once: indent runs the pure-Python encoder
     if args.output:
-        write_report(report, args.format, args.output)
-    sys.stdout.write(render_report(report, "json"))
+        _write_text(args.output, rendered if args.format == "json"
+                    else render_report(report, args.format))
+    sys.stdout.write(rendered)
     if args.pretty:
         _note(render_report(report, "markdown"))
     return EXIT_WARNINGS if (report.skipped or report.warnings) else EXIT_OK
@@ -245,8 +251,7 @@ def cmd_extract(args) -> int:
 
     serialized = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialized)
+        _write_text(args.output, serialized)
     else:
         sys.stdout.write(serialized)
     for failure in failures:

@@ -50,6 +50,9 @@ class EvalConfig:
             raise ConfigError(f"unknown matchers: {sorted(unknown)}")
         if not self.matchers:
             raise NoMatchersSelectedError("select at least one matcher")
+        repeated = sorted({m for m in self.matchers if self.matchers.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"repeated matchers: {repeated}")
         check_threshold(self.threshold)
         if self.shuffle not in ("shuffled", "non_shuffled"):
             raise ConfigError(f"unknown shuffle mode {self.shuffle!r}")

@@ -15,6 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .elements import default_adjuncts, is_element
 from .errors import (
@@ -86,6 +87,13 @@ class ParsedMaterial:
         }
 
 
+@lru_cache(maxsize=16)
+def _edge_phrases(lexicon: tuple[str, ...] | None) -> tuple[tuple[str, int], ...]:
+    """``(lowered phrase, length)``, longest first (a stable sort); ``None``: bundled."""
+    phrases = sorted(default_adjuncts() if lexicon is None else lexicon, key=len, reverse=True)
+    return tuple((p, len(p)) for p in map(str.lower, phrases))
+
+
 def strip_adjuncts(
     raw: str, lexicon: tuple[str, ...] | None = None
 ) -> tuple[str, list[str]]:
@@ -111,19 +119,18 @@ def strip_adjuncts(
     text = raw.strip()
     if not text:
         raise EmptyInputError("material expression is empty")
-    phrases = sorted(default_adjuncts() if lexicon is None else lexicon, key=len, reverse=True)
+    phrases = _edge_phrases(None if lexicon is None else tuple(lexicon))
     adjuncts: list[str] = []
 
     def _strip_edge(s: str, suffix: bool) -> tuple[str, str | None]:
         low = s.lower()
-        for phrase in phrases:
-            p = phrase.lower()
+        for p, n in phrases:
             if suffix:
-                if low.endswith(p) and len(s) > len(p) and s[-len(p) - 1].isspace():
-                    return s[: -len(p)].strip(), s[len(s) - len(p):]
+                if low.endswith(p) and len(s) > n and s[-n - 1].isspace():
+                    return s[:-n].strip(), s[len(s) - n:]
             else:
-                if low.startswith(p) and len(s) > len(p) and s[len(p)].isspace():
-                    return s[len(p):].strip(), s[: len(p)]
+                if low.startswith(p) and len(s) > n and s[n].isspace():
+                    return s[n:].strip(), s[:n]
         return s, None
 
     while text:

@@ -1,25 +1,29 @@
 """Standard-library HTTP for the chat and similarity clients: one JSON POST,
-whose callers each apply their own status policy, and the request limiter."""
+whose callers each apply their own status policy, and the request limiter.
+The HTTP stack (``http.client``, ``ssl``, ``email``) is imported by the first
+request: ~40 ms of start-up that most commands, which send none, would pay."""
 
-import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 
-# raised by post_json when no reply was read; URLError and timeouts are OSErrors
-NO_REPLY = (OSError, http.client.HTTPException)
+# raised by post_json when no reply was read: URLError, timeouts, ConnectionError
+NO_REPLY = (OSError,)
 
 
 def post_json(url: str, payload, timeout: float, headers: dict | None = None) -> tuple:
     """POST ``payload`` as JSON to an http(s) ``url``; ``(status, headers, body)``.
 
     Every reply is returned whatever its status, a 307 or 308 redirect
-    included; only :data:`NO_REPLY` is raised. Proxies come from
-    ``*_proxy``/``no_proxy``; HTTPS is verified against the default trust store.
+    included; only :data:`NO_REPLY` is raised, a reply that is not HTTP as a
+    ConnectionError. Proxies come from ``*_proxy``/``no_proxy``; HTTPS is
+    verified against the default trust store.
     """
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     try:
         if urllib.parse.urlsplit(url).scheme.lower() not in ("http", "https"):
             raise ValueError(f"not an http(s) URL: {url!r}")
@@ -29,13 +33,16 @@ def post_json(url: str, payload, timeout: float, headers: dict | None = None) ->
             headers={"Content-Type": "application/json", **(headers or {})},
             method="POST",
         )
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, response.headers, response.read()
-    except urllib.error.HTTPError as reply:
-        with reply:
-            return reply.code, reply.headers, reply.read()
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, response.headers, response.read()
+        except urllib.error.HTTPError as reply:
+            with reply:
+                return reply.code, reply.headers, reply.read()
     except ValueError as exc:  # a request that cannot be sent, e.g. a malformed URL
         raise urllib.error.URLError(exc) from exc
+    except http.client.HTTPException as exc:  # e.g. BadStatusLine, IncompleteRead
+        raise ConnectionError(str(exc)) from exc
 
 
 class RateLimiter:

@@ -290,6 +290,7 @@ class TestBadInputLines:
 REJECTED_VALUES = {
     "threshold above 1": ["eval-ner", "--threshold", "2"],
     "unknown matcher": ["eval-ner", "--matchers", "bogus"],
+    "repeated matcher": ["eval-ner", "--matchers", "strict,strict"],
     "split ratio above 1": ["prepare-finetune", "--task", "re", "--seed", "1",
                             "--split-ratio", "1.5"],
     "no runs": ["extract", "--task", "ner_material", "--dry-run",

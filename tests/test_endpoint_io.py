@@ -4,7 +4,10 @@ guarantee that concurrent extraction and batched semantic scoring give the
 serial path's outputs, errors and provider calls."""
 
 import json
+import os
 import shutil
+import socketserver
+import subprocess
 import sys
 import threading
 import time
@@ -30,6 +33,7 @@ from mateval.prompts import build_ner_prompt
 from mateval.transport import NO_REPLY, post_json
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 KEY_ENV = "MATEVAL_TEST_KEY"
 CORPUS_LINES = (DATA / "corpus.jsonl").read_text().splitlines()
 
@@ -343,6 +347,25 @@ class TestHttpSimilarityProvider:
         with pytest.raises(ProviderUnavailableError):
             provider.score_many(self.PAIRS)
 
+    def test_concurrent_first_requests_import_the_http_stack_safely(self, semantic_endpoint):
+        # a fresh interpreter: four threads send its first requests, so they
+        # import the HTTP stack at the same time
+        probe = (
+            "import json, sys\n"
+            "from mateval.matching import HttpSimilarityProvider\n"
+            "assert 'http.client' not in sys.modules\n"
+            "provider = HttpSimilarityProvider(sys.argv[1], 10.0, max_concurrency=4)\n"
+            "print(json.dumps(provider.score_many(json.loads(sys.argv[2]))))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, semantic_endpoint, json.dumps(self.PAIRS)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        provider = HttpSimilarityProvider(semantic_endpoint, 10.0)
+        assert json.loads(result.stdout) == [provider.score(a, b) for a, b in self.PAIRS]
+
     def test_cli_reports_identical_for_one_and_four_in_flight(
         self, semantic_endpoint, capsys, tmp_path
     ):
@@ -483,6 +506,61 @@ class TestPostJson:
             post_json(url, {}, 0.5)
 
 
+class _GarbageHandler(socketserver.StreamRequestHandler):
+    """Reads one HTTP request, then answers with a line that is not HTTP."""
+
+    def handle(self):
+        length = 0
+        for line in iter(self.rfile.readline, b"\r\n"):
+            name, _, value = line.decode().partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.server.requests += 1
+        self.wfile.write(b"garbage\r\n\r\n")
+
+
+@pytest.fixture
+def garbage_server():
+    server = socketserver.TCPServer(("127.0.0.1", 0), _GarbageHandler)
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    server.requests = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+class TestReplyThatIsNotHttp:
+    """A status line ``http.client`` cannot read raises one of its own errors,
+    not an OSError; it arrives as ``NO_REPLY`` with the same text."""
+
+    def test_post_json_raises_no_reply(self, garbage_server):
+        with pytest.raises(NO_REPLY) as failure:
+            post_json(garbage_server.url, {}, 5.0)
+        assert str(failure.value) == "garbage\r\n"
+
+    def test_chat_retries_then_fails(self, garbage_server, sleeps):
+        bundle = build_ner_prompt("ner_material", "text")
+        cfg = _live_config(garbage_server.url + "/v1", max_retries=1, backoff_base=0.5)
+        with pytest.raises(EndpointError) as failure:
+            chat_complete(bundle, cfg)
+        assert str(failure.value) == "endpoint failed after 2 attempts: garbage\r\n"
+        assert (garbage_server.requests, sleeps) == (2, [0.5])
+
+    def test_semantic_matcher_is_skipped(self, garbage_server):
+        docs = [Document("d1", "t", [EntityMention("MgB2", "material")])]
+        preds = [PredictionSet("d1", "run1", {"material": ["MgB2", "x"]})]
+        provider = HttpSimilarityProvider(garbage_server.url + "/score", 5.0)
+        report = evaluate_ner(docs, preds, EvalConfig(
+            task="ner_material", matchers=("semantic", "strict")), provider)
+        assert list(report.matchers) == ["strict"]
+        assert report.skipped == [
+            f"semantic: similarity service at {provider.endpoint} failed: garbage\r\n"]
+
+
 class TestMalformedChatReplies:
     @pytest.mark.parametrize("body", [
         b'{"choices": null}',
@@ -582,6 +660,17 @@ BAD_CONFIGS = {
     "no equals sign": b"max_concurrency",
     "not utf-8": b"model = caf\xe9",
 }
+
+
+class TestRepeatedMatcher:
+    def test_no_request_is_sent(self, chat_stub, capsys, tmp_path):
+        code, out, err = _extract(
+            ["eval-ner", "--corpus", DATA / "corpus.jsonl", "--predictions",
+             _predictions(tmp_path), "--matchers", "semantic,semantic",
+             "--semantic-endpoint", chat_stub.url + "/score"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: repeated matchers: ['semantic']\n"
+        assert chat_stub.requests == 0
 
 
 class TestConfigErrors:
