@@ -6,29 +6,18 @@ evaluation completed with warnings or skipped matchers, 2 usage error, 3
 runtime failure. Identical invocations on identical inputs produce
 byte-identical outputs; reports embed configuration, never timestamps,
 unless --timestamps is given.
+
+Each command imports the modules it runs inside its function, so a process
+loads only what its command needs: ``--help`` and ``report`` load no
+matcher, corpus reader or chat client.
 """
 
 import argparse
-import datetime
 import json
 import os
-import secrets
 import sys
 
-from . import corpus as corpus_mod
-from .elements import load_adjuncts
 from .errors import ConfigError, MatEvalError
-from .evaluation import (
-    EvalConfig,
-    evaluate_ner,
-    evaluate_re,
-)
-from .finetune import prepare_finetune, write_finetune_file
-from .llm import ChatEndpointConfig, RateLimiter, chat_complete, parse_response
-from .matching import DEFAULT_THRESHOLD, TIERS, HttpSimilarityProvider, check_threshold
-from .materials import parse_material, expand_substitutions
-from .prompts import build_ner_prompt, build_re_prompt, re_prompt_seed
-from .report import read_report, render_report, write_report
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -60,6 +49,8 @@ def _note(message: str) -> None:
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
+    import secrets
+
     seed = secrets.randbelow(2**31)
     _note(f"seed: {seed} (selected; pass --seed {seed} to reproduce)")
     return seed
@@ -67,6 +58,8 @@ def _resolve_seed(args) -> int:
 
 def _load_lexicon(args):
     if getattr(args, "adjunct_lexicon", None):
+        from .elements import load_adjuncts
+
         return load_adjuncts(args.adjunct_lexicon)
     return None
 
@@ -85,7 +78,20 @@ def _add_output_flags(parser, default_format="json"):
     )
 
 
+def _matcher_name(name: str) -> str:
+    """--matcher: a key of ``matching.TIERS``, checked when given, so that
+    building the parser loads no matcher."""
+    from .matching import TIERS
+
+    if name not in TIERS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, TIERS))})")
+    return name
+
+
 def cmd_parse_material(args) -> int:
+    from .materials import expand_substitutions, parse_material
+
     pm = parse_material(args.expression, _load_lexicon(args))
     payload = pm.to_dict()
     if args.expand:
@@ -95,6 +101,8 @@ def cmd_parse_material(args) -> int:
 
 
 def cmd_match(args) -> int:
+    from .matching import TIERS, check_threshold
+
     check_threshold(args.threshold)
     provider = _semantic_provider(args) if args.matcher == "semantic" else None
     if args.matcher == "semantic" and provider is None:
@@ -109,9 +117,12 @@ _CONFIG_FLAGS = {"model": "model", "fixtures": "fixture_dir", "dry_run": "dry_ru
                  "semantic_endpoint": "semantic_endpoint", "timeout": "timeout"}
 
 
-def _endpoint_config(args) -> ChatEndpointConfig:
-    """--config (or the defaults), then every endpoint flag given, each set
-    and checked as the same key in the file would be."""
+def _endpoint_config(args):
+    """The ChatEndpointConfig of --config (or the defaults), then every
+    endpoint flag given, each set and checked as the same key in the file
+    would be."""
+    from .llm import ChatEndpointConfig
+
     cfg = ChatEndpointConfig.from_file(args.config) if args.config else ChatEndpointConfig()
     for dest, key in _CONFIG_FLAGS.items():
         text = getattr(args, dest, None)
@@ -123,11 +134,13 @@ def _endpoint_config(args) -> ChatEndpointConfig:
     return cfg
 
 
-def _semantic_provider(args) -> HttpSimilarityProvider | None:
-    """Similarity client of the resolved endpoint config; None without an endpoint."""
+def _semantic_provider(args):
+    """HttpSimilarityProvider of the resolved endpoint config; None without an endpoint."""
     cfg = _endpoint_config(args)
     if not cfg.semantic_endpoint:
         return None
+    from .matching import HttpSimilarityProvider
+
     return HttpSimilarityProvider(
         cfg.semantic_endpoint,
         cfg.timeout,
@@ -137,8 +150,12 @@ def _semantic_provider(args) -> HttpSimilarityProvider | None:
 
 
 def _run_eval(args, task: str) -> int:
-    documents = corpus_mod.load_corpus(args.corpus)
-    predictions = corpus_mod.load_predictions(args.predictions)
+    from .corpus import load_corpus, load_predictions
+    from .evaluation import EvalConfig, evaluate_ner, evaluate_re
+    from .report import render_report
+
+    documents = load_corpus(args.corpus)
+    predictions = load_predictions(args.predictions)
     matchers = tuple(m.strip() for m in args.matchers.split(",") if m.strip())
     config = EvalConfig(
         task=task,
@@ -153,6 +170,8 @@ def _run_eval(args, task: str) -> int:
     else:
         report = evaluate_ner(documents, predictions, config, provider)
     if args.timestamps:
+        import datetime
+
         report.generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     rendered = render_report(report, "json")  # once: indent runs the pure-Python encoder
     if args.output:
@@ -176,8 +195,10 @@ def cmd_eval_re(args) -> int:
 def _load_hints(path: str | None, class_: str) -> dict[str, list[str]]:
     if not path:
         return {}
+    from .corpus import load_predictions
+
     hints: dict[str, list[str]] = {}
-    for pred in corpus_mod.load_predictions(path):
+    for pred in load_predictions(path):
         hints.setdefault(pred.doc_id, [])
         hints[pred.doc_id].extend(pred.entities.get(class_, []))
     return hints
@@ -186,10 +207,14 @@ def _load_hints(path: str | None, class_: str) -> dict[str, list[str]]:
 def cmd_extract(args) -> int:
     if args.runs < 1:
         raise ConfigError(f"--runs: must be >= 1, got {args.runs}")
-    documents = corpus_mod.load_corpus(args.corpus)
+    from .corpus import TASK_CLASSES, load_corpus
+    from .llm import RateLimiter, chat_complete, parse_response
+    from .prompts import build_ner_prompt, build_re_prompt, re_prompt_seed
+
+    documents = load_corpus(args.corpus)
     cfg = _endpoint_config(args)
     seed = _resolve_seed(args)
-    class_ = corpus_mod.TASK_CLASSES.get(args.task)
+    class_ = TASK_CLASSES.get(args.task)
     hints = _load_hints(args.hints, class_ or "material")
     # dry-run reads local fixtures: no endpoint to wait on, so threads only
     # contend for the interpreter lock
@@ -260,7 +285,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_prepare_finetune(args) -> int:
-    documents = corpus_mod.load_corpus(args.corpus)
+    from .corpus import load_corpus
+    from .finetune import prepare_finetune, write_finetune_file
+
+    documents = load_corpus(args.corpus)
     seed = _resolve_seed(args)
     train, test = prepare_finetune(
         documents,
@@ -289,6 +317,8 @@ def cmd_prepare_finetune(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import read_report, render_report, write_report
+
     report = read_report(args.input)
     if args.output:
         write_report(report, args.format, args.output)
@@ -314,13 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parse_material)
 
     scoring = argparse.ArgumentParser(add_help=False)  # flags of match and eval-*
-    scoring.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    scoring.add_argument("--threshold", type=float)
     scoring.add_argument("--semantic-endpoint", help="similarity service URL")
     scoring.add_argument("--timeout", help="similarity request timeout (s)")
     scoring.add_argument("--config", help="endpoint config file (key=value lines)")
 
     p = sub.add_parser("match", parents=[scoring], help="compare two strings with one matcher")
-    p.add_argument("--matcher", choices=TIERS, required=True)
+    p.add_argument("--matcher", type=_matcher_name, required=True,
+                   help="matcher tier (an unknown one is rejected with the list)")
     p.add_argument("--adjunct-lexicon", help="JSON file overriding the adjunct lexicon")
     p.add_argument("--output", help="also write the JSON to this file")
     p.add_argument("--force", action="store_true", help="allow overwriting --output")
@@ -334,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True)
         p.add_argument("--predictions", required=True)
         p.add_argument("--matchers", default="strict",
-                       help=f"comma-separated subset of {','.join(TIERS)}")
+                       help="comma-separated matcher tiers, as for match --matcher")
         p.add_argument("--seed", type=int)
         p.add_argument("--timestamps", action="store_true",
                        help="embed a generation timestamp in the report")
@@ -397,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "threshold" in vars(args) and args.threshold is None:  # match, eval-*
+        from .matching import DEFAULT_THRESHOLD
+
+        args.threshold = DEFAULT_THRESHOLD
     try:
         # refuse before any work: a semantic evaluation pays for its requests
         for name in ("output", "train_output", "test_output"):

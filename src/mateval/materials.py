@@ -89,9 +89,11 @@ class ParsedMaterial:
 
 @lru_cache(maxsize=16)
 def _edge_phrases(lexicon: tuple[str, ...] | None) -> tuple[tuple[str, int], ...]:
-    """``(lowered phrase, length)``, longest first (a stable sort); ``None``: bundled."""
+    """``(lowered phrase, length of the phrase)``, longest first (a stable sort);
+    ``None``: bundled. Lowering can change a length (``"İ".lower()`` is two code
+    points), so the text is sliced by the phrase's own length."""
     phrases = sorted(default_adjuncts() if lexicon is None else lexicon, key=len, reverse=True)
-    return tuple((p, len(p)) for p in map(str.lower, phrases))
+    return tuple((p.lower(), len(p)) for p in phrases)
 
 
 def strip_adjuncts(
@@ -123,13 +125,12 @@ def strip_adjuncts(
     adjuncts: list[str] = []
 
     def _strip_edge(s: str, suffix: bool) -> tuple[str, str | None]:
-        low = s.lower()
         for p, n in phrases:
             if suffix:
-                if low.endswith(p) and len(s) > n and s[-n - 1].isspace():
+                if len(s) > n and s[-n - 1].isspace() and s[len(s) - n:].lower() == p:
                     return s[:-n].strip(), s[len(s) - n:]
             else:
-                if low.startswith(p) and len(s) > n and s[n].isspace():
+                if len(s) > n and s[n].isspace() and s[:n].lower() == p:
                     return s[n:].strip(), s[:n]
         return s, None
 

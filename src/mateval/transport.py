@@ -1,7 +1,8 @@
 """Standard-library HTTP for the chat and similarity clients: one JSON POST,
 whose callers each apply their own status policy, and the request limiter.
 The HTTP stack (``http.client``, ``ssl``, ``email``) is imported by the first
-request: ~40 ms of start-up that most commands, which send none, would pay."""
+request, or by :meth:`RateLimiter.map` before it starts helper threads: ~40 ms
+of start-up that most commands, which send none, would pay."""
 
 import json
 import threading
@@ -107,6 +108,10 @@ class RateLimiter:
             threading.Thread(target=work, daemon=True)
             for _ in range(min(self.max_concurrency, len(items)) - 1)
         ]
+        # post_json's HTTP stack, imported on this thread: a helper's first
+        # import would keep it in that thread's malloc arena
+        if helpers:
+            import urllib.request  # noqa: F401  (brings http.client, urllib.error, urllib.parse)
         for helper in helpers:
             helper.start()
         work()

@@ -144,6 +144,14 @@ class TestUsageErrors:
         result = run_subprocess(["eval-ner", "--corpus", "x.jsonl"])
         assert result.returncode == 2
 
+    def test_unknown_matcher_exits_2_naming_the_matchers(self):
+        from mateval.matching import TIERS
+
+        result = run_subprocess(["match", "--matcher", "bogus", "a", "b"])
+        assert result.returncode == 2
+        assert "invalid choice: 'bogus'" in result.stderr
+        assert all(repr(name) in result.stderr for name in TIERS)
+
     def test_help_exits_0(self):
         result = run_subprocess(["--help"])
         assert result.returncode == 0

@@ -366,6 +366,30 @@ class TestHttpSimilarityProvider:
         provider = HttpSimilarityProvider(semantic_endpoint, 10.0)
         assert json.loads(result.stdout) == [provider.score(a, b) for a, b in self.PAIRS]
 
+    def test_http_stack_is_imported_before_the_first_helper_starts(self, semantic_endpoint):
+        # a fresh interpreter: the calling thread imports it, so its allocations
+        # do not land in a helper thread's malloc arena
+        probe = (
+            "import json, sys, threading\n"
+            "from mateval.matching import HttpSimilarityProvider\n"
+            "seen = []\n"
+            "start = threading.Thread.start\n"
+            "def recording_start(thread):\n"
+            "    seen.append('http.client' in sys.modules)\n"
+            "    start(thread)\n"
+            "threading.Thread.start = recording_start\n"
+            "provider = HttpSimilarityProvider(sys.argv[1], 10.0, max_concurrency=4)\n"
+            "provider.score_many(json.loads(sys.argv[2]))\n"
+            "print(json.dumps(seen))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, semantic_endpoint, json.dumps(self.PAIRS)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [True, True, True]
+
     def test_cli_reports_identical_for_one_and_four_in_flight(
         self, semantic_endpoint, capsys, tmp_path
     ):

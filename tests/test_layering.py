@@ -7,7 +7,8 @@ matcher names are the keys of ``matching.TIERS``. The report schema,
 its renderers and its reader live in ``report``, on ``errors`` and
 ``scoring`` alone. Both HTTP
 clients sit on ``transport``, and the package needs nothing outside the
-standard library at run time.
+standard library at run time. Each CLI command loads only the modules it
+runs.
 """
 
 import ast
@@ -50,7 +51,18 @@ def _imports(tree: ast.Module) -> list[tuple[str, list[str]]]:
     return found
 
 
+def _lazy_table_modules(tree: ast.Module) -> set[str]:
+    """The submodules named by the package's lazy table (``_EXPORTS`` keys)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 DEPS = {name: {module for module, _ in _imports(tree)} for name, tree in TREES.items()}
+# the package imports its public names on first access, from the modules its table names
+DEPS["__init__"] |= _lazy_table_modules(TREES["__init__"])
 
 
 def test_prompts_depends_only_on_errors():
@@ -83,27 +95,47 @@ def test_only_the_entry_points_import_evaluation():
 
 
 # the standard-library modules a function may import, by module
-LAZY_IMPORTS = {"transport": {"http.client", "urllib.error", "urllib.parse", "urllib.request"}}
+LAZY_IMPORTS = {
+    "transport": {"http.client", "urllib.error", "urllib.parse", "urllib.request"},
+    "cli": {"datetime", "secrets"},
+}
+# the function-local ``from .module import names`` allowed outside cli, by module
+LAZY_FROM_IMPORTS = {"corpus": {("report", ("render_report",))}}
+
+
+def _lazy_import_allowed(module: str, node: ast.Import | ast.ImportFrom) -> bool:
+    if isinstance(node, ast.Import):
+        return all(alias.name in LAZY_IMPORTS.get(module, set()) for alias in node.names)
+    if node.level != 1:
+        return False
+    if module == "cli":  # each command imports the mateval modules it runs
+        return True
+    imported = (node.module, tuple(alias.name for alias in node.names))
+    return imported in LAZY_FROM_IMPORTS.get(module, set())
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_function_local_imports(module):
-    """Imports sit at module top, where the import graph above reads them.
+    """Imports sit at module top, where the import graph above reads them
+    (it reads function-local ones too).
 
-    The one exception is start-up cost, as for threads below: the HTTP stack
-    (``http.client`` with ``ssl`` and ``email``) costs every start-up, --help
-    included, ~40 ms, so ``transport`` imports these four modules on the first
-    request. A function-local import of a mateval module is never allowed.
+    The exceptions are start-up cost, as for threads below, paid by every
+    short ``mateval`` process. The HTTP stack (``http.client`` with ``ssl``
+    and ``email``) costs every start-up, --help included, ~40 ms, so
+    ``transport`` imports these four modules only when requests are sent.
+    ``cli`` imports the mateval modules of each command in its function, and
+    ``datetime``/``secrets`` only for --timestamps or a drawn seed, so that
+    ``report`` loads no matcher and ``extract`` no scoring. ``corpus``
+    imports its ``render_report`` re-export on first access. Every other
+    module imports at its top.
     """
     tree = TREES[module]
     top_level = {id(node) for node in tree.body}
-    allowed = LAZY_IMPORTS.get(module, set())
     nested = [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top_level
-        and not (isinstance(node, ast.Import)
-                 and all(alias.name in allowed for alias in node.names))
+        and not _lazy_import_allowed(module, node)
     ]
     assert nested == []
 
@@ -203,3 +235,85 @@ def test_cli_start_up_leaves_the_http_stack_unloaded():
         capture_output=True, text=True, check=True,
     ).stdout
     assert ast.literal_eval(out) == []
+
+
+# a fresh interpreter runs one command, then lists its exit code and every
+# module it loaded
+_COMMAND_PROBE = (
+    "import sys\n"
+    "import mateval.cli\n"
+    "try:\n"
+    "    code = mateval.cli.main(sys.argv[2:])\n"
+    "except SystemExit as exc:\n"  # --help
+    "    code = exc.code\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    fh.write('\\n'.join([str(code), *sys.modules]))\n"
+)
+_DATA = Path(__file__).resolve().parent / "data"
+_LIBRARY = {f"mateval.{m}" for m in
+            ("corpus", "evaluation", "matching", "materials", "llm", "prompts", "finetune")}
+_SCORING = {f"mateval.{m}" for m in ("evaluation", "matching", "materials", "scoring", "report")}
+_CHAT = {"mateval.llm", "mateval.prompts", "mateval.finetune", "logging", "hashlib"}
+_OFFLINE = {"http.client", "urllib.request", "datetime", "secrets"}
+
+
+def _run_probe(tmp_path: Path, argv: list) -> tuple[int, set[str]]:
+    listing = tmp_path / "modules.txt"
+    subprocess.run(
+        [sys.executable, "-c", _COMMAND_PROBE, str(listing), *map(str, argv)],
+        env={"PYTHONPATH": str(SRC.parent)}, capture_output=True, check=True, timeout=120,
+    )
+    code, *modules = listing.read_text(encoding="utf-8").split("\n")
+    return int(code), set(modules)
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """Predictions (NER and RE) and a stored report from the 5-document fixture corpus."""
+    from mateval.cli import main
+
+    work = tmp_path_factory.mktemp("pipeline")
+    extract = ["extract", "--corpus", _DATA / "corpus.jsonl", "--dry-run", "--fixtures",
+               _DATA / "fixtures", "--seed", "7"]
+    for task, runs in (("ner_material", 3), ("re", 1)):  # the fixtures' runs
+        assert main(list(map(str, [*extract, "--task", task, "--runs", runs, "--output",
+                                   work / f"{task}.jsonl"]))) in (0, 1)
+    assert main(list(map(str, ["eval-ner", "--corpus", _DATA / "corpus.jsonl", "--predictions",
+                               work / "ner_material.jsonl", "--output", work / "report.json"]))
+                ) in (0, 1)
+    return work
+
+
+def _command(name: str, work: Path) -> list:
+    corpus = ["--corpus", _DATA / "corpus.jsonl"]
+    return {
+        "--help": ["--help"],
+        "report": ["report", "--input", work / "report.json", "--format", "markdown"],
+        "extract --dry-run": ["extract", *corpus, "--task", "re", "--dry-run", "--fixtures",
+                              _DATA / "fixtures", "--seed", "3"],
+        "prepare-finetune": ["prepare-finetune", *corpus, "--task", "re", "--seed", "1",
+                             "--train-output", work / "train.jsonl",
+                             "--test-output", work / "test.jsonl", "--force"],
+        "eval-ner": ["eval-ner", *corpus, "--predictions", work / "ner_material.jsonl",
+                     "--matchers", "strict,soft,formula"],
+        "eval-re": ["eval-re", *corpus, "--predictions", work / "re.jsonl"],
+    }[name]
+
+
+# modules each command must not load: --help and report no library module,
+# the offline prompt and fine-tune commands no scoring, eval-* no chat client
+COMMAND_MUST_NOT_LOAD = {
+    "--help": _LIBRARY | _OFFLINE,
+    "report": _LIBRARY | _OFFLINE,
+    "extract --dry-run": _SCORING | {"statistics"} | _OFFLINE,
+    "prepare-finetune": _SCORING | {"statistics"} | _OFFLINE,
+    "eval-ner": _CHAT | _OFFLINE,
+    "eval-re": _CHAT | _OFFLINE,
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_MUST_NOT_LOAD)
+def test_each_command_loads_only_what_it_runs(name, pipeline_files, tmp_path):
+    code, loaded = _run_probe(tmp_path, _command(name, pipeline_files))
+    assert code in (0, 1) and "mateval.cli" in loaded
+    assert sorted(loaded & COMMAND_MUST_NOT_LOAD[name]) == []

@@ -73,6 +73,11 @@ class TestStripAdjuncts:
         core, adjuncts = strip_adjuncts("fancy MgB2", lexicon=("fancy",))
         assert (core, adjuncts) == ("MgB2", ["fancy"])
 
+    @pytest.mark.parametrize("raw", ["İx MgB2", "MgB2 İx"], ids=["prefix", "suffix"])
+    def test_phrase_whose_lowercase_is_longer(self, raw):
+        # "İ".lower() is two code points: the text is cut by the phrase's own length
+        assert strip_adjuncts(raw, ("İx",)) == ("MgB2", ["İx"])
+
 
 class TestParseMaterial:
     def test_simple_fused(self):
