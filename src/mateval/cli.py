@@ -7,17 +7,50 @@ runtime failure. Identical invocations on identical inputs produce
 byte-identical outputs; reports embed configuration, never timestamps,
 unless --timestamps is given.
 
-Each command imports the modules it runs inside its function, so a process
-loads only what its command needs: ``--help`` and ``report`` load no
-matcher, corpus reader or chat client.
+The mateval modules the commands run are bound below but run on their
+first attribute access, so a process runs only what its command uses:
+``--help`` and ``report`` run no matcher, corpus reader or chat client.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
 from .errors import ConfigError, MatEvalError
+
+
+def _lazy(name: str):
+    """``mateval.<name>``, registered now and run on its first attribute access.
+
+    The module sits in ``sys.modules`` and on the package as an import
+    would leave it, so later imports of it get this object. LazyLoader
+    locks a first use only from Python 3.12.3 on, so each command first
+    uses its modules on the main thread, before ``RateLimiter.map`` starts
+    helpers.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+corpus = _lazy("corpus")
+elements = _lazy("elements")
+evaluation = _lazy("evaluation")
+finetune = _lazy("finetune")
+llm = _lazy("llm")
+matching = _lazy("matching")
+materials = _lazy("materials")
+prompts = _lazy("prompts")
+report = _lazy("report")
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -58,9 +91,7 @@ def _resolve_seed(args) -> int:
 
 def _load_lexicon(args):
     if getattr(args, "adjunct_lexicon", None):
-        from .elements import load_adjuncts
-
-        return load_adjuncts(args.adjunct_lexicon)
+        return elements.load_adjuncts(args.adjunct_lexicon)
     return None
 
 
@@ -78,36 +109,39 @@ def _add_output_flags(parser, default_format="json"):
     )
 
 
-def _matcher_name(name: str) -> str:
-    """--matcher: a key of ``matching.TIERS``, checked when given, so that
-    building the parser loads no matcher."""
-    from .matching import TIERS
+class _MatcherNames:
+    """The keys of ``matching.TIERS`` as argparse choices, read when a name is
+    checked or listed: building the parser runs no matcher."""
 
-    if name not in TIERS:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {name!r} (choose from {', '.join(map(repr, TIERS))})")
-    return name
+    def __iter__(self):
+        return iter(matching.TIERS)
+
+    def __contains__(self, name) -> bool:
+        return name in matching.TIERS
+
+
+def _threshold(args) -> float:
+    """--threshold, or the matchers' default when it is not given."""
+    return matching.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
 
 
 def cmd_parse_material(args) -> int:
-    from .materials import expand_substitutions, parse_material
-
-    pm = parse_material(args.expression, _load_lexicon(args))
+    pm = materials.parse_material(args.expression, _load_lexicon(args))
     payload = pm.to_dict()
     if args.expand:
-        payload["variants"] = [v.to_dict()["composition"] for v in expand_substitutions(pm)]
+        payload["variants"] = [
+            v.to_dict()["composition"] for v in materials.expand_substitutions(pm)]
     _emit_json(payload, args)
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
-    from .matching import TIERS, check_threshold
-
-    check_threshold(args.threshold)
+    threshold = _threshold(args)
+    matching.check_threshold(threshold)
     provider = _semantic_provider(args) if args.matcher == "semantic" else None
     if args.matcher == "semantic" and provider is None:
         raise MatEvalError("semantic matching needs --semantic-endpoint")
-    tier = TIERS[args.matcher](args.threshold, provider, _load_lexicon(args))
+    tier = matching.TIERS[args.matcher](threshold, provider, _load_lexicon(args))
     _emit_json(tier.outcome(args.a, args.b).to_dict(), args)
     return EXIT_OK
 
@@ -117,13 +151,11 @@ _CONFIG_FLAGS = {"model": "model", "fixtures": "fixture_dir", "dry_run": "dry_ru
                  "semantic_endpoint": "semantic_endpoint", "timeout": "timeout"}
 
 
-def _endpoint_config(args):
-    """The ChatEndpointConfig of --config (or the defaults), then every
-    endpoint flag given, each set and checked as the same key in the file
-    would be."""
-    from .llm import ChatEndpointConfig
-
-    cfg = ChatEndpointConfig.from_file(args.config) if args.config else ChatEndpointConfig()
+def _endpoint_config(args) -> "llm.ChatEndpointConfig":
+    """--config (or the defaults), then every endpoint flag given, each set
+    and checked as the same key in the file would be."""
+    cfg = (llm.ChatEndpointConfig.from_file(args.config) if args.config
+           else llm.ChatEndpointConfig())
     for dest, key in _CONFIG_FLAGS.items():
         text = getattr(args, dest, None)
         if text is not None:
@@ -134,14 +166,12 @@ def _endpoint_config(args):
     return cfg
 
 
-def _semantic_provider(args):
-    """HttpSimilarityProvider of the resolved endpoint config; None without an endpoint."""
+def _semantic_provider(args) -> "matching.HttpSimilarityProvider | None":
+    """Similarity client of the resolved endpoint config; None without an endpoint."""
     cfg = _endpoint_config(args)
     if not cfg.semantic_endpoint:
         return None
-    from .matching import HttpSimilarityProvider
-
-    return HttpSimilarityProvider(
+    return matching.HttpSimilarityProvider(
         cfg.semantic_endpoint,
         cfg.timeout,
         max_concurrency=cfg.max_concurrency,
@@ -150,37 +180,31 @@ def _semantic_provider(args):
 
 
 def _run_eval(args, task: str) -> int:
-    from .corpus import load_corpus, load_predictions
-    from .evaluation import EvalConfig, evaluate_ner, evaluate_re
-    from .report import render_report
-
-    documents = load_corpus(args.corpus)
-    predictions = load_predictions(args.predictions)
+    documents = corpus.load_corpus(args.corpus)
+    predictions = corpus.load_predictions(args.predictions)
     matchers = tuple(m.strip() for m in args.matchers.split(",") if m.strip())
-    config = EvalConfig(
+    config = evaluation.EvalConfig(
         task=task,
         matchers=matchers,
-        threshold=args.threshold,
+        threshold=_threshold(args),
         shuffle=getattr(args, "shuffle", "non_shuffled"),
         seed=args.seed if args.seed is not None else 0,
     )
     provider = _semantic_provider(args) if "semantic" in matchers else None
-    if task == "re":
-        report = evaluate_re(documents, predictions, config, provider)
-    else:
-        report = evaluate_ner(documents, predictions, config, provider)
+    evaluate = evaluation.evaluate_re if task == "re" else evaluation.evaluate_ner
+    result = evaluate(documents, predictions, config, provider)
     if args.timestamps:
         import datetime
 
-        report.generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    rendered = render_report(report, "json")  # once: indent runs the pure-Python encoder
+        result.generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    rendered = report.render_report(result, "json")  # once: indent runs the pure-Python encoder
     if args.output:
         _write_text(args.output, rendered if args.format == "json"
-                    else render_report(report, args.format))
+                    else report.render_report(result, args.format))
     sys.stdout.write(rendered)
     if args.pretty:
-        _note(render_report(report, "markdown"))
-    return EXIT_WARNINGS if (report.skipped or report.warnings) else EXIT_OK
+        _note(report.render_report(result, "markdown"))
+    return EXIT_WARNINGS if (result.skipped or result.warnings) else EXIT_OK
 
 
 def cmd_eval_ner(args) -> int:
@@ -195,10 +219,8 @@ def cmd_eval_re(args) -> int:
 def _load_hints(path: str | None, class_: str) -> dict[str, list[str]]:
     if not path:
         return {}
-    from .corpus import load_predictions
-
     hints: dict[str, list[str]] = {}
-    for pred in load_predictions(path):
+    for pred in corpus.load_predictions(path):
         hints.setdefault(pred.doc_id, [])
         hints[pred.doc_id].extend(pred.entities.get(class_, []))
     return hints
@@ -207,18 +229,14 @@ def _load_hints(path: str | None, class_: str) -> dict[str, list[str]]:
 def cmd_extract(args) -> int:
     if args.runs < 1:
         raise ConfigError(f"--runs: must be >= 1, got {args.runs}")
-    from .corpus import TASK_CLASSES, load_corpus
-    from .llm import RateLimiter, chat_complete, parse_response
-    from .prompts import build_ner_prompt, build_re_prompt, re_prompt_seed
-
-    documents = load_corpus(args.corpus)
+    documents = corpus.load_corpus(args.corpus)
     cfg = _endpoint_config(args)
     seed = _resolve_seed(args)
-    class_ = TASK_CLASSES.get(args.task)
+    class_ = corpus.TASK_CLASSES.get(args.task)
     hints = _load_hints(args.hints, class_ or "material")
     # dry-run reads local fixtures: no endpoint to wait on, so threads only
     # contend for the interpreter lock
-    limiter = RateLimiter(1 if cfg.dry_run else cfg.max_concurrency, cfg.min_interval)
+    limiter = llm.RateLimiter(1 if cfg.dry_run else cfg.max_concurrency, cfg.min_interval)
 
     docs = sorted(documents, key=lambda d: d.id)
     skipped = []
@@ -232,12 +250,12 @@ def cmd_extract(args) -> int:
         run_label = f"run{run_index}"
         for doc in docs:
             if args.task == "re":
-                bundle = build_re_prompt(
+                bundle = prompts.build_re_prompt(
                     doc.text,
                     doc.relation_entities(),
                     mode=args.mode,
                     shuffle_seed=(
-                        re_prompt_seed(seed, doc.id, run_label)
+                        prompts.re_prompt_seed(seed, doc.id, run_label)
                         if args.shuffle == "shuffled"
                         else None
                     ),
@@ -245,7 +263,7 @@ def cmd_extract(args) -> int:
                     temperature=args.temperature,
                 )
             else:
-                bundle = build_ner_prompt(
+                bundle = prompts.build_ner_prompt(
                     args.task,
                     doc.text,
                     hints=hints.get(doc.id) if args.mode == "few" else None,
@@ -255,7 +273,7 @@ def cmd_extract(args) -> int:
             jobs.append((doc.id, run_label, bundle))
     # up to max_concurrency requests at once; responses keep (run, doc) order
     raws = limiter.map(
-        lambda job: chat_complete(job[2], cfg, doc_id=job[0], run=job[1], limiter=limiter),
+        lambda job: llm.chat_complete(job[2], cfg, doc_id=job[0], run=job[1], limiter=limiter),
         jobs,
     )
 
@@ -263,7 +281,7 @@ def cmd_extract(args) -> int:
     failures = []
     for (doc_id, run_label, _), raw in zip(jobs, raws):
         try:
-            parsed = parse_response(raw, args.task, args.response_format)
+            parsed = llm.parse_response(raw, args.task, args.response_format)
         except MatEvalError as exc:
             failures.append(f"{doc_id}/{run_label}: {exc}")
             parsed = []
@@ -285,12 +303,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_prepare_finetune(args) -> int:
-    from .corpus import load_corpus
-    from .finetune import prepare_finetune, write_finetune_file
-
-    documents = load_corpus(args.corpus)
+    documents = corpus.load_corpus(args.corpus)
     seed = _resolve_seed(args)
-    train, test = prepare_finetune(
+    train, test = finetune.prepare_finetune(
         documents,
         args.task,
         args.strategy,
@@ -298,8 +313,8 @@ def cmd_prepare_finetune(args) -> int:
         split_ratio=args.split_ratio,
         split_unit=args.split_unit,
     )
-    write_finetune_file(train, args.train_output)
-    write_finetune_file(test, args.test_output)
+    finetune.write_finetune_file(train, args.train_output)
+    finetune.write_finetune_file(test, args.test_output)
     _print_json(
         {
             "strategy": args.strategy,
@@ -317,14 +332,12 @@ def cmd_prepare_finetune(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .report import read_report, render_report, write_report
-
-    report = read_report(args.input)
+    stored = report.read_report(args.input)
     if args.output:
-        write_report(report, args.format, args.output)
+        report.write_report(stored, args.format, args.output)
         _print_json({"input": args.input, "format": args.format, "output": args.output})
     else:
-        sys.stdout.write(render_report(report, args.format))
+        sys.stdout.write(report.render_report(stored, args.format))
     return EXIT_OK
 
 
@@ -350,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--config", help="endpoint config file (key=value lines)")
 
     p = sub.add_parser("match", parents=[scoring], help="compare two strings with one matcher")
-    p.add_argument("--matcher", type=_matcher_name, required=True,
-                   help="matcher tier (an unknown one is rejected with the list)")
+    # a metavar, or adding the argument would list the choices
+    p.add_argument("--matcher", choices=_MatcherNames(), required=True, metavar="MATCHER",
+                   help="one of %(choices)s")
     p.add_argument("--adjunct-lexicon", help="JSON file overriding the adjunct lexicon")
     p.add_argument("--output", help="also write the JSON to this file")
     p.add_argument("--force", action="store_true", help="allow overwriting --output")
@@ -365,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True)
         p.add_argument("--predictions", required=True)
         p.add_argument("--matchers", default="strict",
-                       help="comma-separated matcher tiers, as for match --matcher")
+                       help="comma-separated subset of the match --matcher choices")
         p.add_argument("--seed", type=int)
         p.add_argument("--timestamps", action="store_true",
                        help="embed a generation timestamp in the report")
@@ -428,10 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "threshold" in vars(args) and args.threshold is None:  # match, eval-*
-        from .matching import DEFAULT_THRESHOLD
-
-        args.threshold = DEFAULT_THRESHOLD
     try:
         # refuse before any work: a semantic evaluation pays for its requests
         for name in ("output", "train_output", "test_output"):

@@ -123,6 +123,17 @@ class TestMatchCommand:
         assert code == 0 and payload["matched"] is True
         assert payload["similarity"] == 0.97
 
+    def test_parsed_namespace_without_threshold_uses_the_default(self, capsys):
+        from mateval.cli import build_parser, cmd_match
+        from mateval.matching import DEFAULT_THRESHOLD
+
+        pair = ["solar cell", "solar cells"]
+        assert cmd_match(build_parser().parse_args(["match", "--matcher", "soft", *pair])) == 0
+        implied = capsys.readouterr().out
+        code, given, _ = run_cli(
+            ["match", "--matcher", "soft", "--threshold", DEFAULT_THRESHOLD, *pair], capsys)
+        assert code == 0 and implied == given and json.loads(given)["matched"] is True
+
     def test_semantic_endpoint_from_config_file(self, capsys, tmp_path,
                                                 semantic_endpoint):
         cfg = tmp_path / "endpoint.cfg"
@@ -151,6 +162,13 @@ class TestUsageErrors:
         assert result.returncode == 2
         assert "invalid choice: 'bogus'" in result.stderr
         assert all(repr(name) in result.stderr for name in TIERS)
+
+    def test_match_help_lists_the_matchers(self):
+        from mateval.matching import TIERS
+
+        result = run_subprocess(["match", "--help"])
+        assert result.returncode == 0
+        assert "one of " + ", ".join(TIERS) in result.stdout
 
     def test_help_exits_0(self):
         result = run_subprocess(["--help"])

@@ -7,8 +7,8 @@ matcher names are the keys of ``matching.TIERS``. The report schema,
 its renderers and its reader live in ``report``, on ``errors`` and
 ``scoring`` alone. Both HTTP
 clients sit on ``transport``, and the package needs nothing outside the
-standard library at run time. Each CLI command loads only the modules it
-runs.
+standard library at run time. Each CLI command runs only the modules it
+uses.
 """
 
 import ast
@@ -60,9 +60,21 @@ def _lazy_table_modules(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _lazy_bound_modules(tree: ast.Module) -> set[str]:
+    """The submodules a module binds with ``_lazy("name")``."""
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_lazy" and isinstance(node.args[0], ast.Constant)
+    }
+
+
 DEPS = {name: {module for module, _ in _imports(tree)} for name, tree in TREES.items()}
 # the package imports its public names on first access, from the modules its table names
 DEPS["__init__"] |= _lazy_table_modules(TREES["__init__"])
+# cli binds the modules its commands run lazily, by name
+DEPS["cli"] |= _lazy_bound_modules(TREES["cli"])
 
 
 def test_prompts_depends_only_on_errors():
@@ -99,7 +111,7 @@ LAZY_IMPORTS = {
     "transport": {"http.client", "urllib.error", "urllib.parse", "urllib.request"},
     "cli": {"datetime", "secrets"},
 }
-# the function-local ``from .module import names`` allowed outside cli, by module
+# the function-local ``from .module import names`` allowed, by module
 LAZY_FROM_IMPORTS = {"corpus": {("report", ("render_report",))}}
 
 
@@ -108,8 +120,6 @@ def _lazy_import_allowed(module: str, node: ast.Import | ast.ImportFrom) -> bool
         return all(alias.name in LAZY_IMPORTS.get(module, set()) for alias in node.names)
     if node.level != 1:
         return False
-    if module == "cli":  # each command imports the mateval modules it runs
-        return True
     imported = (node.module, tuple(alias.name for alias in node.names))
     return imported in LAZY_FROM_IMPORTS.get(module, set())
 
@@ -123,9 +133,9 @@ def test_no_function_local_imports(module):
     short ``mateval`` process. The HTTP stack (``http.client`` with ``ssl``
     and ``email``) costs every start-up, --help included, ~40 ms, so
     ``transport`` imports these four modules only when requests are sent.
-    ``cli`` imports the mateval modules of each command in its function, and
-    ``datetime``/``secrets`` only for --timestamps or a drawn seed, so that
-    ``report`` loads no matcher and ``extract`` no scoring. ``corpus``
+    ``cli`` imports ``datetime``/``secrets`` only for --timestamps or a drawn
+    seed (the mateval modules it binds at its top run on first use, so
+    ``report`` runs no matcher and ``extract`` no scoring). ``corpus``
     imports its ``render_report`` re-export on first access. Every other
     module imports at its top.
     """
@@ -238,16 +248,18 @@ def test_cli_start_up_leaves_the_http_stack_unloaded():
 
 
 # a fresh interpreter runs one command, then lists its exit code and every
-# module it loaded
+# module that ran: a module cli binds lazily keeps a ModuleType subclass as
+# its type until its first use runs it
 _COMMAND_PROBE = (
-    "import sys\n"
+    "import sys, types\n"
     "import mateval.cli\n"
     "try:\n"
     "    code = mateval.cli.main(sys.argv[2:])\n"
     "except SystemExit as exc:\n"  # --help
     "    code = exc.code\n"
+    "ran = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]\n"
     "with open(sys.argv[1], 'w') as fh:\n"
-    "    fh.write('\\n'.join([str(code), *sys.modules]))\n"
+    "    fh.write('\\n'.join([str(code), *ran]))\n"
 )
 _DATA = Path(__file__).resolve().parent / "data"
 _LIBRARY = {f"mateval.{m}" for m in
@@ -300,7 +312,7 @@ def _command(name: str, work: Path) -> list:
     }[name]
 
 
-# modules each command must not load: --help and report no library module,
+# modules each command must not run: --help and report no library module,
 # the offline prompt and fine-tune commands no scoring, eval-* no chat client
 COMMAND_MUST_NOT_LOAD = {
     "--help": _LIBRARY | _OFFLINE,
@@ -310,6 +322,30 @@ COMMAND_MUST_NOT_LOAD = {
     "eval-ner": _CHAT | _OFFLINE,
     "eval-re": _CHAT | _OFFLINE,
 }
+
+
+def test_cli_binds_command_modules_unrun_as_an_import_would():
+    # each is in sys.modules and on the package, not yet run; a later import
+    # of one runs and returns that same object
+    probe = (
+        "import sys, types\n"
+        "import mateval, mateval.cli\n"
+        "names = " + repr(sorted(_lazy_bound_modules(TREES["cli"]))) + "\n"
+        "bound = [getattr(mateval.cli, n) for n in names]\n"
+        "same = all(m is sys.modules['mateval.' + n] is getattr(mateval, n)\n"
+        "           for n, m in zip(names, bound))\n"
+        "unrun = [type(m) is not types.ModuleType for m in bound]\n"
+        "from mateval.corpus import load_corpus\n"
+        "print([same, unrun, load_corpus is mateval.cli.corpus.load_corpus,\n"
+        "       type(mateval.cli.corpus) is types.ModuleType])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    same, unrun, identical, ran = ast.literal_eval(out)
+    assert same and all(unrun) and len(unrun) == 9
+    assert identical and ran
 
 
 @pytest.mark.parametrize("name", COMMAND_MUST_NOT_LOAD)
