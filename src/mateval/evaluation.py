@@ -108,7 +108,7 @@ def filter_relation_blocks(
     return kept
 
 
-class _GroupTier:
+class _GroupTier(Tier):
     """A slot tier lifted to relation groups: material and tc must match,
     and pressure must be absent on both sides or present and matching."""
 

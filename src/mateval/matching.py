@@ -7,21 +7,21 @@ matching (normalize both sides to chemical compositions and compare
 element by element, expanding substitution clauses).
 
 Evaluations score through :class:`Tier` objects: a per-string ``key``,
-computed once per distinct string, and an exact pairwise ``verify`` whose
-filters are necessary conditions of a match, so verdicts (and reports)
-equal the public predicates'. Strict keys are normalized texts and match
-on equality, so counting reduces to a multiset intersection. Soft rejects
-a pair when ``2.0*bound/length`` misses the threshold, where ``bound`` is
-the shorter length or the character-multiset intersection size: both are
-at least difflib's match count, so the same expression bounds ``ratio()``
-from above, bit for bit. Formula buckets each string's variants by element
-set, which :func:`~mateval.materials.compositions_equal` requires to be
-equal, and compares only variants in the same bucket.
+computed once per distinct string, an exact pairwise ``verify``, and an
+``adjacency`` that verifies only the pairs a per-document candidate index
+admits (blocking). Indexes and filters test necessary conditions of a match,
+so verdicts (and reports) equal the public predicates'. Strict keys match on
+equality, so counting reduces to a multiset intersection. Soft bounds
+``ratio()`` from above, bit for bit, by ``2.0*bound/length``, ``bound`` being
+the shorter length (the index bisects the length-sorted keys for the window
+it passes) or the character-multiset intersection size (``verify``). Formula
+indexes keys by normalized text and by each variant's element set, which
+:func:`~mateval.materials.compositions_equal` requires to be equal.
 """
 
 import json
 import operator
-import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from difflib import SequenceMatcher
@@ -38,8 +38,6 @@ from .materials import (
 from .transport import NO_REPLY, RateLimiter, post_json
 
 DEFAULT_THRESHOLD = 0.9
-
-_WS_RE = re.compile(r"\s+")
 
 
 def check_threshold(threshold: float) -> None:
@@ -73,7 +71,7 @@ class MatchOutcome:
 
 def normalize_whitespace(text: str) -> str:
     """Trim and collapse internal whitespace runs to single spaces."""
-    return _WS_RE.sub(" ", text.strip())
+    return " ".join(text.split())
 
 
 def strict_match(a: str, b: str) -> bool:
@@ -218,9 +216,10 @@ def formula_match(
 class Tier:
     """A matcher tier: a per-string ``key`` and an exact pairwise ``verify``.
 
-    ``verify(key(a), key(b)) == outcome(a, b).matched`` for every pair.
-    Keys are cached per tier object (build one per evaluation);
-    ``closed_form`` tiers match on key equality.
+    ``verify(key(a), key(b)) == outcome(a, b).matched`` for every pair, and
+    ``adjacency`` gives the rows that verifying every pair gives. Keys are
+    cached per tier object (build one per evaluation); ``closed_form``
+    tiers match on key equality.
     """
 
     closed_form = False
@@ -240,6 +239,16 @@ class Tier:
             found = self._keys[text] = self.make_key(text)
         return found
 
+    def adjacency(self, expected: list, predicted: list) -> list[list[int]]:
+        """Per expected key, the ascending indices of the predicted keys it
+        matches; this default verifies every pair."""
+        return [self.verified(ka, predicted, range(len(predicted))) for ka in expected]
+
+    def verified(self, ka, predicted: list, candidates) -> list[int]:
+        """The ``candidates`` (predicted indices) that ``ka`` matches, ascending."""
+        verify = self.verify
+        return [j for j in sorted(candidates) if verify(ka, predicted[j])]
+
 
 class StrictTier(Tier):
     closed_form = True
@@ -258,12 +267,30 @@ class SoftTier(Tier):
 
     def verify(self, ka: tuple, kb: tuple) -> bool:
         (a, la, ca), (b, lb, cb) = ka, kb
-        length, t = la + lb, self.threshold
         if a == b:  # ratio() of equal strings is exactly 1.0
-            return 1.0 >= t
-        if 2.0 * min(la, lb) / length < t or 2.0 * sum((ca & cb).values()) / length < t:
+            return 1.0 >= self.threshold
+        if len(ca) > len(cb):
+            ca, cb = cb, ca
+        count = cb.get  # the multiset intersection size, summed over the smaller side
+        common = sum([n if n < (m := count(c, 0)) else m for c, n in ca.items()])
+        if 2.0 * common / (la + lb) < self.threshold:
             return False
-        return soft_match(a, b, t).matched
+        return soft_match(a, b, self.threshold).matched
+
+    def adjacency(self, expected: list, predicted: list) -> list[list[int]]:
+        """Verify only the predicted keys in each expected key's length window:
+        ``2*min(la, lb)/(la + lb)`` rises with ``lb`` up to ``la`` and falls
+        after it, so two bisections with the bound's own float test find the
+        run of lengths it passes, at any threshold."""
+        order = sorted(range(len(predicted)), key=lambda j: predicted[j][1])
+        lengths, t, rows = [predicted[j][1] for j in order], self.threshold, []
+        for ka in expected:
+            la = ka[1]
+            mid = bisect_left(lengths, la)
+            lo = bisect_left(lengths, True, 0, mid, key=lambda b: not 2.0 * b / (la + b) < t)
+            hi = bisect_left(lengths, True, mid, key=lambda b: b > la and 2.0 * la / (la + b) < t)
+            rows.append(self.verified(ka, predicted, order[lo:hi]))
+        return rows
 
     def outcome(self, a: str, b: str) -> MatchOutcome:
         return soft_match(a, b, self.threshold)
@@ -340,6 +367,16 @@ class FormulaTier(Tier):
 
     def verify(self, ka: FormulaKey, kb: FormulaKey) -> bool:
         return ka.text == kb.text or self.witness(ka, kb) is not None
+
+    def adjacency(self, expected: list, predicted: list) -> list[list[int]]:
+        """Verify only the predicted keys that share the expected key's text or
+        one of its element sets: ``verify`` needs one or the other."""
+        index: dict = {}  # text or element set -> predicted indices
+        for j, kb in enumerate(predicted):
+            for token in (kb.text, *kb.buckets):
+                index.setdefault(token, []).append(j)
+        return [self.verified(ka, predicted, {j for token in (ka.text, *ka.buckets)
+                                              for j in index.get(token, ())}) for ka in expected]
 
     def outcome(self, a: str, b: str) -> MatchOutcome:
         ka, kb = self.key(a), self.key(b)

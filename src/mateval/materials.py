@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .elements import default_adjuncts, is_element
+from .elements import default_adjuncts, is_element, periodic_table
 from .errors import (
     EmptyInputError,
     ExpansionLimitError,
@@ -88,12 +88,14 @@ class ParsedMaterial:
 
 
 @lru_cache(maxsize=16)
-def _edge_phrases(lexicon: tuple[str, ...] | None) -> tuple[tuple[str, int], ...]:
-    """``(lowered phrase, length of the phrase)``, longest first (a stable sort);
-    ``None``: bundled. Lowering can change a length (``"İ".lower()`` is two code
-    points), so the text is sliced by the phrase's own length."""
-    phrases = sorted(default_adjuncts() if lexicon is None else lexicon, key=len, reverse=True)
-    return tuple((p.lower(), len(p)) for p in phrases)
+def _edge_phrases(lexicon: tuple[str, ...] | None) -> tuple[tuple[int, frozenset[str]], ...]:
+    """``(length, the lowered phrases of that length)``, longest first; ``None``:
+    bundled. The text is cut at a phrase's own length, then lowered: lowering
+    can change a length (``"İ".lower()`` is two code points)."""
+    lowered: dict[int, set[str]] = {}
+    for p in default_adjuncts() if lexicon is None else lexicon:
+        lowered.setdefault(len(p), set()).add(p.lower())
+    return tuple(sorted(((n, frozenset(ps)) for n, ps in lowered.items()), reverse=True))
 
 
 def strip_adjuncts(
@@ -123,27 +125,24 @@ def strip_adjuncts(
         raise EmptyInputError("material expression is empty")
     phrases = _edge_phrases(None if lexicon is None else tuple(lexicon))
     adjuncts: list[str] = []
-
-    def _strip_edge(s: str, suffix: bool) -> tuple[str, str | None]:
-        for p, n in phrases:
-            if suffix:
-                if len(s) > n and s[-n - 1].isspace() and s[len(s) - n:].lower() == p:
-                    return s[:-n].strip(), s[len(s) - n:]
-            else:
-                if len(s) > n and s[n].isspace() and s[:n].lower() == p:
-                    return s[n:].strip(), s[:n]
-        return s, None
-
-    while text:
-        text, removed = _strip_edge(text, suffix=False)
-        if removed is None:
+    # phrases of one length cut the same text: the longest length that matches decides
+    while True:
+        for n, lowered in phrases:
+            if len(text) > n and text[n].isspace() and text[:n].lower() in lowered:
+                adjuncts.append(text[:n])
+                text = text[n:].strip()
+                break
+        else:
             break
-        adjuncts.append(removed)
-    while text:
-        text, removed = _strip_edge(text, suffix=True)
-        if removed is None:
+    while True:
+        for n, lowered in phrases:
+            cut = len(text) - n
+            if cut > 0 and text[cut - 1].isspace() and text[cut:].lower() in lowered:
+                adjuncts.append(text[cut:])
+                text = text[:cut].strip()
+                break
+        else:
             break
-        adjuncts.append(removed)
     return text, adjuncts
 
 
@@ -203,53 +202,52 @@ def _read_amount(text: str, i: int) -> tuple[Amount, int] | None:
     return value, j
 
 
-def _is_placeholder(letter: str) -> bool:
-    return len(letter) == 1 and letter.isupper() and not is_element(letter)
-
-
 def _join_spaced_sign(m: re.Match) -> str:
     """``7 - δ`` -> ``7-δ`` when the letter is a lowercase variable."""
     return "".join(m.groups()) if _variable(m.group(3)) == m.group(3) else m.group(0)
 
 
-def _scan_amount(token: str, i: int) -> tuple[Amount | None, int]:
-    """Read an optional amount fused after an element inside ``token``."""
-    if i < len(token) and token[i] == "(":
-        j = token.find(")", i)
-        if j == -1:
-            raise UnparseableMaterialError(f"unbalanced parenthesis in {token!r}")
-        return _parse_amount_text(token[i + 1: j]), j + 1
-    read = _read_amount(token, i)
-    if read is None:
-        return None, i
-    amount, j = read
-    if isinstance(amount, str) and j < len(token):
-        if len(amount) > 1 and token[j].islower():
-            raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
-        if len(amount) == 1 and not (token[j].isupper() or token[j] == "("):
-            raise UnparseableMaterialError(f"cannot read amount in {token!r}")
-    return amount, j
+@lru_cache(maxsize=1)
+def _unit_pattern() -> re.Pattern:
+    """A fused unit: a symbol (two letters when they name an element), then
+    ``(text)``, ``c``, ``c±letter`` or one more character."""
+    two = itertools.groupby(sorted(s for s in periodic_table() if len(s) == 2), lambda s: s[0])
+    symbol = "|".join(f"{a}[{''.join(s[1] for s in g)}]" for a, g in two)
+    return re.compile(rf"({symbol}|.)(?:\(([^)]*)\)|(\d+(?:\.\d+)?)(?:([+-])(.))?|(.))?", re.DOTALL)
 
 
 def _parse_fragment(token: str) -> list[tuple[str, Amount | None]]:
-    """Parse a fused fragment like ``CuO``, ``La2O3`` or ``Cu1-xNixO2``."""
+    """Parse a fused fragment like ``CuO``, ``La2O3`` or ``Cu1-xNixO2``; an
+    uppercase letter that names no element is a placeholder."""
     pairs: list[tuple[str, Amount | None]] = []
-    i = 0
+    unit, i = _unit_pattern().match, 0
     while i < len(token):
-        ch = token[i]
-        if not ch.isupper():
-            raise UnparseableMaterialError(
-                f"expected element symbol at {token[i:]!r}"
-            )
-        symbol = None
-        two = token[i: i + 2]
-        if len(two) == 2 and two[1].islower() and is_element(two):
-            symbol, i = two, i + 2
-        elif is_element(ch) or _is_placeholder(ch):
-            symbol, i = ch, i + 1
+        m = unit(token, i)
+        symbol, inner, number, sign, after, var = m.groups()
+        if not symbol[0].isupper():
+            raise UnparseableMaterialError(f"expected element symbol at {token[i:]!r}")
+        i = m.end()
+        if inner is not None:
+            pairs.append((symbol, _parse_amount_text(inner)))
+            continue
+        if number is not None:
+            amount: Amount | None = _finite(float(number))
+            letter = after and _variable(after)
+            if letter:
+                amount = f"{number}{sign}{letter}"
+            else:
+                i = m.end(3)
+        elif var is not None and _variable(var) == var:
+            amount = var
+        elif var == "(":
+            raise UnparseableMaterialError(f"unbalanced parenthesis in {token!r}")
         else:
-            raise UnparseableMaterialError(f"unknown element symbol at {token[i:]!r}")
-        amount, i = _scan_amount(token, i)
+            amount, i = None, m.end(1)
+        if isinstance(amount, str) and i < len(token):
+            if len(amount) > 1 and token[i].islower():
+                raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
+            if len(amount) == 1 and not (token[i].isupper() or token[i] == "("):
+                raise UnparseableMaterialError(f"cannot read amount in {token!r}")
         pairs.append((symbol, amount))
     return pairs
 
@@ -305,8 +303,8 @@ def parse_material(
     core, adjuncts = strip_adjuncts(raw, lexicon)
     # a slash at a token edge separates formula units; one buried inside a
     # token (e.g. "1-x/2") is rejected later as an unsupported amount
-    slash_separated = any(
-        t == "/" or t.startswith("/") or t.endswith("/") for t in core.split()
+    slash_separated = "/" in core and any(
+        t.startswith("/") or t.endswith("/") for t in core.split()
     )
     if slash_separated or "in molar ratio" in core.lower():
         raise MixtureNotSupportedError(f"mixture expression rejected: {raw!r}")
@@ -328,6 +326,9 @@ def parse_material(
 
     pairs: list[tuple[str, Amount | None]] = []
     for token in _SPACED_SIGN_RE.sub(_join_spaced_sign, core).split():
+        if token[0].isupper():  # a symbol: neither a percentage nor an amount
+            pairs.extend(_parse_fragment(token))
+            continue
         if _PERCENT_TOKEN_RE.fullmatch(token):
             adjuncts.append(token)
             continue
@@ -354,7 +355,7 @@ def parse_material(
                 )
         else:
             composition[symbol] = value
-    if not any(is_element(sym) for sym in composition):
+    if periodic_table().isdisjoint(composition):
         raise UnparseableMaterialError(f"no valid element token in {raw!r}")
 
     amount_vars = {

@@ -97,21 +97,23 @@ def count_matches(
     paths over the match matrix), which makes the result independent of the
     order of either list; duplicates are honoured as multiset multiplicity.
     The matcher is called as ``matcher(expected_item, predicted_item)``, or
-    is a tier whose ``verify`` is called on the items' ``key``s; a tier
-    with ``closed_form`` set matches on key equality, an equivalence
+    is a tier whose ``adjacency`` gives each expected key's matches among
+    the predicted keys as ascending indices, the rows all pairs would give;
+    a tier with ``closed_form`` set matches on key equality, an equivalence
     relation, so tp is the size of the keys' multiset intersection.
     The search is iterative, so corpus-sized lists cannot hit the
     interpreter recursion limit.
     """
     n, m = len(expected), len(predicted)
     key = getattr(matcher, "key", None)
-    if key is not None:
+    if key is None:
+        adjacency = [[j for j, p in enumerate(predicted) if matcher(e, p)] for e in expected]
+    else:
         expected, predicted = [key(x) for x in expected], [key(y) for y in predicted]
         if matcher.closed_form:
             tp = sum((Counter(expected) & Counter(predicted)).values())
             return MatchCounts(tp=tp, fp=m - tp, fn=n - tp)
-        matcher = matcher.verify
-    adjacency = [[j for j, p in enumerate(predicted) if matcher(e, p)] for e in expected]
+        adjacency = matcher.adjacency(expected, predicted)
     owner = [-1] * m  # predicted index -> expected index
     matched_pred = [-1] * n  # expected index -> predicted index
 

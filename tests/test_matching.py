@@ -1,12 +1,19 @@
 """Tests for the four matcher tiers."""
 
+import hashlib
+import importlib.util
+import json
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mateval.errors import MatEvalError, ProviderUnavailableError
+from mateval.llm import parse_response
 from mateval.matching import (
     FormulaTier,
     MatchOutcome,
@@ -14,6 +21,7 @@ from mateval.matching import (
     StrictTier,
     formula_match,
     material_variants,
+    normalize_whitespace,
     ratcliff_obershelp,
     semantic_match,
     soft_match,
@@ -343,3 +351,63 @@ class TestTierExactness:
         assert formula_match("YBa2Cu3O7-δ", "YBa2Cu3O7 - δ").matched
         assert formula_match("YBa2Cu3O7-δ", "YBa 2 Cu 3 O 7-δ").tier == "formula"
         assert FormulaTier().key("YBa2Cu3O7-δ").buckets
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# SHA-256 of every fixture and bench string's formula key (text, compositions
+# and error message), as the phrase-by-phrase strip and the character-by-
+# character fragment reader gave them; error messages are `match` details
+FORMULA_KEYS_SHA256 = "478792b4a681a51879fcedcd91eb03410e369ba95abd3a4c5a770c48686ed3a8"
+BENCH_INPUTS = [("ner-tiers", 1), ("ner-tiers", 5521), ("ner-tiers", 9137),
+                ("pipeline-offline", 1), ("endpoint-stub", 1)]
+
+
+def entity_strings(path):
+    """Every entity text and relation slot value in a JSONL corpus or predictions file."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        entities = row.get("entities", ())
+        if isinstance(entities, dict):
+            for texts in entities.values():
+                yield from texts
+        else:
+            yield from (e["text"] for e in entities)
+        for relation in row.get("relations", ()):
+            yield from relation.values()
+
+
+def test_formula_keys_unchanged_on_fixture_and_bench_strings(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = ROOT / "tests" / "data"
+    strings = set(entity_strings(data / "corpus.jsonl"))
+    for path in sorted((data / "fixtures").rglob("*.txt")):
+        for item in parse_response(path.read_text(encoding="utf-8"), path.parent.name):
+            values = item.values() if isinstance(item, dict) else item
+            strings.update(v for v in values if isinstance(v, str))
+    for workload, seed in BENCH_INPUTS:
+        out = tmp_path / f"{workload}-{seed}"
+        out.mkdir()
+        gen.generate(workload, seed, out)
+        for name in ("corpus.jsonl", "ner_predictions.jsonl", "re_predictions.jsonl"):
+            strings.update(entity_strings(out / name))
+    tier, digest = FormulaTier(), hashlib.sha256()
+    for text in sorted(strings):
+        key = tier.key(text)
+        digest.update(repr((text, key.text, [c for _, c in key.variants], key.error)).encode())
+    assert len(strings) == 10524
+    assert digest.hexdigest() == FORMULA_KEYS_SHA256
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.characters(), max_size=12))
+def test_normalize_whitespace_equals_regex_collapse(text):
+    assert normalize_whitespace(text) == re.sub(r"\s+", " ", text.strip())
+
+
+def test_split_whitespace_is_regex_whitespace():
+    # str.split and regex \s must agree on every code point
+    assert all(
+        bool(re.match(r"\s", chr(c))) == chr(c).isspace() for c in range(sys.maxunicode + 1)
+    )

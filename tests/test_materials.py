@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mateval import materials
+from mateval.elements import default_adjuncts, is_element
 from mateval.errors import (
     EmptyInputError,
     MatEvalError,
@@ -407,3 +409,136 @@ def _render_amount(amount):
     if amount == int(amount):
         return str(int(amount))
     return format(amount, ".10g")
+
+
+def oracle_strip_adjuncts(raw, lexicon=None):
+    """The phrase-by-phrase strip: each phrase, longest first (a stable
+    sort), compared with the text cut at the phrase's length and lowered."""
+    text = raw.strip()
+    if not text:
+        raise EmptyInputError("material expression is empty")
+    phrases = sorted(default_adjuncts() if lexicon is None else lexicon, key=len, reverse=True)
+    phrases = [(p.lower(), len(p)) for p in phrases]
+    adjuncts = []
+
+    def strip_edge(s, suffix):
+        for p, n in phrases:
+            if suffix:
+                if len(s) > n and s[-n - 1].isspace() and s[len(s) - n:].lower() == p:
+                    return s[:-n].strip(), s[len(s) - n:]
+            else:
+                if len(s) > n and s[n].isspace() and s[:n].lower() == p:
+                    return s[n:].strip(), s[:n]
+        return s, None
+
+    for suffix in (False, True):
+        while text:
+            text, removed = strip_edge(text, suffix)
+            if removed is None:
+                break
+            adjuncts.append(removed)
+    return text, adjuncts
+
+
+def oracle_parse_fragment(token):
+    """The character-by-character fused-fragment reader."""
+    pairs = []
+    i = 0
+    while i < len(token):
+        ch = token[i]
+        if not ch.isupper():
+            raise UnparseableMaterialError(f"expected element symbol at {token[i:]!r}")
+        two = token[i: i + 2]
+        if len(two) == 2 and two[1].islower() and is_element(two):
+            symbol, i = two, i + 2
+        else:  # an uppercase letter that names no element is a placeholder
+            symbol, i = ch, i + 1
+        if i < len(token) and token[i] == "(":
+            j = token.find(")", i)
+            if j == -1:
+                raise UnparseableMaterialError(f"unbalanced parenthesis in {token!r}")
+            pairs.append((symbol, materials._parse_amount_text(token[i + 1: j])))
+            i = j + 1
+            continue
+        read = materials._read_amount(token, i)
+        amount = None
+        if read is not None:
+            amount, i = read
+        if isinstance(amount, str) and i < len(token):
+            if len(amount) > 1 and token[i].islower():
+                raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
+            if len(amount) == 1 and not (token[i].isupper() or token[i] == "("):
+                raise UnparseableMaterialError(f"cannot read amount in {token!r}")
+        pairs.append((symbol, amount))
+    return pairs
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MatEvalError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# phrase pieces in case variants, with the characters whose lowercase is
+# special: U+0130 lowers to two code points, the long s U+017F folds to s
+# under re.IGNORECASE but not under str.lower, the Kelvin sign U+212A lowers
+# to k, and capital sigma lowers by context
+EDGE_PIECES = [
+    "bulk", "BULK", "Bulk", "single crystal", "\u017fingle crystal", "SINGLE  crystal",
+    "\u0130x", "i\u0307x", "Ix", "K", "k", "\u212a", "\u0391\u03a3", "\u03b1\u03c2",
+    "\u03c3", "doped", "hole-doped", "MgB2", "La 2-x Sr x CuO 4", " ", "  ", "\t", "\xa0",
+]
+edge_texts = st.lists(st.sampled_from(EDGE_PIECES), max_size=6).map("".join)
+lexicons = st.one_of(
+    st.none(),
+    st.just(()),
+    st.lists(
+        st.sampled_from([
+            "\u0130x", "i\u0307x", "bulk", "single crystal", "\u0391\u03a3", "K", "\u212a",
+            "\u017f", "", "x",
+        ]),
+        max_size=4,
+    ).map(tuple),
+)
+FUSED_PIECES = [
+    "Cu", "C", "u", "O", "Eu", "Mg", "B", "X", "R", "x", "y", "\u03b4", "2", "0.5", "1-x",
+    "2+y", "-", "+", "(", ")", "(1-x)", "(x)", ".", "\u0130", "\u03a3", "\u03d2", "\u017f",
+    "\u212a", "\u0661", "9" * 400,
+]
+fused_tokens = st.lists(st.sampled_from(FUSED_PIECES), min_size=1, max_size=6).map("".join)
+
+
+class TestReaderOracles:
+    """The per-length strip and the one-pattern fragment reader against the
+    loops they replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(edge_texts, lexicons)
+    @example("İx MgB2", ("İx",))
+    @example("MgB2 İx", ("İx",))
+    @example("ſingle crystal MgB2", ("single crystal",))
+    @example("bulk MgB2 single crystal", ())
+    @example("K MgB2 k", ("k",))
+    @example("ΑΣ MgB2", ("ΑΣ",))
+    def test_strip_adjuncts_equals_phrase_loop(self, raw, lexicon):
+        assert outcome(strip_adjuncts, raw, lexicon) == outcome(oracle_strip_adjuncts, raw, lexicon)
+
+    def test_long_s_is_not_folded_into_s(self):
+        # re.IGNORECASE would fold the long s to s; str.lower keeps it
+        raw = "\u017fingle crystal MgB2"
+        assert strip_adjuncts(raw, ("single crystal",)) == (raw, [])
+
+    def test_empty_lexicon_and_empty_phrase_strip_nothing(self):
+        assert strip_adjuncts("bulk MgB2 thin film", ()) == ("bulk MgB2 thin film", [])
+        assert strip_adjuncts("bulk MgB2", ("",)) == ("bulk MgB2", [])
+
+    @settings(max_examples=1000, deadline=None)
+    @given(fused_tokens)
+    @example("C(x).")
+    @example("Cu(1-x)\u03b4")
+    @example("A0.25Eu6")
+    @example("Cu1-X")
+    @example("Mg(")
+    def test_fragment_reader_equals_character_loop(self, token):
+        assert outcome(materials._parse_fragment, token) == outcome(oracle_parse_fragment, token)

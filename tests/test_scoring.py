@@ -1,5 +1,6 @@
 """Tests for match counting and P/R/F1 scoring."""
 
+import math
 import random
 from collections import Counter
 
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mateval.corpus import RelationGroup
 from mateval.errors import EmptyRunsError
+from mateval.evaluation import _GroupTier
 from mateval.matching import (
     FormulaTier,
+    SemanticTier,
     SoftTier,
     StrictTier,
     formula_match,
@@ -283,3 +287,103 @@ class TestAggregateRuns:
         # n-1 denominator: [1, 3] has std sqrt(2), not 1
         agg = aggregate_runs([1.0, 3.0])
         assert agg.std_f1 == pytest.approx(2 ** 0.5)
+
+
+class OverlapProvider:
+    """Semantic stub: 1.0 for identical strings, else their character-set overlap."""
+
+    def score(self, a, b):
+        if a == b:
+            return 1.0
+        union = set(a) | set(b)
+        return len(set(a) & set(b)) / len(union) if union else 0.0
+
+
+# parseable, unparseable and whitespace variants of one another: unparseable
+# texts with equal normalized text must stay formula candidates
+index_texts = st.lists(
+    st.sampled_from([
+        "MgB2", " MgB2", "MgB2  thin film", "Mg B 2", "H2S", "H 2 S", "", " ", "\t",
+        "La2-xSrxCuO4", "La 2-x Sr x CuO 4", "hole-doped La 2-x Sr x CuO 4",
+        "Zr 5 X 3 (X = Sb, Pb)", "Zr5Pb3", "Zr5Sb3", "foo  bar", "foo bar", "ab", "ba",
+        "aab", "a", "LSCO", "SCLO", "MgB2/CuO", "1-x/2",
+    ]),
+    max_size=8,
+)
+index_thresholds = st.one_of(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, 5e-324, 0.5, 2 / 3, 0.8, 0.9]),
+    st.floats(),  # any float a tier accepts: NaN, infinities, negatives too
+)
+groups = st.lists(
+    st.builds(
+        RelationGroup,
+        material=st.sampled_from(["MgB2", "MgB 2", "H2S", "foo  bar", "foo bar", None]),
+        tc=st.sampled_from(["39 K", "39  K", "39.5 K", None]),
+        pressure=st.sampled_from([None, "150 GPa", "150  GPa"]),
+    ),
+    max_size=5,
+)
+
+
+def all_pairs_rows(tier, expected_keys, predicted_keys):
+    return [
+        [j for j in range(len(predicted_keys)) if tier.verify(ka, predicted_keys[j])]
+        for ka in expected_keys
+    ]
+
+
+def slot_tiers(threshold):
+    return [
+        StrictTier(),
+        SoftTier(threshold),
+        FormulaTier(),
+        SemanticTier(threshold, OverlapProvider()),
+    ]
+
+
+class TestCandidateIndex:
+    """Each tier's adjacency lists exactly the rows all pairs give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_texts, index_texts, index_thresholds)
+    def test_adjacency_equals_all_pairs(self, expected, predicted, threshold):
+        for tier in slot_tiers(threshold):
+            ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
+            assert tier.adjacency(ek, pk) == all_pairs_rows(tier, ek, pk)
+            assert count_matches(expected, predicted, tier) == count_matches(
+                expected, predicted, lambda a, b, tier=tier: tier.outcome(a, b).matched
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups, groups, index_thresholds)
+    def test_group_tier_adjacency_equals_all_pairs(self, expected, predicted, threshold):
+        for slot in slot_tiers(threshold):
+            tier = _GroupTier(slot)
+            ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
+            assert tier.adjacency(ek, pk) == all_pairs_rows(tier, ek, pk)
+            assert count_matches(expected, predicted, tier) == count_matches(
+                expected, predicted,
+                lambda a, b, tier=tier: tier.verify(tier.key(a), tier.key(b)),
+            )
+
+    def test_unparseable_keys_with_equal_text_are_formula_candidates(self):
+        tier = FormulaTier()
+        keys = [tier.key(t) for t in ("foo  bar", "foo bar", "LSCO", "SCLO")]
+        assert keys[0].error is not None and not keys[0].buckets
+        assert tier.adjacency(keys[:2], keys[:2]) == [[0, 1], [0, 1]]
+        assert tier.adjacency(keys, keys) == all_pairs_rows(tier, keys, keys)
+
+    @pytest.mark.parametrize(
+        "threshold", [1.0, 1.5, 2.0, 3.0, 5e-324, 0.0, -1.0, math.inf, math.nan]
+    )
+    def test_soft_window_at_every_threshold(self, threshold):
+        # la = lb = 0 for the empty and whitespace-only keys; at t = 2 the
+        # closed-form window la*t/(2-t) would divide by zero
+        texts = ["", " \t", "a", "ab", "ba", "aab", "abc", "MgB2", "MgB2 ", "MgB", "Mg", "abcdefgh"]
+        tier = SoftTier(threshold)
+        keys = [tier.key(t) for t in texts]
+        rows = tier.adjacency(keys, keys)
+        assert rows == all_pairs_rows(tier, keys, keys)
+        assert rows == [
+            [j for j, b in enumerate(texts) if soft_match(a, b, threshold).matched] for a in texts
+        ]
