@@ -58,16 +58,12 @@ EXIT_USAGE = 2
 EXIT_FAILURE = 3
 
 
-def _print_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _emit_json(payload, args) -> None:
+def _emit_json(payload, args=None) -> None:
     """Print JSON to stdout, optionally mirroring it to --output."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
@@ -315,7 +311,7 @@ def cmd_prepare_finetune(args) -> int:
     )
     finetune.write_finetune_file(train, args.train_output)
     finetune.write_finetune_file(test, args.test_output)
-    _print_json(
+    _emit_json(
         {
             "strategy": args.strategy,
             "task": args.task,
@@ -335,7 +331,7 @@ def cmd_report(args) -> int:
     stored = report.read_report(args.input)
     if args.output:
         report.write_report(stored, args.format, args.output)
-        _print_json({"input": args.input, "format": args.format, "output": args.output})
+        _emit_json({"input": args.input, "format": args.format, "output": args.output})
     else:
         sys.stdout.write(report.render_report(stored, args.format))
     return EXIT_OK

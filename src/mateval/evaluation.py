@@ -7,7 +7,7 @@ of an RE configuration are echoed in the report; they shape prompts (see
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import RELATION_SLOTS, TASK_CLASSES, Document, PredictionSet, RelationGroup
 from .errors import (
@@ -58,16 +58,6 @@ class EvalConfig:
             raise ConfigError(f"unknown shuffle mode {self.shuffle!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "matchers": list(self.matchers),
-            "threshold": self.threshold,
-            "shuffle": self.shuffle,
-            "seed": self.seed,
-            "runs": self.runs,
-        }
 
 
 def _filter_with_notes(
@@ -161,11 +151,11 @@ def match_relation_groups(
 
 def _group_predictions(
     documents: list[Document], predictions: list[PredictionSet]
-) -> tuple[dict[str, Document], dict[str, dict[str, PredictionSet]]]:
-    index = {doc.id: doc for doc in documents}
+) -> dict[str, dict[str, PredictionSet]]:
+    known = {doc.id for doc in documents}
     by_run: dict[str, dict[str, PredictionSet]] = {}
     for pred in predictions:
-        if pred.doc_id not in index:
+        if pred.doc_id not in known:
             raise UnknownDocumentError(
                 f"prediction references unknown document {pred.doc_id!r}"
             )
@@ -175,7 +165,7 @@ def _group_predictions(
                 f"duplicate prediction for doc_id {pred.doc_id!r}, run {pred.run_label!r}"
             )
         run[pred.doc_id] = pred
-    return index, by_run
+    return by_run
 
 
 def _natural_key(label: str) -> tuple:
@@ -199,10 +189,10 @@ def _evaluate(
     counted with. A semantic tier scores every pair of every run in one
     provider batch before counting.
     """
-    report = EvalReport(task=config.task, config=config.to_dict())
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
-    report.config["run_labels"] = run_labels
-    report.config["runs"] = len(run_labels)
+    report = EvalReport(task=config.task, config={
+        **asdict(config), "matchers": list(config.matchers),  # a list, as read back
+        "run_labels": run_labels, "runs": len(run_labels)})
     ordered_docs = sorted(documents, key=lambda d: d.id)
     items = {
         run_label: [
@@ -229,7 +219,7 @@ def _evaluate(
                         scores=micro_average(per_doc_counts),
                         expected_total=sum(len(e) for e, _ in items[run_label]),
                         per_document=[
-                            {"doc_id": doc.id, **counts.to_dict()}
+                            {"doc_id": doc.id, **vars(counts)}  # flat, so vars is asdict
                             for doc, counts in zip(ordered_docs, per_doc_counts)
                         ],
                     )
@@ -257,7 +247,7 @@ def evaluate_ner(
     if config.task not in TASK_CLASSES:
         raise ValueError("evaluate_ner requires a ner_* task")
     class_ = TASK_CLASSES[config.task]
-    _, by_run = _group_predictions(documents, predictions)
+    by_run = _group_predictions(documents, predictions)
 
     def doc_items(doc, pred, report):
         return doc.entity_texts(class_), pred.entities.get(class_, []) if pred else []
@@ -281,7 +271,7 @@ def evaluate_re(
     """
     if config.task != "re":
         raise ValueError("evaluate_re requires task 're'")
-    _, by_run = _group_predictions(documents, predictions)
+    by_run = _group_predictions(documents, predictions)
     max_warnings = 50
 
     def doc_items(doc, pred, report):

@@ -23,6 +23,7 @@ from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
 from .errors import (
     ConfigError,
     EndpointError,
+    MatEvalError,
     MissingCredentialError,
     MissingFixtureError,
     ResponseParseError,
@@ -37,6 +38,12 @@ REFUSALS = ("i don't know", "i do not know", "none", "n/a", "no answer")
 _KEY_MARKER_RE = re.compile(r"(?:(?<=^)|(?<=,)|(?<=;))\s*([A-Za-z_][A-Za-z0-9_]*)\s*:")
 _BULLET_RE = re.compile(r"^\s*[-*]\s+(.*\S)\s*$")
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*$")
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected 1/true/yes or 0/false/no, in any case")
+    return text.lower() in ("1", "true", "yes")
 
 
 @dataclass
@@ -61,14 +68,6 @@ class ChatEndpointConfig:
     min_interval: float = 0.0
     semantic_endpoint: str | None = None
 
-    _CASTS = {
-        "timeout": float,
-        "backoff_base": float,
-        "min_interval": float,
-        "max_retries": int,
-        "max_concurrency": int,
-        "dry_run": lambda v: v.lower() in ("1", "true", "yes"),
-    }
     _VALID = {  # NaN fails every comparison
         "timeout": (lambda v: 0 < v < math.inf, "must be positive and finite"),
         "backoff_base": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
@@ -78,16 +77,17 @@ class ChatEndpointConfig:
     }
 
     def set(self, key: str, text: str) -> None:
-        """Cast ``text`` to field ``key``'s type, check it and store it.
+        """Cast ``text`` by field ``key``'s annotation, check it and store it.
 
         Config files and flags both set fields here. An unknown key, a value
         that does not convert, a negative count or interval, no concurrency
         slot, or a timeout that is not positive and finite raises ConfigError.
         """
-        if key not in {field.name for field in fields(self)}:
+        kind = next((f.type for f in fields(self) if f.name == key), None)
+        if kind is None:
             raise ConfigError(f"unknown key {key!r}")
         try:
-            value = self._CASTS.get(key, str)(text)
+            value = {float: float, int: int, bool: _bool}.get(kind, str)(text)
         except ValueError as exc:
             raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
         if key in self._VALID and not self._VALID[key][0](value):
@@ -191,7 +191,10 @@ def chat_complete(
         path = Path(cfg.fixture_dir) / doc_id / bundle.task / f"{run}.txt"
         if not path.is_file():
             raise MissingFixtureError(f"no canned response at {path}")
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatEvalError(f"canned response at {path} is not UTF-8: {exc}") from exc
 
     credential = os.environ.get(cfg.credential_env, "")
     if not credential:

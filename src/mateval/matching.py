@@ -23,7 +23,7 @@ import json
 import operator
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from difflib import SequenceMatcher
 from typing import NamedTuple
 
@@ -61,12 +61,7 @@ class MatchOutcome:
     detail: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "tier": self.tier,
-            "similarity": self.similarity,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def normalize_whitespace(text: str) -> str:
@@ -149,10 +144,12 @@ class HttpSimilarityProvider(SimilarityProvider):
             status, _, body = post_json(self.endpoint, {"text_a": a, "text_b": b}, self.timeout)
             if not 200 <= status < 300:
                 raise ValueError(f"HTTP {status}")
-            score = float(json.loads(body)["score"])
+            score = json.loads(body)["score"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise ValueError(f"score {score!r} is not a JSON number")
             if not 0.0 <= score <= 1.0:  # NaN fails too
                 raise ValueError(f"score {score} is not in [0, 1]")
-            return score
+            return float(score)
         except (*NO_REPLY, ValueError, KeyError, TypeError) as exc:
             raise ProviderUnavailableError(
                 f"similarity service at {self.endpoint} failed: {exc}"

@@ -14,7 +14,7 @@ rather than mis-parsed.
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 from .elements import default_adjuncts, is_element, periodic_table
@@ -74,17 +74,7 @@ class ParsedMaterial:
     adjuncts: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "core_text": self.core_text,
-            "composition": dict(self.composition),
-            "substitutions": [
-                {"variable": s.variable, "candidates": list(s.candidates)}
-                for s in self.substitutions
-            ],
-            "free_variables": sorted(self.free_variables),
-            "adjuncts": list(self.adjuncts),
-        }
+        return {**asdict(self), "free_variables": sorted(self.free_variables)}
 
 
 @lru_cache(maxsize=16)

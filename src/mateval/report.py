@@ -2,10 +2,10 @@
 
 A report holds one :class:`MatcherBlock` per matcher that ran (the scores
 of each run and their aggregate), the evaluation's config, the matchers it
-skipped and its warnings. ``EvalReport.to_dict`` is the JSON schema,
-documented in the README. :func:`read_report` reads a stored report back
-into the same type, so ``render_report(read_report(path), "json")``
-reproduces a report that mateval wrote, byte for byte.
+skipped and its warnings. Their dataclass fields are the JSON schema,
+documented in the README: ``EvalReport.to_dict`` writes them and
+:func:`read_report` reads them back, so ``render_report(read_report(path),
+"json")`` reproduces a report that mateval wrote, byte for byte.
 """
 
 import csv
@@ -26,22 +26,11 @@ class RunScores:
     expected_total: int
     per_document: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "scores": self.scores.to_dict(),
-            "expected_total": self.expected_total,
-            "per_document": self.per_document,
-        }
-
 
 @dataclass
 class MatcherBlock:
     runs: list[RunScores]
     aggregate: RunAggregate
-
-    def to_dict(self) -> dict:
-        return {"runs": [r.to_dict() for r in self.runs], "aggregate": self.aggregate.to_dict()}
 
 
 @dataclass
@@ -54,16 +43,7 @@ class EvalReport:
     generated_at: str | None = None  # written only when set
 
     def to_dict(self) -> dict:
-        payload = {
-            "task": self.task,
-            "config": self.config,
-            "matchers": {k: v.to_dict() for k, v in self.matchers.items()},
-            "skipped": list(self.skipped),
-            "warnings": list(self.warnings),
-        }
-        if self.generated_at is not None:
-            payload["generated_at"] = self.generated_at
-        return payload
+        return _write(self, EvalReport)
 
     @classmethod
     def from_dict(cls, payload) -> "EvalReport":
@@ -116,6 +96,25 @@ def _read(value, kind, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         got = f"expected {kind.__name__}, got {type(value).__name__}"
         raise ReportSchemaError(f"{where}: {got}" if where else got)
+    return value
+
+
+def _write(value, kind):
+    """``value``, of the annotated type ``kind``, as the JSON ``_read`` reads back:
+    dataclasses are walked, what ``_read`` takes as it is (``config``,
+    ``per_document`` entries, strings, numbers) is passed on, and a field
+    that is ``None`` (only an optional one may be) is left out."""
+    if is_dataclass(kind):
+        return {
+            f.name: _write(v, f.type)
+            for f in fields(kind)
+            if (v := getattr(value, f.name)) is not None
+        }
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list and is_dataclass(args[0]):
+        return [_write(v, args[0]) for v in value]
+    if origin is dict and is_dataclass(args[1]):
+        return {k: _write(v, args[1]) for k, v in value.items()}
     return value
 
 

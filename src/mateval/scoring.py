@@ -32,9 +32,6 @@ class MatchCounts:
             self.tp + other.tp, self.fp + other.fp, self.fn + other.fn
         )
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn}
-
 
 @dataclass(frozen=True)
 class Scores:
@@ -44,14 +41,6 @@ class Scores:
     recall: float
     f1: float
     support: int
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
 
 
 @dataclass(frozen=True)
@@ -71,14 +60,6 @@ class RunAggregate:
         truncation is what makes stored reports diff cleanly against them.
         """
         return _truncate(self.mean_f1, places), _truncate(self.std_f1, places)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_f1": self.mean_f1,
-            "std_f1": self.std_f1,
-            "avg_support": self.avg_support,
-            "n_runs": self.n_runs,
-        }
 
 
 def _truncate(value: float, places: int) -> float:

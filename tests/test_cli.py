@@ -1,6 +1,7 @@
 """Tests for the command-line interface (exit codes, outputs, determinism)."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -387,6 +388,19 @@ class TestExtractCommand:
         )
         assert code == 3
         assert "canned response" in err
+
+    def test_fixture_that_is_not_utf8_exits_3_naming_it(self, tmp_path):
+        fixtures, out_path = tmp_path / "fixtures", tmp_path / "preds.jsonl"
+        shutil.copytree(DATA / "fixtures", fixtures)
+        bad = fixtures / "d2" / "ner_material" / "run1.txt"
+        bad.write_bytes(b"\xff\xfe[\x00]\x00")
+        result = run_subprocess(
+            ["extract", "--corpus", DATA / "corpus.jsonl", "--task", "ner_material",
+             "--dry-run", "--fixtures", fixtures, "--seed", "1", "--output", out_path])
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: ") and str(bad) in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out_path.exists()
 
     def test_auto_seed_is_printed(self, capsys, tmp_path):
         out_path = tmp_path / "preds.jsonl"

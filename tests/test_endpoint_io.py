@@ -621,11 +621,18 @@ class TestSimilarityReplies:
         (200, b'{"score": null}'), (200, b'{"score": "nan"}'), (200, b'{"score": 7}'),
         (200, b'{"score": -0.5}'), (200, b'{"score": 1e999}'), (200, b'{"score": "high"}'),
         (200, b'{"similarity": 0.5}'), (200, b"[0.5]"), (500, b'{"score": 0.5}'),
+        (200, b'{"score": "0.95"}'), (200, b'{"score": true}'),
     ])
     def test_bad_reply_raises_provider_error(self, chat_stub, status, body):
         chat_stub.script = [(status, {}, body)]
         provider = HttpSimilarityProvider(chat_stub.url + "/score", 5.0)
         with pytest.raises(ProviderUnavailableError, match="similarity service at"):
+            provider.score("a", "b")
+
+    def test_integer_too_large_for_a_float_raises_provider_error(self, chat_stub):
+        chat_stub.script = [(200, {}, b'{"score": 1' + b"0" * 400 + b"}")]
+        provider = HttpSimilarityProvider(chat_stub.url + "/score", 5.0)
+        with pytest.raises(ProviderUnavailableError, match="is not in"):
             provider.score("a", "b")
 
     def test_scores_in_range_are_accepted(self, chat_stub):
@@ -683,6 +690,7 @@ BAD_CONFIGS = {
     "zero timeout": b"timeout = 0",
     "no equals sign": b"max_concurrency",
     "not utf-8": b"model = caf\xe9",
+    "misspelt boolean": b"dry_run = ture",
 }
 
 
@@ -711,6 +719,13 @@ class TestConfigErrors:
             [command, "--corpus", DATA / "corpus.jsonl", *flags, "--config", cfg], capsys)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: {cfg}:3: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, value", [("TRUE", True), ("No", False),
+                                             ("1", True), ("0", False)])
+    def test_booleans_are_read_in_any_case(self, text, value):
+        cfg = ChatEndpointConfig(dry_run=not value)
+        cfg.set("dry_run", text)
+        assert cfg.dry_run is value
 
     def test_bad_config_is_still_a_value_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -9,12 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mateval.cli import main
 from mateval.corpus import PredictionSet, RelationGroup, load_corpus, load_predictions
 from mateval.errors import ReportSchemaError
 from mateval.evaluation import EvalConfig, evaluate_ner, evaluate_re
-from mateval.report import EvalReport, read_report, render_report
+from mateval.report import EvalReport, MatcherBlock, RunScores, read_report, render_report
+from mateval.scoring import RunAggregate, Scores
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "corpus.jsonl")
@@ -78,6 +81,63 @@ def test_config_and_per_document_entries_pass_through(reports):
     payload["config"]["anything"] = [None, {"nested": True}]
     payload["matchers"]["strict"]["runs"][0]["per_document"][0]["note"] = "kept"
     assert EvalReport.from_dict(copy.deepcopy(payload)).to_dict() == payload
+
+
+def _oracle(report: EvalReport) -> dict:
+    """The report JSON as hand-written ``to_dict`` methods, one per type, wrote it."""
+    def scores(s):
+        return {"precision": s.precision, "recall": s.recall, "f1": s.f1, "support": s.support}
+
+    def aggregate(a):
+        return {"mean_f1": a.mean_f1, "std_f1": a.std_f1, "avg_support": a.avg_support,
+                "n_runs": a.n_runs}
+
+    def run(r):
+        return {"run": r.run, "scores": scores(r.scores), "expected_total": r.expected_total,
+                "per_document": r.per_document}
+
+    payload = {
+        "task": report.task,
+        "config": report.config,
+        "matchers": {name: {"runs": [run(r) for r in block.runs],
+                            "aggregate": aggregate(block.aggregate)}
+                     for name, block in report.matchers.items()},
+        "skipped": list(report.skipped),
+        "warnings": list(report.warnings),
+    }
+    if report.generated_at is not None:
+        payload["generated_at"] = report.generated_at
+    return payload
+
+
+_numbers = st.floats(allow_nan=False, allow_infinity=False)
+_counts = st.integers(min_value=0, max_value=10**6)
+_json = st.recursive(st.none() | st.booleans() | st.integers() | _numbers | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6)
+_documents = st.fixed_dictionaries(
+    {"doc_id": st.text(), "tp": _counts, "fp": _counts, "fn": _counts},
+    optional={"note": _json})
+_runs = st.builds(RunScores, run=st.text(), scores=st.builds(Scores, _numbers, _numbers,
+                                                             _numbers, _counts),
+                  expected_total=_counts, per_document=st.lists(_documents, max_size=3))
+_blocks = st.builds(MatcherBlock, runs=st.lists(_runs, max_size=3),
+                    aggregate=st.builds(RunAggregate, _numbers, _numbers, _numbers, _counts))
+_reports = st.builds(
+    EvalReport, task=st.text(), config=st.dictionaries(st.text(), _json, max_size=4),
+    matchers=st.dictionaries(st.text(), _blocks, max_size=3),
+    skipped=st.lists(st.text(), max_size=2), warnings=st.lists(st.text(), max_size=2),
+    generated_at=st.none() | st.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reports)
+def test_to_dict_writes_what_the_typed_serializers_wrote(report):
+    payload = report.to_dict()
+    assert payload == _oracle(report)
+    assert payload.get("generated_at", "unset") is not None
+    rendered = render_report(report, "json")
+    assert render_report(EvalReport.from_dict(json.loads(rendered)), "json") == rendered
 
 
 @pytest.mark.parametrize("command", [
