@@ -212,24 +212,28 @@ def cmd_eval_re(args) -> int:
     return _run_eval(args, "re")
 
 
-def _load_hints(path: str | None, class_: str) -> dict[str, list[str]]:
-    if not path:
-        return {}
+def _load_hints(path: str, class_: str) -> dict[str, list[str]]:
+    """Each document's ``class_`` entities in a hints file of one line per document."""
     hints: dict[str, list[str]] = {}
     for pred in corpus.load_predictions(path):
-        hints.setdefault(pred.doc_id, [])
-        hints[pred.doc_id].extend(pred.entities.get(class_, []))
+        if pred.doc_id in hints:
+            raise ConfigError(f"--hints {path}: document {pred.doc_id!r} has more than "
+                              f"one line (one run per document)")
+        hints[pred.doc_id] = pred.entities.get(class_, [])
     return hints
 
 
 def cmd_extract(args) -> int:
     if args.runs < 1:
         raise ConfigError(f"--runs: must be >= 1, got {args.runs}")
+    if bool(args.hints) != (args.mode == "few" and args.task != "re"):
+        raise ConfigError("few-shot NER (--mode few with an ner_* task) needs --hints, "
+                          "and nothing else reads them")
     documents = corpus.load_corpus(args.corpus)
     cfg = _endpoint_config(args)
     seed = _resolve_seed(args)
     class_ = corpus.TASK_CLASSES.get(args.task)
-    hints = _load_hints(args.hints, class_ or "material")
+    hints = _load_hints(args.hints, class_) if args.hints else {}
     # dry-run reads local fixtures: no endpoint to wait on, so threads only
     # contend for the interpreter lock
     limiter = llm.RateLimiter(1 if cfg.dry_run else cfg.max_concurrency, cfg.min_interval)
@@ -262,7 +266,7 @@ def cmd_extract(args) -> int:
                 bundle = prompts.build_ner_prompt(
                     args.task,
                     doc.text,
-                    hints=hints.get(doc.id) if args.mode == "few" else None,
+                    hints=hints.get(doc.id),
                     model=cfg.model,
                     temperature=args.temperature,
                 )
@@ -277,7 +281,7 @@ def cmd_extract(args) -> int:
     failures = []
     for (doc_id, run_label, _), raw in zip(jobs, raws):
         try:
-            parsed = llm.parse_response(raw, args.task, args.response_format)
+            parsed = llm.parse_response(raw, args.task)
         except MatEvalError as exc:
             failures.append(f"{doc_id}/{run_label}: {exc}")
             parsed = []
@@ -299,6 +303,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_prepare_finetune(args) -> int:
+    if os.path.realpath(args.train_output) == os.path.realpath(args.test_output):
+        raise ConfigError(f"--train-output and --test-output are one file: {args.test_output}")
     documents = corpus.load_corpus(args.corpus)
     seed = _resolve_seed(args)
     train, test = finetune.prepare_finetune(
@@ -398,14 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="non_shuffled")
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--seed", type=int)
-    p.add_argument("--hints", help="prediction JSONL with few-shot hints")
+    p.add_argument("--hints", help="prediction JSONL of few-shot NER hints, one line per document")
     p.add_argument("--config", help="endpoint config file (key=value lines)")
     p.add_argument("--model")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--dry-run", action="store_const", const="true")
     p.add_argument("--fixtures", help="canned-response directory for --dry-run")
-    p.add_argument("--response-format", choices=("auto", "json", "pseudo"),
-                   default="auto")
     p.add_argument("--output", help="predictions JSONL path (default: stdout)")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_extract)

@@ -21,7 +21,6 @@ blank slot is ``None``); they are filtered at evaluation time. Reports live in
 
 import io
 import json
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,8 +33,6 @@ TASK_CLASSES = {"ner_material": "material", "ner_quantity": "quantity"}
 PSEUDO_HEADERS = {"material": "materials", "quantity": "quantities"}
 # the slots of a relation group, in prompt and report order
 RELATION_SLOTS = ("material", "tc", "pressure")
-
-_WS_RE = re.compile(r"\s+")
 
 
 def __getattr__(name: str):
@@ -130,15 +127,22 @@ def _require(payload: dict, key: str, kind, line: int):
     return _check(payload[key], kind, line, key)
 
 
-def _iter_jsonl(path: str):
+def numbered_lines(path: str, not_utf8):
+    """``(line number, line)`` pairs of a UTF-8 text file, counted from 1 and
+    read with universal newlines; text that is not UTF-8 raises the error
+    ``not_utf8(number of the first bad byte's line)``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = io.StringIO(data.decode("utf-8"), newline=None)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise SchemaViolationError(lineno, "line", "not UTF-8 text") from exc
-    for lineno, line in enumerate(lines, 1):
+        raise not_utf8(data.count(b"\n", 0, exc.start) + 1) from exc
+    return enumerate(io.StringIO(text, newline=None), 1)
+
+
+def _iter_jsonl(path: str):
+    lines = numbered_lines(path, lambda n: SchemaViolationError(n, "line", "not UTF-8 text"))
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:
@@ -289,8 +293,8 @@ def validate_corpus(documents: list[Document]) -> list[ValidationIssue]:
                         )
                     )
                     continue
-                sliced = _WS_RE.sub(" ", doc.text[start:end].strip())
-                wanted = _WS_RE.sub(" ", entity.text.strip())
+                sliced = " ".join(doc.text[start:end].split())
+                wanted = " ".join(entity.text.split())
                 if sliced != wanted:
                     issues.append(
                         ValidationIssue(

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 from .corpus import PSEUDO_HEADERS, TASK_CLASSES, Document, RelationGroup
 from .errors import ConfigError, EmptyCorpusError
-from .prompts import (
-    PromptBundle,
-    build_ner_prompt,
-    build_re_prompt,
-    derive_subseed,
-    shuffle_entities,
-)
+from .prompts import PromptBundle, build_ner_prompt, build_re_prompt, derive_subseed
 
 STRATEGIES = ("base", "document_order", "augmented")
 
@@ -74,12 +68,6 @@ def _record(doc: Document, bundle: PromptBundle, answer: str, strategy: str) -> 
     )
 
 
-def _shuffled_copy(
-    entities: dict[str, list[str]], seed: int, doc_id: str, copy: int
-) -> dict[str, list[str]]:
-    return shuffle_entities(entities, derive_subseed(seed, doc_id, str(copy)))
-
-
 def _doc_records(doc: Document, task: str, strategy: str, seed: int) -> list[FineTuneRecord]:
     if task != "re":
         bundle = build_ner_prompt(task, doc.text)  # ValueError for an unknown task
@@ -91,19 +79,21 @@ def _doc_records(doc: Document, task: str, strategy: str, seed: int) -> list[Fin
         return []
     answer = render_pseudo_relations(doc.relations)
 
-    def record(ordered: dict[str, list[str]]) -> FineTuneRecord:
-        return _record(doc, build_re_prompt(doc.text, ordered), answer, strategy)
+    def record(copy: int | None) -> FineTuneRecord:
+        """The record of shuffled copy ``copy``; ``None`` keeps document order."""
+        shuffle_seed = None if copy is None else derive_subseed(seed, doc.id, str(copy))
+        bundle = build_re_prompt(doc.text, entities, shuffle_seed=shuffle_seed)
+        return _record(doc, bundle, answer, strategy)
 
     if strategy == "document_order":
-        return [record(entities)]
-    base = record(_shuffled_copy(entities, seed, doc.id, 0))
-    records = [base]
+        return [record(None)]
+    records = [record(0)]
     if strategy == "augmented":
         for attempt in range(1, _MAX_RESHUFFLES + 1):
             # compare rendered prompts: distinct orderings can render alike
             # when a value contains the ", " that joins a list
-            candidate = record(_shuffled_copy(entities, seed, doc.id, attempt))
-            if candidate != base:
+            candidate = record(attempt)
+            if candidate != records[0]:
                 records.append(candidate)
                 break
         # single-ordering examples (all lists length <= 1) stay unduplicated
@@ -120,13 +110,13 @@ def prepare_finetune(
 ) -> tuple[list[FineTuneRecord], list[FineTuneRecord]]:
     """Build (train, test) fine-tune records from a corpus.
 
-    With the default ``split_unit="record"`` (the unit behind reported
-    dataset sizes), records are shuffled with the seeded PRNG after
-    generation and cut at ``floor(split_ratio * n)``; augmented copies of
-    one document can then land on both sides. ``split_unit="document"``
-    partitions documents first, keeping all records of a document together,
-    which avoids that leakage. Both are disjoint, exhaustive, and
-    reproducible under the seed.
+    The split units are shuffled with the seeded PRNG and cut at
+    ``floor(split_ratio * n)``. With the default ``split_unit="record"``
+    (the unit behind reported dataset sizes) a unit is one record, so
+    augmented copies of one document can land on both sides;
+    ``split_unit="document"`` keeps all records of a document together,
+    which avoids that leakage, and keeps corpus order on each side. Both
+    are disjoint, exhaustive, and reproducible under the seed.
 
     Each record's system and user messages are the extraction prompt
     (:func:`~mateval.prompts.build_ner_prompt` or
@@ -147,29 +137,18 @@ def prepare_finetune(
     if not documents:
         raise EmptyCorpusError("no documents to prepare")
 
-    if split_unit == "document":
-        order = list(range(len(documents)))
-        random.Random(derive_subseed(seed, "split")).shuffle(order)
-        cut = int(split_ratio * len(documents))
-        train, test = [], []
-        for side, indexes in ((train, order[:cut]), (test, order[cut:])):
-            for i in sorted(indexes):
-                side.extend(_doc_records(documents[i], task, strategy, seed))
-        if not train and not test:
-            raise EmptyCorpusError("no documents with usable entities")
-        return train, test
-
-    records: list[FineTuneRecord] = []
-    for doc in documents:
-        records.extend(_doc_records(doc, task, strategy, seed))
-    if not records:
+    per_doc = [_doc_records(doc, task, strategy, seed) for doc in documents]
+    if not any(per_doc):
         raise EmptyCorpusError("no documents with usable entities")
-    order = list(range(len(records)))
+    # a split unit is a document's records, or one record on its own
+    units = per_doc if split_unit == "document" else [[r] for rs in per_doc for r in rs]
+    order = list(range(len(units)))
     random.Random(derive_subseed(seed, "split")).shuffle(order)
-    cut = int(split_ratio * len(records))
-    train = [records[i] for i in order[:cut]]
-    test = [records[i] for i in order[cut:]]
-    return train, test
+    cut = int(split_ratio * len(units))
+    sides = order[:cut], order[cut:]
+    if split_unit == "document":  # each side keeps corpus order
+        sides = tuple(map(sorted, sides))
+    return tuple([r for i in side for r in units[i]] for side in sides)
 
 
 def write_finetune_file(records: list[FineTuneRecord], path: str) -> None:

@@ -9,7 +9,6 @@ trimming, trailing commas) because deeper repair would quietly corrupt
 evaluations.
 """
 
-import io
 import json
 import logging
 import math
@@ -19,7 +18,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
+from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES, numbered_lines
 from .errors import (
     ConfigError,
     EndpointError,
@@ -102,14 +101,8 @@ class ChatEndpointConfig:
         that :meth:`set` rejects raises ConfigError naming ``path:line``.
         """
         cfg = cls()
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            lines = io.StringIO(data.decode("utf-8"), newline=None)
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from exc
-        for lineno, line in enumerate(lines, 1):
+        lines = numbered_lines(path, lambda n: ConfigError(f"{path}:{n}: not UTF-8 text"))
+        for lineno, line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -256,9 +249,13 @@ def _drop_trailing_commas(text: str) -> str:
     return re.sub(r",\s*([\]}])", r"\1", text)
 
 
-def _loads_with_repair(raw: str):
+# the bounded JSON repair; each pass works on the text the one before left
+_REPAIRS = (_strip_code_fences, _outer_bracketed, _drop_trailing_commas)
+
+
+def _loads_with_repair(raw: str, repairs=_REPAIRS):
     text = raw
-    for repair in (lambda s: s, _strip_code_fences, _outer_bracketed, _drop_trailing_commas):
+    for repair in (lambda s: s, *repairs):
         text = repair(text)
         try:
             return json.loads(text)
@@ -293,7 +290,11 @@ def parse_json_response(raw: str, task: str):
     """
     if _is_refusal(raw):
         return []
-    payload = _loads_with_repair(raw)
+    return _json_items(_loads_with_repair(raw), task, raw)
+
+
+def _json_items(payload, task: str, raw: str) -> list:
+    """The entity strings or relation dicts of a decoded JSON response."""
     if isinstance(payload, dict):
         for key in ("materials", "quantities", "relations", "entities", "results"):
             if isinstance(payload.get(key), list):
@@ -405,15 +406,28 @@ def _parse_pseudo_entities(raw: str, task: str) -> list[str]:
     return entities
 
 
-def parse_response(raw: str, task: str, response_format: str = "auto"):
-    """Parse a response as JSON, pseudo format, or best effort (``auto``)."""
-    if response_format == "json":
-        return parse_json_response(raw, task)
-    if response_format == "pseudo":
-        return parse_pseudo_format(raw, task)
-    if response_format != "auto":
-        raise ValueError(f"unknown response format {response_format!r}")
+def parse_response(raw: str, task: str):
+    """Parse a response in the format it is written in.
+
+    JSON as written or inside a code fence comes first; then the pseudo
+    format, if it reads at least one item; then the bounded JSON repair. So
+    a citation such as ``[12]`` in a pseudo-format answer is not read as
+    the answer's JSON. If all three fail, the pseudo parser's error is
+    raised; a pseudo answer with no items (a lone header) is empty.
+    """
+    try:  # a refusal fails here, and reads as empty below
+        return _json_items(_loads_with_repair(raw, _REPAIRS[:1]), task, raw)
+    except ResponseParseError:
+        pass
+    try:
+        parsed, error = parse_pseudo_format(raw, task), None
+    except ResponseParseError as exc:
+        parsed, error = [], exc
+    if parsed:
+        return parsed
     try:
         return parse_json_response(raw, task)
     except ResponseParseError:
-        return parse_pseudo_format(raw, task)
+        if error is not None:
+            raise error from None
+        return parsed

@@ -100,17 +100,15 @@ def soft_match(a: str, b: str, threshold: float = DEFAULT_THRESHOLD) -> MatchOut
 class SimilarityProvider:
     """Scorer contract for semantic matching: ``score(a, b) -> [0, 1]``.
 
-    Conforming providers must return 1.0 for identical inputs. The bundled
+    Conforming providers must return 1.0 for identical inputs. A provider may
+    also offer ``score_many(pairs) -> scores``, in order, to score a batch;
+    without it, pairs are scored one ``score`` call at a time. The bundled
     implementation calls an external HTTP service; tests may substitute any
     object with a compatible ``score``.
     """
 
     def score(self, a: str, b: str) -> float:
         raise NotImplementedError
-
-    def score_many(self, pairs: list[tuple[str, str]]) -> list[float]:
-        """Scores of ``pairs``, in order; one ``score`` call per pair."""
-        return [self.score(a, b) for a, b in pairs]
 
 
 class HttpSimilarityProvider(SimilarityProvider):
@@ -321,7 +319,7 @@ class SemanticTier(Tier):
             return
         if self.provider is None:
             raise ProviderUnavailableError("no similarity provider configured")
-        score_many = getattr(self.provider, "score_many", None)  # duck types may lack it
+        score_many = getattr(self.provider, "score_many", None)  # optional in the contract
         scores = score_many(todo) if score_many else [self.provider.score(*p) for p in todo]
         self._scores.update(zip(todo, scores))
 

@@ -276,6 +276,18 @@ def _parse_clause(variable: str, body: str) -> list[SubstitutionSet]:
     return sets
 
 
+def _add_amount(composition: Composition, symbol: str, amount: Amount) -> bool:
+    """Merge ``amount`` into ``symbol``'s: numeric amounts sum. False, leaving
+    ``composition`` as it was, when a symbolic amount meets any other."""
+    if symbol in composition:
+        prev = composition[symbol]
+        if not (isinstance(prev, float) and isinstance(amount, float)):
+            return False
+        amount = _finite(prev + amount)
+    composition[symbol] = amount
+    return True
+
+
 def parse_material(
     raw: str, lexicon: tuple[str, ...] | None = None
 ) -> ParsedMaterial:
@@ -334,17 +346,10 @@ def parse_material(
 
     composition: Composition = {}
     for symbol, amount in pairs:
-        value: Amount = 1.0 if amount is None else amount
-        if symbol in composition:
-            prev = composition[symbol]
-            if isinstance(prev, float) and isinstance(value, float):
-                composition[symbol] = _finite(prev + value)
-            else:
-                raise UnparseableMaterialError(
-                    f"repeated element {symbol!r} with symbolic amounts in {raw!r}"
-                )
-        else:
-            composition[symbol] = value
+        if not _add_amount(composition, symbol, 1.0 if amount is None else amount):
+            raise UnparseableMaterialError(
+                f"repeated element {symbol!r} with symbolic amounts in {raw!r}"
+            )
     if periodic_table().isdisjoint(composition):
         raise UnparseableMaterialError(f"no valid element token in {raw!r}")
 
@@ -371,17 +376,10 @@ def _substitute_element(
         return dict(composition)
     out: Composition = {}
     for key, amount in composition.items():
-        key = element if key == variable else key
-        if key in out:
-            if isinstance(out[key], float) and isinstance(amount, float):
-                out[key] = _finite(out[key] + amount)  # type: ignore[operator]
-            else:
-                raise UnparseableMaterialError(
-                    f"substituting {variable}->{element} collides with a "
-                    f"symbolic amount"
-                )
-        else:
-            out[key] = amount
+        if not _add_amount(out, element if key == variable else key, amount):
+            raise UnparseableMaterialError(
+                f"substituting {variable}->{element} collides with a symbolic amount"
+            )
     return out
 
 

@@ -473,3 +473,125 @@ class TestReportCommand:
         )
         assert code == 0
         assert "| Run | Matching |" in out
+
+
+CORPUS_LINES = (DATA / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+class TestResponseFormatThroughExtract:
+    """A pseudo-format answer with a bracketed fragment keeps its entities."""
+
+    ANSWERS = {
+        "ner_material": ("materials:\n - MgB2 [12]\n",
+                         {"entities": {"material": ["MgB2 [12]"]}}),
+        "re": ('material: MgB2, tc: 39 K {"ref": 3}\n',
+               {"relations": [{"material": "MgB2", "tc": '39 K {"ref": 3}'}]}),
+    }
+
+    @pytest.mark.parametrize("task", ANSWERS)
+    def test_bracketed_fragment_in_a_pseudo_answer(self, capsys, tmp_path, task):
+        answer, parsed = self.ANSWERS[task]
+        fixture = tmp_path / "fixtures" / "d1" / task / "run1.txt"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_text(answer, encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(CORPUS_LINES[0] + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            ["extract", "--corpus", corpus, "--task", task, "--dry-run",
+             "--fixtures", tmp_path / "fixtures", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"doc_id": "d1", "run": "run1", **parsed}
+
+    def test_response_format_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["extract", "--corpus", str(DATA / "corpus.jsonl"), "--task", "re",
+                  "--response-format", "json"])
+        assert "unrecognized arguments: --response-format" in capsys.readouterr().err
+
+
+class TestPrepareFinetuneOutputs:
+    @pytest.mark.parametrize("test_name", ["same.jsonl", "./same.jsonl", "link/same.jsonl"])
+    def test_one_file_for_both_outputs_exits_3_writing_nothing(
+            self, capsys, tmp_path, monkeypatch, test_name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path)
+        code, out, err = run_cli(
+            ["prepare-finetune", "--corpus", DATA / "corpus.jsonl", "--task", "re",
+             "--seed", "1", "--train-output", "same.jsonl", "--test-output", test_name],
+            capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "one file" in err
+        assert not (tmp_path / "same.jsonl").exists()
+
+
+class TestFewShotHints:
+    """Few-shot NER prompts need --hints, of one line per document, and
+    nothing else reads them."""
+
+    @pytest.fixture
+    def hints(self, capsys, tmp_path):
+        """Prediction files of one run and of three runs per document."""
+        paths = {}
+        for runs in (1, 3):
+            paths[runs] = tmp_path / f"hints{runs}.jsonl"
+            code, _, _ = run_cli(
+                ["extract", "--corpus", DATA / "corpus.jsonl", "--task", "ner_material",
+                 "--runs", runs, "--dry-run", "--fixtures", DATA / "fixtures", "--seed", "1",
+                 "--output", paths[runs]], capsys)
+            assert code == 0
+        return paths
+
+    def _extract(self, capsys, tmp_path, *argv):
+        out = tmp_path / "out.jsonl"
+        code, _, err = run_cli(
+            ["extract", "--corpus", DATA / "corpus.jsonl", "--dry-run", "--fixtures",
+             DATA / "fixtures", "--seed", "1", "--output", out, *argv], capsys)
+        return code, err, out.exists()
+
+    @pytest.mark.parametrize("argv, with_hints", [
+        (["--task", "ner_material", "--mode", "few"], False),
+        (["--task", "ner_material", "--mode", "zero"], True),
+        (["--task", "ner_material"], True),
+        (["--task", "re", "--mode", "few"], True),
+        (["--task", "re", "--mode", "zero"], True),
+    ])
+    def test_unread_or_missing_hints_exit_3(self, capsys, tmp_path, hints, argv, with_hints):
+        extra = ["--hints", hints[1]] if with_hints else []
+        code, err, written = self._extract(capsys, tmp_path, *argv, *extra)
+        assert (code, written) == (3, False)
+        assert err.startswith("error: ") and "--hints" in err
+
+    def test_several_runs_per_document_exit_3_naming_file_and_document(
+            self, capsys, tmp_path, hints):
+        code, err, written = self._extract(
+            capsys, tmp_path, "--task", "ner_material", "--mode", "few", "--hints", hints[3])
+        assert (code, written) == (3, False)
+        assert err.startswith("error: ") and str(hints[3]) in err and "'d1'" in err
+
+    def test_one_line_per_document_is_read(self, capsys, tmp_path, hints):
+        code, err, written = self._extract(
+            capsys, tmp_path, "--task", "ner_material", "--mode", "few", "--hints", hints[1])
+        assert (code, written) == (0, True)
+
+
+class TestEvalNerQuantityClass:
+    def test_scores_quantity_entities_only(self, capsys, tmp_path):
+        corpus, preds = tmp_path / "corpus.jsonl", tmp_path / "preds.jsonl"
+        corpus.write_text(json.dumps({
+            "id": "q1", "text": "The can held 355 ml at 4.2 K.",
+            "entities": [{"text": "355 ml", "class": "quantity"},
+                         {"text": "4.2 K", "class": "quantity"},
+                         {"text": "can", "class": "material"}]}) + "\n")
+        preds.write_text(json.dumps({
+            "doc_id": "q1", "run": "run1",
+            "entities": {"quantity": ["355 ml", "4.2K", "7 days"], "material": ["can"]}}) + "\n")
+        code, out, _ = run_cli(
+            ["eval-ner", "--corpus", corpus, "--predictions", preds, "--class", "quantity",
+             "--matchers", "strict,soft", "--threshold", "0.85"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["task"] == "ner_quantity"
+        counts = {name: block["runs"][0]["per_document"][0]
+                  for name, block in report["matchers"].items()}
+        assert counts == {"strict": {"doc_id": "q1", "tp": 1, "fp": 2, "fn": 1},
+                          "soft": {"doc_id": "q1", "tp": 2, "fp": 1, "fn": 0}}

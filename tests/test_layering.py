@@ -249,10 +249,23 @@ def test_cli_start_up_leaves_the_http_stack_unloaded():
 
 # a fresh interpreter runs one command, then lists its exit code and every
 # module that ran: a module cli binds lazily keeps a ModuleType subclass as
-# its type until its first use runs it
+# its type until its first use runs it. LazyLoader locks a first use only
+# from Python 3.12.3 on, so the probe also notes the mateval modules still
+# unrun when the first helper thread starts; "<listing>.late" lists those
+# that ran after it, under "started" ("none": no thread started)
 _COMMAND_PROBE = (
-    "import sys, types\n"
+    "import sys, threading, types\n"
     "import mateval.cli\n"
+    "def unrun():\n"
+    "    return {n for n, m in sys.modules.items()\n"
+    "            if n.startswith('mateval.') and type(m) is not types.ModuleType}\n"
+    "at_first_start = None\n"
+    "def start(thread, start=threading.Thread.start):\n"
+    "    global at_first_start\n"
+    "    if at_first_start is None:\n"
+    "        at_first_start = unrun()\n"
+    "    start(thread)\n"
+    "threading.Thread.start = start\n"
     "try:\n"
     "    code = mateval.cli.main(sys.argv[2:])\n"
     "except SystemExit as exc:\n"  # --help
@@ -260,6 +273,10 @@ _COMMAND_PROBE = (
     "ran = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]\n"
     "with open(sys.argv[1], 'w') as fh:\n"
     "    fh.write('\\n'.join([str(code), *ran]))\n"
+    "late = ['none'] if at_first_start is None else [\n"
+    "    'started', *sorted(at_first_start - unrun())]\n"
+    "with open(sys.argv[1] + '.late', 'w') as fh:\n"
+    "    fh.write('\\n'.join(late))\n"
 )
 _DATA = Path(__file__).resolve().parent / "data"
 _LIBRARY = {f"mateval.{m}" for m in
@@ -269,11 +286,12 @@ _CHAT = {"mateval.llm", "mateval.prompts", "mateval.finetune", "logging", "hashl
 _OFFLINE = {"http.client", "urllib.request", "datetime", "secrets"}
 
 
-def _run_probe(tmp_path: Path, argv: list) -> tuple[int, set[str]]:
+def _run_probe(tmp_path: Path, argv: list, env: dict | None = None) -> tuple[int, set[str]]:
     listing = tmp_path / "modules.txt"
     subprocess.run(
         [sys.executable, "-c", _COMMAND_PROBE, str(listing), *map(str, argv)],
-        env={"PYTHONPATH": str(SRC.parent)}, capture_output=True, check=True, timeout=120,
+        env={"PYTHONPATH": str(SRC.parent), **(env or {})}, capture_output=True, check=True,
+        timeout=120,
     )
     code, *modules = listing.read_text(encoding="utf-8").split("\n")
     return int(code), set(modules)
@@ -353,3 +371,24 @@ def test_each_command_loads_only_what_it_runs(name, pipeline_files, tmp_path):
     code, loaded = _run_probe(tmp_path, _command(name, pipeline_files))
     assert code in (0, 1) and "mateval.cli" in loaded
     assert sorted(loaded & COMMAND_MUST_NOT_LOAD[name]) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "eval-ner --matchers semantic"])
+def test_helper_threads_run_no_module_first(
+        command, chat_stub, semantic_endpoint, pipeline_files, tmp_path):
+    # four requests in flight: each command must run, on the main thread,
+    # every module its helper threads use before it starts them
+    config = tmp_path / "endpoint.cfg"
+    config.write_text(f"base_url = {chat_stub.url}\ncredential_env = MATEVAL_PROBE_KEY\n"
+                      f"max_concurrency = 4\nsemantic_endpoint = {semantic_endpoint}\n")
+    inputs = ["--corpus", _DATA / "corpus.jsonl", "--config", config]
+    argv = {
+        "extract": ["extract", *inputs, "--task", "re", "--seed", "1"],
+        "eval-ner --matchers semantic": ["eval-ner", *inputs, "--predictions",
+                                         pipeline_files / "ner_material.jsonl",
+                                         "--matchers", "semantic"],
+    }[command]
+    code, _ = _run_probe(tmp_path, argv, {"MATEVAL_PROBE_KEY": "probe-key"})
+    started, *late = (tmp_path / "modules.txt.late").read_text(encoding="utf-8").split("\n")
+    assert code in (0, 1) and started == "started"
+    assert late == []

@@ -2,6 +2,7 @@
 fine-tune data preparation."""
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mateval.corpus import Document, EntityMention, RelationGroup, load_corpus
+from mateval.corpus import (
+    ENTITY_CLASSES,
+    TASK_CLASSES,
+    Document,
+    EntityMention,
+    RelationGroup,
+    load_corpus,
+)
 from mateval.errors import (
     EmptyCorpusError,
     EmptyTextError,
@@ -20,6 +28,7 @@ from mateval.errors import (
     ResponseParseError,
 )
 from mateval.finetune import (
+    FineTuneRecord,
     prepare_finetune,
     render_pseudo_entities,
     render_pseudo_relations,
@@ -32,7 +41,12 @@ from mateval.llm import (
     parse_pseudo_format,
     parse_response,
 )
-from mateval.prompts import build_ner_prompt, build_re_prompt, derive_subseed
+from mateval.prompts import (
+    build_ner_prompt,
+    build_re_prompt,
+    derive_subseed,
+    shuffle_entities,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -557,3 +571,141 @@ class TestPseudoRendering:
     def test_empty_renders_refusal(self):
         assert render_pseudo_relations([]) == "None"
         assert render_pseudo_entities("material", []) == "None"
+
+
+class TestParseResponseDecidesTheFormat:
+    """JSON as written or fenced, then the pseudo format when it reads an
+    item, then the bounded JSON repair."""
+
+    def test_citation_in_a_pseudo_entity_is_not_json(self):
+        assert parse_response("materials:\n - MgB2 [12]", "ner_material") == ["MgB2 [12]"]
+
+    def test_json_object_in_a_pseudo_relation_is_not_json(self):
+        raw = 'material: MgB2, tc: 39 K {"ref": 3}'
+        assert parse_response(raw, "re") == [{"material": "MgB2", "tc": '39 K {"ref": 3}'}]
+
+    @pytest.mark.parametrize("raw", [
+        'Here are the materials:\n["MgB2"]',
+        'materials:\n["MgB2"]',  # a header with no bullet reads no item
+        '["MgB2",]',
+        '```json\n["MgB2"]\n```',
+        '[{"material": "MgB2"}]',
+    ])
+    def test_json_answers(self, raw):
+        assert parse_response(raw, "ner_material") == ["MgB2"]
+
+    @pytest.mark.parametrize("raw, task", [
+        ("None", "ner_material"), ("I don't know.", "ner_material"), ("materials:", "ner_material"),
+        ("None", "re"), ("material: , tc:", "re"),
+    ])
+    def test_empty_answers(self, raw, task):
+        assert parse_response(raw, task) == []
+
+    def test_final_error_is_the_pseudo_parsers(self):
+        with pytest.raises(ResponseParseError, match="no pseudo-format structure") as err:
+            parse_response("utter nonsense {{{", "ner_material")
+        assert err.value.raw == "utter nonsense {{{"
+        with pytest.raises(ResponseParseError, match="no relation keys"):
+            parse_response("[1, 2", "re")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(alphabet="MgB2OK xy()[]{}\"0123456789.-"), min_size=1, max_size=4),
+           st.booleans())
+    def test_rendered_answers_read_as_the_pseudo_parser_reads_them(self, texts, relations):
+        texts = [t for t in texts if t.strip()] or ["MgB2 [1]"]
+        if relations:
+            raw = render_pseudo_relations([RelationGroup(t, t) for t in texts])
+            assert parse_response(raw, "re") == parse_pseudo_format(raw, "re")
+        else:
+            raw = render_pseudo_entities("material", texts)
+            assert parse_response(raw, "ner_material") == parse_pseudo_format(raw, "ner_material")
+        as_json = json.dumps(texts)
+        assert parse_response(as_json, "ner_material") == parse_json_response(
+            as_json, "ner_material")
+
+
+# The split of fine-tune records as it was written before the two split
+# units shared one shuffle and one cut: kept as the oracle of
+# prepare_finetune, with its own copy of the per-document records.
+def _oracle_doc_records(doc, task, strategy, seed):
+    def record(bundle, answer):
+        messages = ({"role": "system", "content": bundle.system},
+                    {"role": "user", "content": bundle.user},
+                    {"role": "assistant", "content": answer})
+        return FineTuneRecord(messages=messages, strategy=strategy, source_doc=doc.id)
+
+    if task != "re":
+        class_ = TASK_CLASSES[task]
+        answer = render_pseudo_entities(class_, doc.entity_texts(class_))
+        return [record(build_ner_prompt(task, doc.text), answer)]
+    entities = doc.relation_entities()
+    if not entities:
+        return []
+    answer = render_pseudo_relations(doc.relations)
+    if strategy == "document_order":
+        return [record(build_re_prompt(doc.text, entities), answer)]
+    copies = [record(build_re_prompt(doc.text, shuffle_entities(
+        entities, derive_subseed(seed, doc.id, str(copy)))), answer)
+        for copy in range(9 if strategy == "augmented" else 1)]
+    extra = [c for c in copies[1:] if c != copies[0]][:1]
+    return copies[:1] + extra
+
+
+def _oracle_prepare_finetune(documents, task, strategy, seed, split_ratio, split_unit):
+    if split_unit == "document":
+        order = list(range(len(documents)))
+        random.Random(derive_subseed(seed, "split")).shuffle(order)
+        cut = int(split_ratio * len(documents))
+        train, test = [], []
+        for side, indexes in ((train, order[:cut]), (test, order[cut:])):
+            for i in sorted(indexes):
+                side.extend(_oracle_doc_records(documents[i], task, strategy, seed))
+        if not train and not test:
+            raise EmptyCorpusError("no documents with usable entities")
+        return train, test
+    records = []
+    for doc in documents:
+        records.extend(_oracle_doc_records(doc, task, strategy, seed))
+    if not records:
+        raise EmptyCorpusError("no documents with usable entities")
+    order = list(range(len(records)))
+    random.Random(derive_subseed(seed, "split")).shuffle(order)
+    cut = int(split_ratio * len(records))
+    return [records[i] for i in order[:cut]], [records[i] for i in order[cut:]]
+
+
+# few distinct texts, so shuffled orderings often render alike ("a, a")
+_ENTITY_TEXTS = st.sampled_from(["a", "a, a", "MgB2", "H3S", "39 K", "150 GPa", "x"])
+
+
+@st.composite
+def _corpora(draw):
+    documents = []
+    for i in range(draw(st.integers(1, 7))):
+        entities = draw(st.lists(st.builds(EntityMention, _ENTITY_TEXTS,
+                                           st.sampled_from(ENTITY_CLASSES)), max_size=6))
+        relations = draw(st.lists(st.builds(RelationGroup, _ENTITY_TEXTS, _ENTITY_TEXTS,
+                                            st.none() | _ENTITY_TEXTS), max_size=2))
+        text = draw(st.sampled_from(["MgB2 at 39 K", "text", " \n"]))
+        documents.append(Document(f"d{i}", text, entities, relations))
+    return documents
+
+
+def _outcome(prepare, *args):
+    try:
+        return prepare(*args)
+    except (EmptyCorpusError, EmptyTextError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSplitOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_corpora(), st.integers(0, 2**32), st.sampled_from([0.1, 0.5, 0.7, 0.99]))
+    def test_records_and_order_equal_the_two_path_split(self, documents, seed, ratio):
+        for task in ("ner_material", "ner_quantity", "re"):
+            for strategy in ("base", "document_order", "augmented"):
+                for unit in ("record", "document"):
+                    # records compare by messages, strategy and source_doc
+                    args = (documents, task, strategy, seed, ratio, unit)
+                    assert _outcome(prepare_finetune, *args) == _outcome(
+                        _oracle_prepare_finetune, *args)

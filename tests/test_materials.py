@@ -542,3 +542,37 @@ class TestReaderOracles:
     @example("Mg(")
     def test_fragment_reader_equals_character_loop(self, token):
         assert outcome(materials._parse_fragment, token) == outcome(oracle_parse_fragment, token)
+
+
+class TestAmountMerge:
+    """Repeats of one symbol, in a formula or after substituting a placeholder,
+    merge by one rule: numeric amounts sum, a symbolic amount clashes."""
+
+    @pytest.mark.parametrize("text, composition", [
+        ("CuOCu", {"Cu": 2.0, "O": 1.0}),  # two implicit amounts of 1
+        ("Cu2OCu0.5", {"Cu": 2.5, "O": 1.0}),
+    ])
+    def test_numeric_repeats_sum(self, text, composition):
+        assert parse_material(text).composition == composition
+
+    def test_substituted_numeric_repeats_sum(self):
+        (variant,) = expand_substitutions(parse_material("ACu2O (A = Cu)"))
+        assert variant.composition == {"Cu": 3.0, "O": 1.0}
+
+    @pytest.mark.parametrize("text", ["CuxCu", "CuCuxO"])
+    def test_symbolic_repeat_message(self, text):
+        with pytest.raises(UnparseableMaterialError) as err:
+            parse_material(text)
+        assert str(err.value) == f"repeated element 'Cu' with symbolic amounts in {text!r}"
+
+    @pytest.mark.parametrize("text", ["AxCu (A = Cu)", "ACux (A = Cu)"])
+    def test_substitution_clash_message(self, text):
+        with pytest.raises(UnparseableMaterialError) as err:
+            expand_substitutions(parse_material(text))
+        assert str(err.value) == "substituting A->Cu collides with a symbolic amount"
+
+    def test_a_clash_leaves_the_composition_as_it_was(self):
+        composition = {"Cu": "x", "O": 1.0}
+        assert materials._add_amount(composition, "Cu", 1.0) is False
+        assert materials._add_amount(composition, "O", "y") is False
+        assert composition == {"Cu": "x", "O": 1.0}
