@@ -231,7 +231,8 @@ def cmd_extract(args) -> int:
                           "and nothing else reads them")
     documents = corpus.load_corpus(args.corpus)
     cfg = _endpoint_config(args)
-    seed = _resolve_seed(args)
+    # only a shuffled RE prompt reads a seed
+    seed = _resolve_seed(args) if args.task == "re" and args.shuffle == "shuffled" else None
     class_ = corpus.TASK_CLASSES.get(args.task)
     hints = _load_hints(args.hints, class_) if args.hints else {}
     # dry-run reads local fixtures: no endpoint to wait on, so threads only
@@ -255,21 +256,11 @@ def cmd_extract(args) -> int:
                     doc.relation_entities(),
                     mode=args.mode,
                     shuffle_seed=(
-                        prompts.re_prompt_seed(seed, doc.id, run_label)
-                        if args.shuffle == "shuffled"
-                        else None
+                        None if seed is None else prompts.re_prompt_seed(seed, doc.id, run_label)
                     ),
-                    model=cfg.model,
-                    temperature=args.temperature,
                 )
             else:
-                bundle = prompts.build_ner_prompt(
-                    args.task,
-                    doc.text,
-                    hints=hints.get(doc.id),
-                    model=cfg.model,
-                    temperature=args.temperature,
-                )
+                bundle = prompts.build_ner_prompt(args.task, doc.text, hints=hints.get(doc.id))
             jobs.append((doc.id, run_label, bundle))
     # up to max_concurrency requests at once; responses keep (run, doc) order
     raws = limiter.map(
@@ -407,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hints", help="prediction JSONL of few-shot NER hints, one line per document")
     p.add_argument("--config", help="endpoint config file (key=value lines)")
     p.add_argument("--model")
-    p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--dry-run", action="store_const", const="true")
     p.add_argument("--fixtures", help="canned-response directory for --dry-run")
     p.add_argument("--output", help="predictions JSONL path (default: stdout)")

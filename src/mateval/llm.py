@@ -45,14 +45,19 @@ def _bool(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
+def _is_http_url(text: str) -> bool:
+    scheme, sep, rest = text.partition("://")
+    return bool(sep and rest) and scheme.lower() in ("http", "https")
+
+
 @dataclass
 class ChatEndpointConfig:
     """Settings of the chat endpoint and the similarity service.
 
     ``timeout``, ``max_concurrency`` and ``min_interval`` govern both
-    clients. ``credential_env`` names the environment variable holding the
-    API key, which never lives in config files. ``dry_run`` requires
-    ``fixture_dir``.
+    clients. Every chat request names ``model``, at temperature 0.
+    ``credential_env`` names the environment variable holding the API key,
+    which never lives in config files. ``dry_run`` requires ``fixture_dir``.
     """
 
     base_url: str = "https://api.openai.com/v1"
@@ -68,6 +73,8 @@ class ChatEndpointConfig:
     semantic_endpoint: str | None = None
 
     _VALID = {  # NaN fails every comparison
+        "base_url": (_is_http_url, "must be an http(s) URL"),
+        "semantic_endpoint": (lambda v: not v or _is_http_url(v), "must be an http(s) URL"),
         "timeout": (lambda v: 0 < v < math.inf, "must be positive and finite"),
         "backoff_base": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
         "min_interval": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
@@ -80,7 +87,8 @@ class ChatEndpointConfig:
 
         Config files and flags both set fields here. An unknown key, a value
         that does not convert, a negative count or interval, no concurrency
-        slot, or a timeout that is not positive and finite raises ConfigError.
+        slot, a timeout that is not positive and finite, or an endpoint that
+        is not an http(s) URL raises ConfigError.
         """
         kind = next((f.type for f in fields(self) if f.name == key), None)
         if kind is None:
@@ -195,8 +203,8 @@ def chat_complete(
             f"environment variable {cfg.credential_env} is not set"
         )
     payload = {
-        "model": bundle.model or cfg.model,
-        "temperature": bundle.temperature,
+        "model": cfg.model,
+        "temperature": 0.0,
         "messages": [
             {"role": "system", "content": bundle.system},
             {"role": "user", "content": bundle.user_message()},

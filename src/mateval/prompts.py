@@ -4,9 +4,11 @@ Templates reproduce the extraction pipeline's wording exactly, including the
 sample oddities in the in-context relation examples; determinism matters
 more than tidiness here, since evaluations compare byte-identical reruns.
 Assembly is pure: the same inputs (and shuffle seed) always produce the
-same bundle. This is the only module that assembles prompt text: extraction
-sends a bundle's ``user_message()``, and fine-tune preparation trains on its
-``system`` and ``user`` text, so training and inference prompts cannot drift.
+same bundle. A bundle is prompt text and its task, nothing else: the model
+a request names is the endpoint config's. This is the only module that
+assembles prompt text: extraction sends a bundle's ``user_message()``, and
+fine-tune preparation trains on its ``system`` and ``user`` text, so
+training and inference prompts cannot drift.
 
 Entity shuffling affects prompt construction only, never scoring. It uses
 sub-seeds derived from (seed, doc id, ...) so prompts reproduce across
@@ -19,8 +21,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import EmptyTextError, NoEntitiesError
-
-DEFAULT_TEMPERATURE = 0.0
 
 # system prompt shared by all NER requests; the passage rides along as context
 NER_SYSTEM_TEMPLATE = """\
@@ -163,13 +163,11 @@ RE_ENTITY_LABELS = (("material", "materials"), ("tc", "tcs"), ("pressure", "pres
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """Assembled prompts for one chat request."""
+    """The prompt text of one chat request, and its task (the fixture key)."""
 
     system: str
     user: str
     format_instructions: str
-    model: str
-    temperature: float
     task: str
 
     def user_message(self) -> str:
@@ -177,13 +175,7 @@ class PromptBundle:
         return f"{self.user}\n\n{self.format_instructions}"
 
 
-def build_ner_prompt(
-    task: str,
-    text: str,
-    hints: list[str] | None = None,
-    model: str = "gpt-3.5-turbo",
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> PromptBundle:
+def build_ner_prompt(task: str, text: str, hints: list[str] | None = None) -> PromptBundle:
     """Assemble the NER prompt for ``ner_material`` or ``ner_quantity``.
 
     The passage is carried in the system prompt; ``hints`` (suggestions from
@@ -204,8 +196,6 @@ def build_ner_prompt(
         system=NER_SYSTEM_TEMPLATE.replace("{text}", text),
         user=user,
         format_instructions=FORMAT_INSTRUCTIONS_TEMPLATE.replace("{schema}", schema),
-        model=model,
-        temperature=temperature,
         task=task,
     )
 
@@ -225,8 +215,6 @@ def build_re_prompt(
     entities: dict[str, list[str]],
     mode: str = "zero",
     shuffle_seed: int | None = None,
-    model: str = "gpt-3.5-turbo",
-    temperature: float = DEFAULT_TEMPERATURE,
 ) -> PromptBundle:
     """Assemble the RE prompt from a passage and its entity lists.
 
@@ -252,8 +240,6 @@ def build_re_prompt(
         system=RE_SYSTEM_PROMPT,
         user=user,
         format_instructions=FORMAT_INSTRUCTIONS_TEMPLATE.replace("{schema}", RELATION_SCHEMA),
-        model=model,
-        temperature=temperature,
         task="re",
     )
 

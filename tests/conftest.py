@@ -81,6 +81,7 @@ class ChatStub:
         self.reply = digest_reply
         self.delay = 0.0
         self.requests = 0
+        self.bodies: list[dict] = []  # each request's JSON, in arrival order
         self.max_inflight = 0
         self._inflight = 0
         self.lock = threading.Lock()
@@ -88,6 +89,7 @@ class ChatStub:
     def answer(self, body: dict) -> tuple[int, dict, bytes]:
         with self.lock:
             self.requests += 1
+            self.bodies.append(body)
             self._inflight += 1
             self.max_inflight = max(self.max_inflight, self._inflight)
             scripted = self.script.pop(0) if self.script else None

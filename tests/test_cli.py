@@ -403,14 +403,26 @@ class TestExtractCommand:
         assert not out_path.exists()
 
     def test_auto_seed_is_printed(self, capsys, tmp_path):
+        # a shuffled RE prompt is the one extract prompt that reads a seed
         out_path = tmp_path / "preds.jsonl"
         code, _, err = run_cli(
-            ["extract", "--corpus", DATA / "corpus.jsonl", "--task", "ner_material",
-             "--dry-run", "--fixtures", DATA / "fixtures", "--output", out_path],
+            ["extract", "--corpus", DATA / "corpus.jsonl", "--task", "re",
+             "--shuffle", "shuffled", "--dry-run", "--fixtures", DATA / "fixtures",
+             "--output", out_path],
             capsys,
         )
         assert code == 0
         assert "seed:" in err
+
+    @pytest.mark.parametrize("task", ["ner_material", "re"])
+    def test_no_seed_is_selected_when_nothing_reads_it(self, capsys, tmp_path, task):
+        code, _, err = run_cli(
+            ["extract", "--corpus", DATA / "corpus.jsonl", "--task", task,
+             "--shuffle", "non_shuffled", "--dry-run", "--fixtures", DATA / "fixtures",
+             "--output", tmp_path / "preds.jsonl"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
 
     def test_three_run_pipeline_aggregates(self, capsys, tmp_path):
         preds = tmp_path / "preds.jsonl"

@@ -691,6 +691,8 @@ BAD_CONFIGS = {
     "no equals sign": b"max_concurrency",
     "not utf-8": b"model = caf\xe9",
     "misspelt boolean": b"dry_run = ture",
+    "scheme-less base url": b"base_url = localhost:9/v1",
+    "scheme-less semantic endpoint": b"semantic_endpoint = localhost:8040",
 }
 
 
@@ -787,3 +789,52 @@ class TestEndpointFlags:
         provider = _semantic_provider(args)
         assert (provider.endpoint, provider.timeout) == ("http://127.0.0.1:9/b", 5.0)
         assert provider.limiter.max_concurrency == 2
+
+    def test_scheme_less_semantic_endpoint_is_refused(self, capsys, tmp_path):
+        code, out, err = _extract(
+            ["eval-ner", "--corpus", DATA / "corpus.jsonl", "--predictions",
+             _predictions(tmp_path), "--matchers", "semantic",
+             "--semantic-endpoint", "localhost:8040"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: --semantic-endpoint: semantic_endpoint must be an http(s) "
+                       "URL, got 'localhost:8040'\n")
+
+    @pytest.mark.parametrize("task", ["ner_material", "re"])
+    def test_requests_name_the_configured_model(self, chat_stub, capsys, tmp_path,
+                                                monkeypatch, task):
+        monkeypatch.setenv(KEY_ENV, "k")
+        cfg = _write_config(tmp_path / "c.cfg", chat_stub.url, 2, model="gpt-4")
+        code, _, err = _extract(
+            ["extract", "--corpus", DATA / "corpus.jsonl", "--task", task, "--seed", 1,
+             "--config", cfg, "--output", tmp_path / "preds.jsonl"], capsys)
+        assert code == 0, err
+        assert {(b["model"], b["temperature"]) for b in chat_stub.bodies} == {("gpt-4", 0.0)}
+        code, _, err = _extract(
+            ["extract", "--corpus", DATA / "corpus.jsonl", "--task", task, "--seed", 1,
+             "--config", cfg, "--model", "gpt-4-turbo",
+             "--output", tmp_path / "preds.jsonl", "--force"], capsys)
+        assert code == 0, err
+        assert len(chat_stub.bodies) == 10
+        assert {(b["model"], b["temperature"]) for b in chat_stub.bodies[5:]} == {
+            ("gpt-4-turbo", 0.0)}
+
+
+class TestEndpointUrls:
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9/v1", "https://api.example.com/v1",
+                                     "HTTPS://api.example.com"])
+    @pytest.mark.parametrize("key", ["base_url", "semantic_endpoint"])
+    def test_http_urls_are_kept(self, key, url):
+        cfg = ChatEndpointConfig()
+        cfg.set(key, url)
+        assert getattr(cfg, key) == url
+
+    @pytest.mark.parametrize("url", ["localhost:9/v1", "127.0.0.1:8040", "http://",
+                                     "ftp://example.com", "file:///tmp/x", ""])
+    def test_other_base_urls_are_refused(self, url):
+        with pytest.raises(ConfigError, match=r"base_url must be an http\(s\) URL"):
+            ChatEndpointConfig().set("base_url", url)
+
+    def test_an_empty_semantic_endpoint_is_none_given(self):
+        cfg = ChatEndpointConfig()
+        cfg.set("semantic_endpoint", "")
+        assert not cfg.semantic_endpoint

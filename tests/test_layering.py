@@ -185,6 +185,8 @@ def test_vocabulary_is_spelled_out_once():
     assert _literals(ast.Dict)[repr(pseudo_headers)] == 1
     # the matcher names are the keys of matching.TIERS
     assert _literals(ast.Tuple)[repr(("strict", "soft", "semantic", "formula"))] == 0
+    # the default model is the endpoint config's; a prompt bundle names none
+    assert _literals(ast.Constant)[repr("gpt-3.5-turbo")] == 1
 
 
 def test_threads_come_from_threading_alone():

@@ -1,6 +1,7 @@
 """Tests for prompt assembly, the chat client, response parsing, and
 fine-tune data preparation."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -195,6 +196,28 @@ class TestChatComplete:
             {"role": "system", "content": bundle.system},
             {"role": "user", "content": bundle.user + "\n\n" + bundle.format_instructions},
         ]]
+
+    @pytest.mark.parametrize("task", ["ner_material", "re"])
+    def test_model_is_the_configs(self, monkeypatch, task):
+        monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
+        sent = []
+
+        def capture(cfg, credential, payload):
+            sent.append((payload["model"], payload["temperature"]))
+            return "answer"
+
+        if task == "re":
+            bundle = build_re_prompt("text", {"material": ["MgB2"], "tc": ["39 K"]})
+        else:
+            bundle = build_ner_prompt(task, "text")
+        cfg = ChatEndpointConfig(credential_env="MATEVAL_TEST_KEY", model="gpt-4")
+        chat_complete(bundle, cfg, transport=capture)
+        assert sent == [("gpt-4", 0.0)]
+
+    def test_a_bundle_is_prompt_text_and_its_task(self):
+        bundle = build_ner_prompt("ner_material", "text")
+        assert [f.name for f in dataclasses.fields(bundle)] == [
+            "system", "user", "format_instructions", "task"]
 
     def test_retries_exhausted(self, monkeypatch):
         monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
