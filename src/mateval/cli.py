@@ -91,13 +91,12 @@ def _load_lexicon(args):
     return None
 
 
-def _add_output_flags(parser, default_format="json"):
+def _add_output_flags(parser):
     parser.add_argument("--output", help="write result to this file")
     parser.add_argument(
         "--format",
         choices=("json", "markdown", "csv"),
-        default=default_format,
-        help="file format for --output",
+        help="file format for --output (default: json)",
     )
     parser.add_argument("--force", action="store_true", help="allow overwriting --output")
     parser.add_argument(
@@ -176,6 +175,8 @@ def _semantic_provider(args) -> "matching.HttpSimilarityProvider | None":
 
 
 def _run_eval(args, task: str) -> int:
+    if args.format and not args.output:  # stdout is always JSON
+        raise ConfigError("--format applies to --output, and no --output was given")
     documents = corpus.load_corpus(args.corpus)
     predictions = corpus.load_predictions(args.predictions)
     matchers = tuple(m.strip() for m in args.matchers.split(",") if m.strip())
@@ -195,7 +196,7 @@ def _run_eval(args, task: str) -> int:
         result.generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     rendered = report.render_report(result, "json")  # once: indent runs the pure-Python encoder
     if args.output:
-        _write_text(args.output, rendered if args.format == "json"
+        _write_text(args.output, rendered if args.format in (None, "json")
                     else report.render_report(result, args.format))
     sys.stdout.write(rendered)
     if args.pretty:
@@ -229,6 +230,9 @@ def cmd_extract(args) -> int:
     if bool(args.hints) != (args.mode == "few" and args.task != "re"):
         raise ConfigError("few-shot NER (--mode few with an ner_* task) needs --hints, "
                           "and nothing else reads them")
+    if args.shuffle == "shuffled" and args.task != "re":
+        raise ConfigError("--shuffle shuffled orders the entities of RE prompts; "
+                          f"--task {args.task} reads no shuffle")
     documents = corpus.load_corpus(args.corpus)
     cfg = _endpoint_config(args)
     # only a shuffled RE prompt reads a seed

@@ -116,24 +116,6 @@ class _GroupTier(Tier):
     def verify(self, ka: tuple, kb: tuple) -> bool:
         return all(map(self.slot_matches, ka, kb))
 
-    def prefetch(self, items) -> None:
-        """Batch a semantic slot tier's calls one slot at a time: material
-        pairs, then tc where the materials matched, then pressure. These are
-        the calls ``verify``'s short-circuit makes, and no others."""
-        pairs = [
-            (self.key(e), self.key(p))
-            for expected, predicted in items
-            for e in expected
-            for p in predicted
-        ]
-        for slot in range(len(RELATION_SLOTS)):
-            self.slot.score_pairs(
-                (ka[slot], kb[slot])
-                for ka, kb in pairs
-                if ka[slot] is not None and kb[slot] is not None
-            )
-            pairs = [(ka, kb) for ka, kb in pairs if self.slot_matches(ka[slot], kb[slot])]
-
 
 def match_relation_groups(
     expected: list[RelationGroup], predicted: list[RelationGroup]
@@ -186,47 +168,43 @@ def _evaluate(
 
     ``doc_items(doc, prediction, report)`` gives a document's expected and
     predicted lists, once per run; ``lift(tier)`` is the tier they are
-    counted with. A semantic tier scores every pair of every run in one
-    provider batch before counting.
+    counted with. A semantic tier counts the documents of all runs through
+    the provider's ``map``, when it has one, so they wait on the service
+    together.
     """
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
     report = EvalReport(task=config.task, config={
         **asdict(config), "matchers": list(config.matchers),  # a list, as read back
         "run_labels": run_labels, "runs": len(run_labels)})
     ordered_docs = sorted(documents, key=lambda d: d.id)
-    items = {
-        run_label: [
-            doc_items(doc, by_run.get(run_label, {}).get(doc.id), report)
-            for doc in ordered_docs
-        ]
+    items = [
+        doc_items(doc, by_run.get(run_label, {}).get(doc.id), report)
         for run_label in run_labels
-    }
+        for doc in ordered_docs
+    ]
     for name in config.matchers:
         matcher = TIERS[name](config.threshold, provider)
         tier = lift(matcher)
-        runs = []
+        count_all = getattr(provider, "map", map) if isinstance(matcher, SemanticTier) else map
         try:
-            if isinstance(matcher, SemanticTier):
-                tier.prefetch([item for run in items.values() for item in run])
-            for run_label in run_labels:
-                per_doc_counts = [
-                    count_matches(expected, predicted, tier)
-                    for expected, predicted in items[run_label]
-                ]
-                runs.append(
-                    RunScores(
-                        run=run_label,
-                        scores=micro_average(per_doc_counts),
-                        expected_total=sum(len(e) for e, _ in items[run_label]),
-                        per_document=[
-                            {"doc_id": doc.id, **vars(counts)}  # flat, so vars is asdict
-                            for doc, counts in zip(ordered_docs, per_doc_counts)
-                        ],
-                    )
-                )
+            all_counts = list(count_all(lambda item: count_matches(*item, tier), items))
         except ProviderUnavailableError as exc:
             report.skipped.append(f"{name}: {exc}")
             continue
+        runs, n = [], len(ordered_docs)
+        for k, run_label in enumerate(run_labels):
+            run_items, per_doc_counts = items[k * n:k * n + n], all_counts[k * n:k * n + n]
+            runs.append(
+                RunScores(
+                    run=run_label,
+                    scores=micro_average(per_doc_counts),
+                    expected_total=sum(len(e) for e, _ in run_items),
+                    per_document=[
+                        {"doc_id": doc.id, **vars(counts)}  # flat, so vars is asdict
+                        for doc, counts in zip(ordered_docs, per_doc_counts)
+                    ],
+                )
+            )
         report.matchers[name] = MatcherBlock(runs, aggregate_runs([r.scores for r in runs]))
     report.verify()
     return report

@@ -82,6 +82,17 @@ class ChatEndpointConfig:
         "max_concurrency": (lambda v: v >= 1, "must be >= 1"),
     }
 
+    def __post_init__(self):
+        """Check every field as :meth:`set` would, so a config built in code
+        is refused the way a config file is."""
+        for key in self._VALID:
+            self._check(key, getattr(self, key))
+
+    def _check(self, key: str, value, shown=None) -> None:
+        if key in self._VALID and not self._VALID[key][0](value):
+            shown = value if shown is None else shown
+            raise ConfigError(f"{key} {self._VALID[key][1]}, got {shown!r}")
+
     def set(self, key: str, text: str) -> None:
         """Cast ``text`` by field ``key``'s annotation, check it and store it.
 
@@ -97,8 +108,7 @@ class ChatEndpointConfig:
             value = {float: float, int: int, bool: _bool}.get(kind, str)(text)
         except ValueError as exc:
             raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
-        if key in self._VALID and not self._VALID[key][0](value):
-            raise ConfigError(f"{key} {self._VALID[key][1]}, got {text!r}")
+        self._check(key, value, text)
         setattr(self, key, value)
 
     @classmethod

@@ -9,8 +9,9 @@ element by element, expanding substitution clauses).
 Evaluations score through :class:`Tier` objects: a per-string ``key``,
 computed once per distinct string, an exact pairwise ``verify``, and an
 ``adjacency`` that verifies only the pairs a per-document candidate index
-admits (blocking). Indexes and filters test necessary conditions of a match,
-so verdicts (and reports) equal the public predicates'. Strict keys match on
+admits (blocking) or, for tiers without an index, only the pairs the
+matching search reaches. Indexes and filters test necessary conditions of a
+match, so verdicts (and reports) equal the public predicates'. Strict keys match on
 equality, so counting reduces to a multiset intersection. Soft bounds
 ``ratio()`` from above, bit for bit, by ``2.0*bound/length``, ``bound`` being
 the shorter length (the index bisects the length-sorted keys for the window
@@ -21,6 +22,7 @@ indexes keys by normalized text and by each variant's element set, which
 
 import json
 import operator
+import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -101,10 +103,11 @@ class SimilarityProvider:
     """Scorer contract for semantic matching: ``score(a, b) -> [0, 1]``.
 
     Conforming providers must return 1.0 for identical inputs. A provider may
-    also offer ``score_many(pairs) -> scores``, in order, to score a batch;
-    without it, pairs are scored one ``score`` call at a time. The bundled
-    implementation calls an external HTTP service; tests may substitute any
-    object with a compatible ``score``.
+    also offer ``map(fn, items) -> [fn(item) for item in items]``, in order,
+    run concurrently; evaluations count documents through it, each ``fn``
+    calling ``score`` as its matching search needs. Without it, documents
+    are counted one at a time. The bundled implementation calls an external
+    HTTP service; tests may substitute any object with a compatible ``score``.
     """
 
     def score(self, a: str, b: str) -> float:
@@ -121,7 +124,8 @@ class HttpSimilarityProvider(SimilarityProvider):
     multiple threads; each call enforces ``timeout`` and takes a slot of the
     instance's :class:`~mateval.transport.RateLimiter`, so at most
     ``max_concurrency`` requests are in flight, their starts at least
-    ``min_interval`` seconds apart. ``score_many`` sends a batch that way.
+    ``min_interval`` seconds apart. ``map`` runs work that calls ``score``
+    on up to ``max_concurrency`` threads.
     """
 
     def __init__(
@@ -155,8 +159,8 @@ class HttpSimilarityProvider(SimilarityProvider):
         finally:
             self.limiter.release()
 
-    def score_many(self, pairs: list[tuple[str, str]]) -> list[float]:
-        return self.limiter.map(lambda pair: self.score(*pair), pairs)
+    def map(self, fn, items) -> list:
+        return self.limiter.map(fn, items)
 
 
 def semantic_match(
@@ -234,15 +238,41 @@ class Tier:
             found = self._keys[text] = self.make_key(text)
         return found
 
-    def adjacency(self, expected: list, predicted: list) -> list[list[int]]:
+    def adjacency(self, expected: list, predicted: list) -> list:
         """Per expected key, the ascending indices of the predicted keys it
-        matches; this default verifies every pair."""
-        return [self.verified(ka, predicted, range(len(predicted))) for ka in expected]
+        matches; this default gives :class:`LazyRow` rows, which verify a
+        pair only when iteration reaches it."""
+        return [LazyRow(self.verify, ka, predicted) for ka in expected]
 
     def verified(self, ka, predicted: list, candidates) -> list[int]:
         """The ``candidates`` (predicted indices) that ``ka`` matches, ascending."""
         verify = self.verify
         return [j for j in sorted(candidates) if verify(ka, predicted[j])]
+
+
+class LazyRow:
+    """An adjacency row verified on demand. Iterating it replays the indices
+    found so far, then verifies further predicted keys in ascending order, so
+    a reader that stops early leaves the rest of the row unverified."""
+
+    def __init__(self, verify, ka, predicted: list):
+        self.verify, self.ka, self.predicted = verify, ka, predicted
+        self.found: list[int] = []
+        self.scanned = 0  # predicted keys verified so far
+
+    def __iter__(self):
+        found, k = self.found, 0
+        while True:
+            while k == len(found):
+                j = self.scanned
+                if j == len(self.predicted):
+                    return
+                matched = self.verify(self.ka, self.predicted[j])
+                self.scanned = j + 1  # after verify: a failed call is asked again
+                if matched:
+                    found.append(j)
+            yield found[k]
+            k += 1
 
 
 class StrictTier(Tier):
@@ -291,43 +321,48 @@ class SoftTier(Tier):
         return soft_match(a, b, self.threshold)
 
 
+class _Score:
+    """A pair's similarity, or the exception asking for it raised; ``ready``
+    is set once either is in."""
+
+    def __init__(self):
+        self.ready, self.value = threading.Event(), None
+
+
 class SemanticTier(Tier):
     """Raw-text keys; the provider is asked once per distinct pair.
 
-    :meth:`prefetch` scores every pair a count is about to verify in one
-    ``score_many`` batch; ``verify`` reads that table and asks the provider
-    itself only for pairs no prefetch covered.
+    ``verify`` is safe to call from several threads: a pair another thread
+    is scoring is waited on, and a failure is raised in every thread that
+    asked for the pair.
     """
 
     make_key = staticmethod(str)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._scores: dict[tuple[str, str], float] = {}
-
-    def prefetch(self, items) -> None:
-        """Score the gold x predicted product of each ``(expected, predicted)``
-        item: the pairs ``count_matches`` will verify."""
-        self.score_pairs(
-            (a, b) for expected, predicted in items for a in expected for b in predicted
-        )
-
-    def score_pairs(self, pairs) -> None:
-        """Score each distinct pair not yet scored, in first-seen order."""
-        todo = [pair for pair in dict.fromkeys(pairs) if pair not in self._scores]
-        if not todo:
-            return
-        if self.provider is None:
-            raise ProviderUnavailableError("no similarity provider configured")
-        score_many = getattr(self.provider, "score_many", None)  # optional in the contract
-        scores = score_many(todo) if score_many else [self.provider.score(*p) for p in todo]
-        self._scores.update(zip(todo, scores))
+        self._scores: dict[tuple[str, str], _Score] = {}
+        self._lock = threading.Lock()
 
     def verify(self, a: str, b: str) -> bool:
-        similarity = self._scores.get((a, b))
-        if similarity is None:
-            similarity = self._scores[a, b] = self.outcome(a, b).similarity
-        return similarity >= self.threshold
+        with self._lock:
+            score = self._scores.get((a, b))
+            asked = score is not None
+            if not asked:
+                score = self._scores[a, b] = _Score()
+        if asked:
+            score.ready.wait()
+        else:
+            try:
+                score.value = self.outcome(a, b).similarity
+            except BaseException as exc:
+                score.value = exc
+                raise
+            finally:
+                score.ready.set()
+        if isinstance(score.value, BaseException):
+            raise score.value
+        return score.value >= self.threshold
 
     def outcome(self, a: str, b: str) -> MatchOutcome:
         return semantic_match(a, b, self.threshold, self.provider)

@@ -79,7 +79,9 @@ def count_matches(
     order of either list; duplicates are honoured as multiset multiplicity.
     The matcher is called as ``matcher(expected_item, predicted_item)``, or
     is a tier whose ``adjacency`` gives each expected key's matches among
-    the predicted keys as ascending indices, the rows all pairs would give;
+    the predicted keys as rows of ascending indices, the rows all pairs
+    would give. A row is an iterable that the search reads only as far as it
+    needs, so a lazily verified row costs only the pairs the search reaches;
     a tier with ``closed_form`` set matches on key equality, an equivalence
     relation, so tp is the size of the keys' multiset intersection.
     The search is iterative, so corpus-sized lists cannot hit the

@@ -178,6 +178,18 @@ class TestUsageErrors:
 
 
 class TestEvalCommands:
+    @pytest.mark.parametrize("command", ["eval-ner", "eval-re"])
+    def test_format_without_output_exits_3(self, capsys, tmp_path, command):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text("")
+        code, out, err = run_cli(
+            [command, "--corpus", DATA / "corpus.jsonl", "--predictions", preds,
+             "--format", "markdown"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: --format applies to --output")
+
     def test_missing_corpus_exits_3(self, capsys, tmp_path):
         preds = tmp_path / "p.jsonl"
         preds.write_text("")
@@ -423,6 +435,19 @@ class TestExtractCommand:
             capsys,
         )
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("task", ["ner_material", "ner_quantity"])
+    def test_shuffle_with_an_ner_task_exits_3(self, capsys, tmp_path, task):
+        out_path = tmp_path / "preds.jsonl"
+        code, out, err = run_cli(
+            ["extract", "--corpus", DATA / "corpus.jsonl", "--task", task,
+             "--shuffle", "shuffled", "--dry-run", "--fixtures", DATA / "fixtures",
+             "--seed", "1", "--output", out_path],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: --shuffle shuffled ") and task in err
+        assert not out_path.exists()
 
     def test_three_run_pipeline_aggregates(self, capsys, tmp_path):
         preds = tmp_path / "preds.jsonl"

@@ -4,7 +4,9 @@ guarantee that concurrent extraction and batched semantic scoring give the
 serial path's outputs, errors and provider calls."""
 
 import json
+import math
 import os
+import re
 import shutil
 import socketserver
 import subprocess
@@ -26,10 +28,16 @@ from mateval.errors import (
     MissingFixtureError,
     ProviderUnavailableError,
 )
-from mateval.evaluation import EvalConfig, _GroupTier, evaluate_ner, evaluate_re
+from mateval.evaluation import EvalConfig, evaluate_ner, evaluate_re, filter_relation_blocks
 from mateval.llm import ChatEndpointConfig, RateLimiter, _TransientFailure, chat_complete
-from mateval.matching import HttpSimilarityProvider, SemanticTier, SimilarityProvider
+from mateval.matching import (
+    DEFAULT_THRESHOLD,
+    HttpSimilarityProvider,
+    SemanticTier,
+    SimilarityProvider,
+)
 from mateval.prompts import build_ner_prompt
+from mateval.scoring import count_matches
 from mateval.transport import NO_REPLY, post_json
 
 DATA = Path(__file__).parent / "data"
@@ -250,7 +258,8 @@ class TestConcurrentExtract:
             out = tmp_path / f"out{n}.jsonl"
             code, _, err = _extract(
                 ["extract", "--corpus", DATA / "corpus.jsonl", "--task", task, "--runs", 3,
-                 "--shuffle", "shuffled", "--seed", 5, "--config", cfg, "--output", out],
+                 *(["--shuffle", "shuffled"] if task == "re" else []),  # NER reads none
+                 "--seed", 5, "--config", cfg, "--output", out],
                 capsys,
             )
             assert code == 0, err
@@ -328,24 +337,28 @@ class TestHttpSimilarityProvider:
         ("a", "b"), ("hole-doped La 2-x Sr x CuO 4", "La 2-x Sr x CuO 4"),
     ] * 3
 
-    def test_score_many_equals_serial_scores(self, semantic_endpoint):
+    @staticmethod
+    def score_all(provider, pairs):
+        return provider.map(lambda pair: provider.score(*pair), pairs)
+
+    def test_map_equals_serial_scores(self, semantic_endpoint):
         provider = HttpSimilarityProvider(semantic_endpoint, 10.0, max_concurrency=3)
         serial = [provider.score(a, b) for a, b in self.PAIRS]
-        assert provider.score_many(self.PAIRS) == serial
+        assert self.score_all(provider, self.PAIRS) == serial
         assert serial[:5] == [0.98, 0.97, 1.0, 0.0, 0.95]
 
-    def test_score_many_goes_through_score(self, semantic_endpoint):
+    def test_map_goes_through_score(self, semantic_endpoint):
         provider = HttpSimilarityProvider(semantic_endpoint)
         seen = []
         score = provider.score
         provider.score = lambda a, b: seen.append((a, b)) or score(a, b)
-        provider.score_many(self.PAIRS)
+        self.score_all(provider, self.PAIRS)
         assert Counter(seen) == Counter(self.PAIRS)
 
     def test_unreachable_service_raises_provider_error(self):
         provider = HttpSimilarityProvider("http://127.0.0.1:9/score", 0.5, max_concurrency=2)
         with pytest.raises(ProviderUnavailableError):
-            provider.score_many(self.PAIRS)
+            self.score_all(provider, self.PAIRS)
 
     def test_concurrent_first_requests_import_the_http_stack_safely(self, semantic_endpoint):
         # a fresh interpreter: four threads send its first requests, so they
@@ -355,7 +368,8 @@ class TestHttpSimilarityProvider:
             "from mateval.matching import HttpSimilarityProvider\n"
             "assert 'http.client' not in sys.modules\n"
             "provider = HttpSimilarityProvider(sys.argv[1], 10.0, max_concurrency=4)\n"
-            "print(json.dumps(provider.score_many(json.loads(sys.argv[2]))))\n"
+            "pairs = json.loads(sys.argv[2])\n"
+            "print(json.dumps(provider.map(lambda p: provider.score(*p), pairs)))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe, semantic_endpoint, json.dumps(self.PAIRS)],
@@ -379,7 +393,7 @@ class TestHttpSimilarityProvider:
             "    start(thread)\n"
             "threading.Thread.start = recording_start\n"
             "provider = HttpSimilarityProvider(sys.argv[1], 10.0, max_concurrency=4)\n"
-            "provider.score_many(json.loads(sys.argv[2]))\n"
+            "provider.map(lambda p: provider.score(*p), json.loads(sys.argv[2]))\n"
             "print(json.dumps(seen))\n"
         )
         result = subprocess.run(
@@ -413,77 +427,182 @@ class TestHttpSimilarityProvider:
 
 
 class RecordingProvider(SimilarityProvider):
-    """Scores by a table; records every pair it is asked for."""
+    """Scores by a table after ``delay`` seconds; records every pair it is
+    asked for. With ``concurrency`` it counts documents through a limiter
+    ``map`` of that many threads."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, table, concurrency=None, delay=0.0):
+        self.table, self.delay = table, delay
         self.calls = []
+        if concurrency is not None:
+            self.map = RateLimiter(concurrency).map
+
+    def similarity(self, a, b):
+        return 1.0 if a == b else self.table.get((a, b), 0.1)
 
     def score(self, a, b):
         self.calls.append((a, b))
-        return 1.0 if a == b else self.table.get((a, b), 0.1)
+        time.sleep(self.delay)
+        return self.similarity(a, b)
 
 
-def _serial_calls(monkeypatch, evaluate, *args):
-    """The provider calls of the per-pair path: no tier prefetches."""
-    provider = RecordingProvider(args[-1].table)
-    with monkeypatch.context() as patch:
-        patch.setattr(SemanticTier, "prefetch", lambda self, items: None)
-        patch.setattr(_GroupTier, "prefetch", lambda self, items: None, raising=False)
-        report = evaluate(*args[:-1], provider)
-    return report, provider.calls
+NER_DOCS = [
+    Document("d1", "t", [EntityMention("MgB2", "material"), EntityMention("Nb3Sn", "material")]),
+    Document("d2", "t", [EntityMention("H3S", "material")]),
+]
+NER_PREDS = [
+    PredictionSet("d1", "run1", {"material": ["MgB 2", "Nb3Sn", "MgB2"]}),
+    PredictionSet("d2", "run1", {"material": ["H3S"]}),
+    PredictionSet("d1", "run2", {"material": ["MgB 2", "Nb3Sn wires"]}),
+]
+NER_TABLE = {("MgB2", "MgB 2"): 0.95, ("Nb3Sn", "Nb3Sn wires"): 0.93}
+RE_DOCS = [Document(
+    "d1", "t",
+    [EntityMention(t, c) for t, c in (
+        ("MgB2", "material"), ("H3S", "material"), ("39 K", "tc"), ("203 K", "tc"),
+        ("155 GPa", "pressure"), ("150 GPa", "pressure"))],
+    [RelationGroup("MgB2", "39 K"), RelationGroup("H3S", "203 K", "155 GPa")],
+)]
+RE_BLOCKS = [
+    RelationGroup(material="MgB2", tc="39 K"),
+    RelationGroup(material="H3S", tc="39 K", pressure="150 GPa"),
+    RelationGroup(material="H3S", tc="203 K", pressure="150 GPa"),
+    RelationGroup(material="H3S", tc="203 K"),
+]
+RE_PREDS = [PredictionSet("d1", run, relations=RE_BLOCKS) for run in ("run1", "run2")]
+RE_TABLE = {("155 GPa", "150 GPa"): 0.95}
+
+
+def _ner_items(doc, pred):
+    return doc.entity_texts("material"), pred.entities.get("material", []) if pred else []
+
+
+def _re_items(doc, pred):
+    blocks = pred.relations if pred else []
+    return doc.relations, filter_relation_blocks(blocks, doc.relation_entities())
+
+
+def _all_pairs_report(docs, preds, provider, items, groups=False):
+    """Per run, the per-document counts of ``count_matches`` under a plain
+    predicate that reads the provider's table, every pair of it."""
+    def similar(a, b):
+        return provider.similarity(a, b) >= DEFAULT_THRESHOLD
+
+    def match(e, p):
+        if not groups:
+            return similar(e, p)
+        return all((x is None) == (y is None) and (x is None or similar(x, y))
+                   for x, y in zip(e, p))
+
+    by_key = {(p.run_label, p.doc_id): p for p in preds}
+    return {
+        run: [{"doc_id": doc.id, **vars(count_matches(*items(doc, by_key.get((run, doc.id))),
+                                                       match))}
+              for doc in sorted(docs, key=lambda d: d.id)]
+        for run in sorted({p.run_label for p in preds})
+    }
+
+
+def _per_document(report):
+    return {run.run: run.per_document for run in report.matchers["semantic"].runs}
+
+
+def _product(docs, preds, items, groups=False):
+    """Every (gold, predicted) text pair a document offers, slot by slot for groups."""
+    docs_by_id = {doc.id: doc for doc in docs}
+    pairs = set()
+    for pred in preds:
+        expected, predicted = items(docs_by_id[pred.doc_id], pred)
+        for e in expected:
+            for p in predicted:
+                pairs.update(zip(e, p) if groups else [(e, p)])
+    return pairs
+
+
+class FailingProvider(RecordingProvider):
+    def score(self, a, b):
+        super().score(a, b)
+        raise ProviderUnavailableError(f"refused {a} ~ {b}")
+
+
+def _within(seconds, fn):
+    """``fn()`` on a daemon thread, failing the test if it has not returned
+    after ``seconds``: a hang fails instead of blocking the suite."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 class TestBatchedSemanticScoring:
-    def test_ner_asks_for_exactly_the_serial_pairs(self, monkeypatch):
-        docs = [
-            Document("d1", "t", [EntityMention("MgB2", "material"),
-                                 EntityMention("Nb3Sn", "material")]),
-            Document("d2", "t", [EntityMention("H3S", "material")]),
-        ]
-        preds = [
-            PredictionSet("d1", "run1", {"material": ["MgB 2", "Nb3Sn", "MgB2"]}),
-            PredictionSet("d2", "run1", {"material": ["H3S"]}),
-            PredictionSet("d1", "run2", {"material": ["MgB 2", "Nb3Sn wires"]}),
-        ]
-        table = {("MgB2", "MgB 2"): 0.95, ("Nb3Sn", "Nb3Sn wires"): 0.93}
-        config = EvalConfig(task="ner_material", matchers=("semantic",), runs=2)
-        provider = RecordingProvider(table)
-        report = evaluate_ner(docs, preds, config, provider)
-        serial_report, serial_calls = _serial_calls(
-            monkeypatch, evaluate_ner, docs, preds, config, RecordingProvider(table))
-        assert report.to_dict() == serial_report.to_dict()
-        assert Counter(provider.calls) == Counter(serial_calls)
-        assert len(provider.calls) == len(set(provider.calls)) == 9
+    """An evaluation hands the documents of all runs to the provider's
+    ``map`` as one batch. The semantic tier asks only for the pairs the
+    maximum matching reaches, each distinct pair once, and reports what
+    scoring every pair would."""
 
-    def test_re_asks_for_exactly_the_serial_pairs(self, monkeypatch):
-        entities = [EntityMention(t, c) for t, c in (
-            ("MgB2", "material"), ("H3S", "material"), ("39 K", "tc"), ("203 K", "tc"),
-            ("155 GPa", "pressure"), ("150 GPa", "pressure"))]
-        docs = [Document("d1", "t", entities, [
-            RelationGroup("MgB2", "39 K"), RelationGroup("H3S", "203 K", "155 GPa")])]
-        blocks = [
-            RelationGroup(material="MgB2", tc="39 K"),
-            RelationGroup(material="H3S", tc="39 K", pressure="150 GPa"),
-            RelationGroup(material="H3S", tc="203 K", pressure="150 GPa"),
-            RelationGroup(material="H3S", tc="203 K"),
-        ]
-        preds = [PredictionSet("d1", run, relations=blocks) for run in ("run1", "run2")]
-        table = {("155 GPa", "150 GPa"): 0.95}
+    def test_ner_asks_for_exactly_the_serial_pairs(self):
+        provider = RecordingProvider(NER_TABLE)
+        config = EvalConfig(task="ner_material", matchers=("semantic",), runs=2)
+        report = evaluate_ner(NER_DOCS, NER_PREDS, config, provider)
+        assert _per_document(report) == _all_pairs_report(
+            NER_DOCS, NER_PREDS, provider, _ner_items)
+        assert len(provider.calls) == len(set(provider.calls))
+        assert set(provider.calls) <= _product(NER_DOCS, NER_PREDS, _ner_items)
+        # d1 run1: MgB2 takes "MgB 2", Nb3Sn passes "MgB 2" and takes "Nb3Sn";
+        # d2 run1 takes "H3S"; d1 run2 reads the table, then asks "Nb3Sn wires".
+        # ("MgB2", "MgB2") is never asked: MgB2 was matched before the search reached it
+        expected = [("MgB2", "MgB 2"), ("Nb3Sn", "MgB 2"), ("Nb3Sn", "Nb3Sn"),
+                    ("H3S", "H3S"), ("Nb3Sn", "Nb3Sn wires")]
+        assert provider.calls == expected
+        assert [r.per_document[0]["tp"] for r in report.matchers["semantic"].runs] == [2, 2]
+
+    def test_re_asks_for_exactly_the_serial_pairs(self):
+        provider = RecordingProvider(RE_TABLE)
         config = EvalConfig(task="re", matchers=("semantic",), runs=2)
-        provider = RecordingProvider(table)
-        report = evaluate_re(docs, preds, config, provider)
-        serial_report, serial_calls = _serial_calls(
-            monkeypatch, evaluate_re, docs, preds, config, RecordingProvider(table))
-        assert report.to_dict() == serial_report.to_dict()
-        assert Counter(provider.calls) == Counter(serial_calls)
-        # tc only where materials matched, pressure only where both slots did
-        assert ("39 K", "203 K") not in provider.calls
-        assert ("155 GPa", "150 GPa") in provider.calls
-        # blocks 1 and 3 match; block 2's tc and block 4's missing pressure do not
+        report = evaluate_re(RE_DOCS, RE_PREDS, config, provider)
+        assert _per_document(report) == _all_pairs_report(
+            RE_DOCS, RE_PREDS, provider, _re_items, groups=True)
+        assert len(provider.calls) == len(set(provider.calls))
+        assert set(provider.calls) <= _product(RE_DOCS, RE_PREDS, _re_items, groups=True)
+        # MgB2/39 K takes block 1; H3S/203 K/155 GPa fails block 1 on material,
+        # block 2 on tc and takes block 3; block 4 is never read, and run2 asks
+        # nothing. tc is asked only where the materials matched
+        assert provider.calls == [
+            ("MgB2", "MgB2"), ("39 K", "39 K"), ("H3S", "MgB2"), ("H3S", "H3S"),
+            ("203 K", "39 K"), ("203 K", "203 K"), ("155 GPa", "150 GPa")]
         assert report.matchers["semantic"].runs[0].per_document[0]["tp"] == 2
 
-    def test_provider_with_only_score_is_still_batched_once(self):
+    @pytest.mark.parametrize("evaluate, docs, preds, table, items", [
+        (evaluate_ner, NER_DOCS, NER_PREDS, NER_TABLE, _ner_items),
+        (evaluate_re, RE_DOCS, RE_PREDS, RE_TABLE, _re_items),
+    ], ids=["ner", "re"])
+    def test_calls_and_report_do_not_depend_on_concurrency(
+        self, evaluate, docs, preds, table, items
+    ):
+        task = "re" if evaluate is evaluate_re else "ner_material"
+        seen = []
+        for concurrency in (None, 1, 4):  # None: a provider without map
+            provider = RecordingProvider(table, concurrency, delay=0.005)
+            report = evaluate(docs, preds, EvalConfig(task=task, matchers=("semantic",)),
+                              provider)
+            assert _per_document(report) == _all_pairs_report(
+                docs, preds, provider, items, groups=task == "re")
+            assert len(provider.calls) == len(set(provider.calls))
+            seen.append((sorted(provider.calls), report.to_dict()))
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_score_only_provider_asks_reached_pairs_once(self):
         class ScoreOnly:
             def __init__(self):
                 self.calls = []
@@ -498,8 +617,60 @@ class TestBatchedSemanticScoring:
         provider = ScoreOnly()
         report = evaluate_ner(docs, preds, EvalConfig(
             task="ner_material", matchers=("semantic",), runs=2), provider)
-        assert provider.calls == [("MgB2", "MgB2"), ("MgB2", "x")]
+        assert provider.calls == [("MgB2", "MgB2")]
         assert report.matchers["semantic"].aggregate.mean_f1 == pytest.approx(2 / 3)
+
+    def test_a_pair_two_documents_need_at_once_is_asked_once(self):
+        docs = [Document(f"d{i}", "t", [EntityMention("MgB2", "material")]) for i in (1, 2)]
+        preds = [PredictionSet(f"d{i}", "run1", {"material": ["MgB 2"]}) for i in (1, 2)]
+        provider = RecordingProvider(NER_TABLE, concurrency=2, delay=0.2)
+        report = _within(30, lambda: evaluate_ner(docs, preds, EvalConfig(
+            task="ner_material", matchers=("semantic",)), provider))
+        assert provider.calls == [("MgB2", "MgB 2")]
+        assert [d["tp"] for d in report.matchers["semantic"].runs[0].per_document] == [1, 1]
+
+    def test_shared_pairs_under_stress_are_each_asked_once(self):
+        # more threads than cores, frequent switches, documents drawing on one
+        # small pool of texts: a lost update to the score table shows as a
+        # pair asked twice or a count that differs from the serial one
+        texts = ["MgB2", "MgB 2", "H3S", "H 3 S", "Nb3Sn", "Nb3Sn wires", "LaH10"]
+        table = {("MgB2", "MgB 2"): 0.95, ("H3S", "H 3 S"): 0.92, ("Nb3Sn", "Nb3Sn wires"): 0.9}
+        docs = [Document(f"d{i:02}", "t", [EntityMention(texts[(i + k) % 7], "material")
+                                           for k in range(3)]) for i in range(40)]
+        preds = [PredictionSet(doc.id, f"run{r}", {"material": [
+            texts[(i * r + k) % 7] for k in range(4)]})
+            for r in (1, 2) for i, doc in enumerate(docs)]
+        config = EvalConfig(task="ner_material", matchers=("semantic",))
+        serial = RecordingProvider(table)
+        expected = evaluate_ner(docs, preds, config, serial).to_dict()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            provider = RecordingProvider(table, concurrency=8, delay=0.001)
+            report = _within(60, lambda: evaluate_ner(docs, preds, config, provider))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(provider.calls) == len(set(provider.calls))
+        assert sorted(provider.calls) == sorted(serial.calls)
+        assert report.to_dict() == expected
+
+    def test_a_failure_reaches_the_thread_waiting_on_its_pair(self):
+        docs = [Document(f"d{i}", "t", [EntityMention("MgB2", "material")]) for i in (1, 2)]
+        preds = [PredictionSet(f"d{i}", "run1", {"material": ["MgB 2"]}) for i in (1, 2)]
+        provider = FailingProvider({}, concurrency=2, delay=0.2)
+        report = _within(30, lambda: evaluate_ner(docs, preds, EvalConfig(
+            task="ner_material", matchers=("semantic", "strict")), provider))
+        assert provider.calls == [("MgB2", "MgB 2")]
+        assert "semantic" not in report.matchers and "strict" in report.matchers
+        assert report.skipped == ["semantic: refused MgB2 ~ MgB 2"]
+
+    def test_a_failed_pair_fails_again_without_a_second_call(self):
+        provider = FailingProvider({})
+        tier = SemanticTier(provider=provider)
+        for _ in range(2):
+            with pytest.raises(ProviderUnavailableError, match="refused a ~ b"):
+                _within(30, lambda: tier.verify("a", "b"))
+        assert provider.calls == [("a", "b")]
 
     def test_failing_batch_skips_the_matcher(self):
         docs = [Document("d1", "t", [EntityMention("MgB2", "material")])]
@@ -728,6 +899,18 @@ class TestConfigErrors:
         cfg = ChatEndpointConfig(dry_run=not value)
         cfg.set("dry_run", text)
         assert cfg.dry_run is value
+
+    @pytest.mark.parametrize("fields, refused", [
+        ({"base_url": "localhost:9"}, "base_url must be an http(s) URL, got 'localhost:9'"),
+        ({"timeout": 0}, "timeout must be positive and finite, got 0"),
+        ({"semantic_endpoint": "localhost:8040/score"}, "semantic_endpoint must be"),
+        ({"min_interval": math.nan}, "min_interval must be >= 0 and finite"),
+        ({"max_retries": -1}, "max_retries must be >= 0"),
+        ({"max_concurrency": 0}, "max_concurrency must be >= 1"),
+    ])
+    def test_constructor_checks_as_the_file_does(self, fields, refused):
+        with pytest.raises(ConfigError, match=re.escape(refused)):
+            ChatEndpointConfig(**fields)
 
     def test_bad_config_is_still_a_value_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -349,7 +349,8 @@ class TestCandidateIndex:
     def test_adjacency_equals_all_pairs(self, expected, predicted, threshold):
         for tier in slot_tiers(threshold):
             ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
-            assert tier.adjacency(ek, pk) == all_pairs_rows(tier, ek, pk)
+            rows = [list(row) for row in tier.adjacency(ek, pk)]  # a row may be lazy
+            assert rows == all_pairs_rows(tier, ek, pk)
             assert count_matches(expected, predicted, tier) == count_matches(
                 expected, predicted, lambda a, b, tier=tier: tier.outcome(a, b).matched
             )
@@ -360,7 +361,8 @@ class TestCandidateIndex:
         for slot in slot_tiers(threshold):
             tier = _GroupTier(slot)
             ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
-            assert tier.adjacency(ek, pk) == all_pairs_rows(tier, ek, pk)
+            rows = [list(row) for row in tier.adjacency(ek, pk)]
+            assert rows == all_pairs_rows(tier, ek, pk)
             assert count_matches(expected, predicted, tier) == count_matches(
                 expected, predicted,
                 lambda a, b, tier=tier: tier.verify(tier.key(a), tier.key(b)),
