@@ -116,6 +116,11 @@ class _GroupTier(Tier):
     def verify(self, ka: tuple, kb: tuple) -> bool:
         return all(map(self.slot_matches, ka, kb))
 
+    def scan_orders(self, expected: list, predicted: list) -> list:
+        """The slot tier's order on the material slot (an absent one read as "")."""
+        return self.slot.scan_orders([k[0] or "" for k in expected],
+                                     [k[0] or "" for k in predicted])
+
 
 def match_relation_groups(
     expected: list[RelationGroup], predicted: list[RelationGroup]

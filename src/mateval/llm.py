@@ -83,10 +83,16 @@ class ChatEndpointConfig:
     }
 
     def __post_init__(self):
-        """Check every field as :meth:`set` would, so a config built in code
-        is refused the way a config file is."""
-        for key in self._VALID:
-            self._check(key, getattr(self, key))
+        """Check every field's type (a bool is no int, an int is a float), then
+        its value as :meth:`set` would, so a config built in code is refused
+        the way a config file is."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (int, float) if f.type is float else f.type) or (
+                    isinstance(value, bool) and f.type is not bool):
+                name = getattr(f.type, "__name__", f.type)
+                raise ConfigError(f"{f.name} must be of type {name}, got {value!r}")
+            self._check(f.name, value)
 
     def _check(self, key: str, value, shown=None) -> None:
         if key in self._VALID and not self._VALID[key][0](value):

@@ -10,14 +10,16 @@ Evaluations score through :class:`Tier` objects: a per-string ``key``,
 computed once per distinct string, an exact pairwise ``verify``, and an
 ``adjacency`` that verifies only the pairs a per-document candidate index
 admits (blocking) or, for tiers without an index, only the pairs the
-matching search reaches. Indexes and filters test necessary conditions of a
-match, so verdicts (and reports) equal the public predicates'. Strict keys match on
+matching search reaches, likeliest first. Indexes and filters test necessary
+conditions of a match, and no row order changes a maximum matching's size, so
+verdicts (and reports) equal the public predicates'. Strict keys match on
 equality, so counting reduces to a multiset intersection. Soft bounds
 ``ratio()`` from above, bit for bit, by ``2.0*bound/length``, ``bound`` being
 the shorter length (the index bisects the length-sorted keys for the window
-it passes) or the character-multiset intersection size (``verify``). Formula
-indexes keys by normalized text and by each variant's element set, which
-:func:`~mateval.materials.compositions_equal` requires to be equal.
+it passes) or the character-multiset intersection size (:func:`overlap_bound`,
+which also ranks semantic rows). Formula indexes keys by normalized text and
+by each variant's element set, which :func:`~mateval.materials.compositions_equal`
+requires to be equal.
 """
 
 import json
@@ -85,6 +87,17 @@ def ratcliff_obershelp(a: str, b: str) -> float:
     exact for any input). Returns 1.0 when both strings are empty.
     """
     return SequenceMatcher(None, a, b, autojunk=False).ratio()
+
+
+def overlap_bound(ka: tuple, kb: tuple) -> float:
+    """``2*|ms(a) & ms(b)|/(len a + len b)`` of two :class:`SoftTier` keys: the
+    character-multiset overlap, at least ``ratio()`` bit for bit (1.0 if both are empty)."""
+    (_, la, ca), (_, lb, cb) = ka, kb
+    if len(ca) > len(cb):
+        ca, cb = cb, ca
+    count = cb.get  # the multiset intersection size, summed over the smaller side
+    common = sum([n if n < (m := count(c, 0)) else m for c, n in ca.items()])
+    return 2.0 * common / (la + lb) if la + lb else 1.0
 
 
 def soft_match(a: str, b: str, threshold: float = DEFAULT_THRESHOLD) -> MatchOutcome:
@@ -239,10 +252,14 @@ class Tier:
         return found
 
     def adjacency(self, expected: list, predicted: list) -> list:
-        """Per expected key, the ascending indices of the predicted keys it
-        matches; this default gives :class:`LazyRow` rows, which verify a
-        pair only when iteration reaches it."""
-        return [LazyRow(self.verify, ka, predicted) for ka in expected]
+        """Per expected key, the indices of the predicted keys it matches, in any
+        order: here :class:`LazyRow` rows, verified in ``scan_orders`` order."""
+        orders = self.scan_orders(expected, predicted)
+        return [LazyRow(self.verify, ka, predicted, order) for ka, order in zip(expected, orders)]
+
+    def scan_orders(self, expected: list, predicted: list) -> list:
+        """Per expected key, the order its lazy row verifies predicted indices in."""
+        return [range(len(predicted))] * len(expected)
 
     def verified(self, ka, predicted: list, candidates) -> list[int]:
         """The ``candidates`` (predicted indices) that ``ka`` matches, ascending."""
@@ -252,23 +269,23 @@ class Tier:
 
 class LazyRow:
     """An adjacency row verified on demand. Iterating it replays the indices
-    found so far, then verifies further predicted keys in ascending order, so
+    found so far, then verifies the predicted keys ``order`` lists next, so
     a reader that stops early leaves the rest of the row unverified."""
 
-    def __init__(self, verify, ka, predicted: list):
-        self.verify, self.ka, self.predicted = verify, ka, predicted
+    def __init__(self, verify, ka, predicted: list, order):
+        self.verify, self.ka, self.predicted, self.order = verify, ka, predicted, order
         self.found: list[int] = []
-        self.scanned = 0  # predicted keys verified so far
+        self.scanned = 0  # entries of order verified so far
 
     def __iter__(self):
         found, k = self.found, 0
         while True:
             while k == len(found):
-                j = self.scanned
-                if j == len(self.predicted):
+                if self.scanned == len(self.order):
                     return
+                j = self.order[self.scanned]
                 matched = self.verify(self.ka, self.predicted[j])
-                self.scanned = j + 1  # after verify: a failed call is asked again
+                self.scanned += 1  # after verify: a failed call is asked again
                 if matched:
                     found.append(j)
             yield found[k]
@@ -291,16 +308,11 @@ class SoftTier(Tier):
         return norm, len(norm), Counter(norm)
 
     def verify(self, ka: tuple, kb: tuple) -> bool:
-        (a, la, ca), (b, lb, cb) = ka, kb
-        if a == b:  # ratio() of equal strings is exactly 1.0
+        if ka[0] == kb[0]:  # ratio() of equal strings is exactly 1.0
             return 1.0 >= self.threshold
-        if len(ca) > len(cb):
-            ca, cb = cb, ca
-        count = cb.get  # the multiset intersection size, summed over the smaller side
-        common = sum([n if n < (m := count(c, 0)) else m for c, n in ca.items()])
-        if 2.0 * common / (la + lb) < self.threshold:
+        if overlap_bound(ka, kb) < self.threshold:
             return False
-        return soft_match(a, b, self.threshold).matched
+        return soft_match(ka[0], kb[0], self.threshold).matched
 
     def adjacency(self, expected: list, predicted: list) -> list[list[int]]:
         """Verify only the predicted keys in each expected key's length window:
@@ -343,6 +355,12 @@ class SemanticTier(Tier):
         super().__init__(*args, **kwargs)
         self._scores: dict[tuple[str, str], _Score] = {}
         self._lock = threading.Lock()
+
+    def scan_orders(self, expected: list, predicted: list) -> list:
+        """Likeliest first: descending :func:`overlap_bound`, ties in ascending index."""
+        keys = [SoftTier.make_key(b) for b in predicted]
+        return [sorted(range(len(keys)), key=[-overlap_bound(ka, kb) for kb in keys].__getitem__)
+                for ka in map(SoftTier.make_key, expected)]
 
     def verify(self, a: str, b: str) -> bool:
         with self._lock:

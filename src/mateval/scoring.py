@@ -79,8 +79,9 @@ def count_matches(
     order of either list; duplicates are honoured as multiset multiplicity.
     The matcher is called as ``matcher(expected_item, predicted_item)``, or
     is a tier whose ``adjacency`` gives each expected key's matches among
-    the predicted keys as rows of ascending indices, the rows all pairs
-    would give. A row is an iterable that the search reads only as far as it
+    the predicted keys as rows of indices, the matches all pairs would give,
+    each row in any order: the size of a maximum matching does not depend
+    on it. A row is an iterable that the search reads only as far as it
     needs, so a lazily verified row costs only the pairs the search reaches;
     a tier with ``closed_form`` set matches on key equality, an equivalence
     relation, so tp is the size of the keys' multiset intersection.
@@ -155,27 +156,22 @@ def micro_average(per_doc: Sequence[MatchCounts]) -> Scores:
     return prf(total)
 
 
-def aggregate_runs(runs: Sequence[Any]) -> RunAggregate:
+def aggregate_runs(runs: Sequence[Scores]) -> RunAggregate:
     """Aggregate F1 over repeated extraction runs.
 
-    Accepts :class:`Scores` objects or bare F1 numbers. Reports the
-    arithmetic mean and the sample standard deviation (n-1 denominator;
-    zero for a single run). ``avg_support`` averages supports when Scores
-    are given.
+    Reports the arithmetic mean and the sample standard deviation of the
+    runs' F1 (n-1 denominator; zero for a single run), and their mean
+    support.
 
     Raises:
         EmptyRunsError: on an empty sequence.
     """
     if not runs:
         raise EmptyRunsError("cannot aggregate zero runs")
-    f1s = [r.f1 if isinstance(r, Scores) else float(r) for r in runs]
-    supports = [r.support for r in runs if isinstance(r, Scores)]
-    mean_f1 = statistics.fmean(f1s)
-    std_f1 = statistics.stdev(f1s) if len(f1s) > 1 else 0.0
-    avg_support = statistics.fmean(supports) if supports else 0.0
+    f1s = [r.f1 for r in runs]
     return RunAggregate(
-        mean_f1=mean_f1,
-        std_f1=std_f1,
-        avg_support=avg_support,
+        mean_f1=statistics.fmean(f1s),
+        std_f1=statistics.stdev(f1s) if len(f1s) > 1 else 0.0,
+        avg_support=statistics.fmean(r.support for r in runs),
         n_runs=len(f1s),
     )

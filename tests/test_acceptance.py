@@ -21,7 +21,7 @@ from mateval.materials import compositions_equal, parse_material
 from mateval.scoring import MatchCounts, aggregate_runs, count_matches, prf
 
 from test_matching import oracle_ratio
-from test_scoring import brute_force_max_matching
+from test_scoring import brute_force_max_matching, f1_runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,12 +53,12 @@ def test_criterion_1_f1_arithmetic():
 
 def test_criterion_2_run_aggregation():
     """Three-run F1 mean/std aggregation at table precision."""
-    agg = aggregate_runs([21.64, 20.24, 21.79])
+    agg = aggregate_runs(f1_runs(21.64, 20.24, 21.79))
     mean, std = agg.table_f1()
     assert abs(mean - 21.22) <= 5e-3
     assert abs(std - 0.85) <= 5e-3
 
-    agg = aggregate_runs([59.34, 59.31, 59.09])
+    agg = aggregate_runs(f1_runs(59.34, 59.31, 59.09))
     mean, std = agg.table_f1()
     assert abs(mean - 59.24) <= 5e-3
     assert abs(std - 0.13) <= 5e-3

@@ -28,13 +28,20 @@ from mateval.errors import (
     MissingFixtureError,
     ProviderUnavailableError,
 )
-from mateval.evaluation import EvalConfig, evaluate_ner, evaluate_re, filter_relation_blocks
+from mateval.evaluation import (
+    EvalConfig,
+    _GroupTier,
+    evaluate_ner,
+    evaluate_re,
+    filter_relation_blocks,
+)
 from mateval.llm import ChatEndpointConfig, RateLimiter, _TransientFailure, chat_complete
 from mateval.matching import (
     DEFAULT_THRESHOLD,
     HttpSimilarityProvider,
     SemanticTier,
     SimilarityProvider,
+    Tier,
 )
 from mateval.prompts import build_ner_prompt
 from mateval.scoring import count_matches
@@ -519,6 +526,12 @@ def _product(docs, preds, items, groups=False):
     return pairs
 
 
+class AscendingSemanticTier(SemanticTier):
+    """A semantic tier whose rows scan predicted keys in ascending index."""
+
+    scan_orders = Tier.scan_orders
+
+
 class FailingProvider(RecordingProvider):
     def score(self, a, b):
         super().score(a, b)
@@ -559,11 +572,12 @@ class TestBatchedSemanticScoring:
             NER_DOCS, NER_PREDS, provider, _ner_items)
         assert len(provider.calls) == len(set(provider.calls))
         assert set(provider.calls) <= _product(NER_DOCS, NER_PREDS, _ner_items)
-        # d1 run1: MgB2 takes "MgB 2", Nb3Sn passes "MgB 2" and takes "Nb3Sn";
-        # d2 run1 takes "H3S"; d1 run2 reads the table, then asks "Nb3Sn wires".
-        # ("MgB2", "MgB2") is never asked: MgB2 was matched before the search reached it
-        expected = [("MgB2", "MgB 2"), ("Nb3Sn", "MgB 2"), ("Nb3Sn", "Nb3Sn"),
-                    ("H3S", "H3S"), ("Nb3Sn", "Nb3Sn wires")]
+        # rows scan likeliest first. d1 run1: MgB2 ranks "MgB2" (overlap 1)
+        # before "MgB 2" (8/9) and takes it, Nb3Sn ranks "Nb3Sn" first and
+        # takes it; d2 run1 takes "H3S"; d1 run2: MgB2 takes "MgB 2" (8/9),
+        # Nb3Sn takes "Nb3Sn wires" (10/16). No row asks a pair that misses
+        expected = [("MgB2", "MgB2"), ("Nb3Sn", "Nb3Sn"), ("H3S", "H3S"),
+                    ("MgB2", "MgB 2"), ("Nb3Sn", "Nb3Sn wires")]
         assert provider.calls == expected
         assert [r.per_document[0]["tp"] for r in report.matchers["semantic"].runs] == [2, 2]
 
@@ -575,13 +589,47 @@ class TestBatchedSemanticScoring:
             RE_DOCS, RE_PREDS, provider, _re_items, groups=True)
         assert len(provider.calls) == len(set(provider.calls))
         assert set(provider.calls) <= _product(RE_DOCS, RE_PREDS, _re_items, groups=True)
-        # MgB2/39 K takes block 1; H3S/203 K/155 GPa fails block 1 on material,
-        # block 2 on tc and takes block 3; block 4 is never read, and run2 asks
-        # nothing. tc is asked only where the materials matched
+        # MgB2/39 K takes block 1; H3S/203 K/155 GPa ranks the H3S blocks
+        # before block 1 (material overlap 1 against 0), fails block 2 on tc
+        # and takes block 3; block 4 and ("H3S", "MgB2") are never read, and
+        # run2 asks nothing. tc is asked only where the materials matched
         assert provider.calls == [
-            ("MgB2", "MgB2"), ("39 K", "39 K"), ("H3S", "MgB2"), ("H3S", "H3S"),
+            ("MgB2", "MgB2"), ("39 K", "39 K"), ("H3S", "H3S"),
             ("203 K", "39 K"), ("203 K", "203 K"), ("155 GPa", "150 GPa")]
         assert report.matchers["semantic"].runs[0].per_document[0]["tp"] == 2
+
+    def test_ner_likeliest_first_asks_fewer_pairs_than_ascending(self):
+        # ascending: MgB2 asks "H3S", "LaH 10", then takes "MgB 2"; LaH10
+        # asks "H3S", then takes "LaH 10". Ranked: MgB2 puts "MgB 2" (8/9)
+        # first, LaH10 puts "LaH 10" (10/11) before "H3S" (2/8)
+        gold, predicted = ["MgB2", "LaH10"], ["H3S", "LaH 10", "MgB 2"]
+        table = {("MgB2", "MgB 2"): 0.95, ("LaH10", "LaH 10"): 0.95}
+        calls = {}
+        for name, tier in (("ascending", AscendingSemanticTier), ("ranked", SemanticTier)):
+            provider = RecordingProvider(table)
+            assert count_matches(gold, predicted, tier(provider=provider)).tp == 2
+            calls[name] = provider.calls
+        assert calls == {
+            "ascending": [("MgB2", "H3S"), ("MgB2", "LaH 10"), ("MgB2", "MgB 2"),
+                          ("LaH10", "H3S"), ("LaH10", "LaH 10")],
+            "ranked": [("MgB2", "MgB 2"), ("LaH10", "LaH 10")],
+        }
+
+    def test_re_likeliest_first_asks_fewer_pairs_than_ascending(self):
+        # rows rank blocks by material: MgB2 puts "MgB 2" (8/9) before "H3S"
+        # (0), so ascending's ("MgB2", "H3S") is never asked
+        gold = [RelationGroup("MgB2", "39 K"), RelationGroup("H3S", "203 K")]
+        predicted = [RelationGroup("H3S", "203 K"), RelationGroup("MgB 2", "39 K")]
+        calls = {}
+        for name, tier in (("ascending", AscendingSemanticTier), ("ranked", SemanticTier)):
+            provider = RecordingProvider({("MgB2", "MgB 2"): 0.95})
+            assert count_matches(gold, predicted, _GroupTier(tier(provider=provider))).tp == 2
+            calls[name] = provider.calls
+        assert calls == {
+            "ascending": [("MgB2", "H3S"), ("MgB2", "MgB 2"), ("39 K", "39 K"),
+                          ("H3S", "H3S"), ("203 K", "203 K")],
+            "ranked": [("MgB2", "MgB 2"), ("39 K", "39 K"), ("H3S", "H3S"), ("203 K", "203 K")],
+        }
 
     @pytest.mark.parametrize("evaluate, docs, preds, table, items", [
         (evaluate_ner, NER_DOCS, NER_PREDS, NER_TABLE, _ner_items),
@@ -911,6 +959,24 @@ class TestConfigErrors:
     def test_constructor_checks_as_the_file_does(self, fields, refused):
         with pytest.raises(ConfigError, match=re.escape(refused)):
             ChatEndpointConfig(**fields)
+
+    @pytest.mark.parametrize("fields, refused", [
+        ({"dry_run": "no"}, "dry_run must be of type bool, got 'no'"),
+        ({"dry_run": 1}, "dry_run must be of type bool, got 1"),
+        ({"max_concurrency": 2.5}, "max_concurrency must be of type int, got 2.5"),
+        ({"max_retries": True}, "max_retries must be of type int, got True"),
+        ({"timeout": "5"}, "timeout must be of type float, got '5'"),
+        ({"min_interval": False}, "min_interval must be of type float, got False"),
+        ({"base_url": None}, "base_url must be of type str, got None"),
+        ({"fixture_dir": Path("fixtures")}, "fixture_dir must be of type str | None, got"),
+    ])
+    def test_constructor_refuses_a_value_of_another_type(self, fields, refused):
+        with pytest.raises(ConfigError, match=re.escape(refused)):
+            ChatEndpointConfig(**fields)
+
+    def test_an_int_is_a_float_and_none_an_unset_endpoint(self):
+        cfg = ChatEndpointConfig(timeout=5, backoff_base=0, semantic_endpoint=None)
+        assert (cfg.timeout, cfg.backoff_base, cfg.semantic_endpoint) == (5, 0, None)
 
     def test_bad_config_is_still_a_value_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

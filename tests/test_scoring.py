@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mateval.corpus import RelationGroup
+from mateval.corpus import Document, EntityMention, PredictionSet, RelationGroup
 from mateval.errors import EmptyRunsError
-from mateval.evaluation import _GroupTier
+from mateval.evaluation import EvalConfig, _GroupTier, evaluate_ner, evaluate_re
 from mateval.matching import (
     FormulaTier,
     SemanticTier,
@@ -27,6 +27,14 @@ from mateval.scoring import (
     count_matches,
     micro_average,
     prf,
+)
+
+from test_endpoint_io import (
+    RecordingProvider,
+    _all_pairs_report,
+    _ner_items,
+    _per_document,
+    _re_items,
 )
 
 
@@ -246,27 +254,32 @@ class TestMicroAverage:
             assert micro_average(per_doc) == prf(total)
 
 
+def f1_runs(*f1s):
+    """One :class:`Scores` per run, with these F1 values."""
+    return [Scores(0.0, 0.0, f1, 0) for f1 in f1s]
+
+
 class TestAggregateRuns:
     def test_three_run_zero_shot_row(self):
-        agg = aggregate_runs([21.64, 20.24, 21.79])
+        agg = aggregate_runs(f1_runs(21.64, 20.24, 21.79))
         mean, std = agg.table_f1()
         assert mean == pytest.approx(21.22, abs=5e-3)
         assert std == pytest.approx(0.85, abs=5e-3)
 
     def test_three_run_few_shot_row(self):
-        agg = aggregate_runs([59.34, 59.31, 59.09])
+        agg = aggregate_runs(f1_runs(59.34, 59.31, 59.09))
         mean, std = agg.table_f1()
         assert mean == pytest.approx(59.24, abs=5e-3)
         assert std == pytest.approx(0.13, abs=5e-3)
 
     def test_single_run(self):
-        agg = aggregate_runs([0.5])
+        agg = aggregate_runs(f1_runs(0.5))
         assert agg.mean_f1 == 0.5
         assert agg.std_f1 == 0.0
         assert agg.n_runs == 1
 
     def test_identical_runs_have_zero_std(self):
-        agg = aggregate_runs([0.7, 0.7, 0.7])
+        agg = aggregate_runs(f1_runs(0.7, 0.7, 0.7))
         assert agg.std_f1 == 0.0
 
     def test_scores_objects_carry_support(self):
@@ -285,7 +298,7 @@ class TestAggregateRuns:
 
     def test_sample_standard_deviation(self):
         # n-1 denominator: [1, 3] has std sqrt(2), not 1
-        agg = aggregate_runs([1.0, 3.0])
+        agg = aggregate_runs(f1_runs(1.0, 3.0))
         assert agg.std_f1 == pytest.approx(2 ** 0.5)
 
 
@@ -332,6 +345,13 @@ def all_pairs_rows(tier, expected_keys, predicted_keys):
     ]
 
 
+def scanned_rows(tier, expected_keys, predicted_keys):
+    """All pairs, each row listed in the order the tier's lazy rows scan it."""
+    orders = tier.scan_orders(expected_keys, predicted_keys)
+    return [[j for j in order if tier.verify(ka, predicted_keys[j])]
+            for ka, order in zip(expected_keys, orders)]
+
+
 def slot_tiers(threshold):
     return [
         StrictTier(),
@@ -342,7 +362,8 @@ def slot_tiers(threshold):
 
 
 class TestCandidateIndex:
-    """Each tier's adjacency lists exactly the rows all pairs give."""
+    """Each tier's adjacency lists exactly the matches all pairs give, in the
+    order its rows scan: ascending, or likeliest first for semantic rows."""
 
     @settings(max_examples=300, deadline=None)
     @given(index_texts, index_texts, index_thresholds)
@@ -350,7 +371,8 @@ class TestCandidateIndex:
         for tier in slot_tiers(threshold):
             ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
             rows = [list(row) for row in tier.adjacency(ek, pk)]  # a row may be lazy
-            assert rows == all_pairs_rows(tier, ek, pk)
+            assert [sorted(row) for row in rows] == all_pairs_rows(tier, ek, pk)
+            assert rows == scanned_rows(tier, ek, pk)
             assert count_matches(expected, predicted, tier) == count_matches(
                 expected, predicted, lambda a, b, tier=tier: tier.outcome(a, b).matched
             )
@@ -362,7 +384,8 @@ class TestCandidateIndex:
             tier = _GroupTier(slot)
             ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
             rows = [list(row) for row in tier.adjacency(ek, pk)]
-            assert rows == all_pairs_rows(tier, ek, pk)
+            assert [sorted(row) for row in rows] == all_pairs_rows(tier, ek, pk)
+            assert rows == scanned_rows(tier, ek, pk)
             assert count_matches(expected, predicted, tier) == count_matches(
                 expected, predicted,
                 lambda a, b, tier=tier: tier.verify(tier.key(a), tier.key(b)),
@@ -389,3 +412,116 @@ class TestCandidateIndex:
         assert rows == [
             [j for j, b in enumerate(texts) if soft_match(a, b, threshold).matched] for a in texts
         ]
+
+
+class RowsTier:
+    """A tier whose adjacency is the given rows, whatever their order."""
+
+    closed_form = False
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def key(self, item):
+        return item
+
+    def adjacency(self, expected, predicted):
+        return self.rows
+
+
+def multiset_overlap(a, b):
+    """Oracle for the scan rank: ``2*|ms(a) & ms(b)|/(len a + len b)`` over
+    whitespace-normalized text, 1.0 for two empty texts."""
+    a, b = " ".join(a.split()), " ".join(b.split())
+    common = sum((Counter(a) & Counter(b)).values())
+    return 2.0 * common / (len(a) + len(b)) if a or b else 1.0
+
+
+ROW_MATERIALS = ["MgB2", "MgB 2", "H3S", "H 3 S", "Nb3Sn", "Nb3Sn wires", ""]
+ROW_TCS = ["39 K", "39  K", "203 K"]
+ROW_PRESSURES = [None, "150 GPa", "155 GPa"]
+ROW_TEXTS = ROW_MATERIALS + ROW_TCS + ROW_PRESSURES[1:]
+score_tables = st.dictionaries(
+    st.tuples(st.sampled_from(ROW_TEXTS), st.sampled_from(ROW_TEXTS)),
+    st.sampled_from([0.1, 0.85, 0.9, 0.95]),
+    max_size=30,
+)
+row_groups = st.builds(RelationGroup, st.sampled_from(ROW_MATERIALS),
+                       st.sampled_from(ROW_TCS), st.sampled_from(ROW_PRESSURES))
+
+
+class TestRowOrder:
+    """The order in which a row lists its matches changes which pairs the
+    search asks for, never tp."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_permuted_rows_count_the_assignment_maximum(self, data):
+        optimize = pytest.importorskip("scipy.optimize")
+        n = data.draw(st.integers(0, 6))
+        m = data.draw(st.integers(0, 6))
+        matrix = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                    min_size=n, max_size=n))
+        rows = [data.draw(st.permutations([j for j, hit in enumerate(row) if hit]))
+                for row in matrix]
+        tp = count_matches(range(n), range(m), RowsTier(rows)).tp
+        if n and m:
+            picked_rows, picked_cols = optimize.linear_sum_assignment(matrix, maximize=True)
+            best = sum(matrix[i][j] for i, j in zip(picked_rows, picked_cols))
+        else:
+            best = 0
+        assert tp == best
+
+    @settings(max_examples=200, deadline=None)
+    @given(index_texts, index_texts, groups, groups)
+    def test_semantic_rows_scan_likeliest_first(self, expected, predicted, eg, pg):
+        def rank(a, order, texts):
+            return [(-multiset_overlap(a, texts[j]), j) for j in order]
+
+        semantic = SemanticTier(0.9, OverlapProvider())
+        for a, order in zip(expected, semantic.scan_orders(expected, predicted)):
+            assert sorted(order) == list(range(len(predicted)))
+            assert rank(a, order, predicted) == sorted(rank(a, order, predicted))
+        group = _GroupTier(semantic)
+        ek, pk = [group.key(g) for g in eg], [group.key(g) for g in pg]
+        materials = [g.material or "" for g in pg]
+        for g, order in zip(eg, group.scan_orders(ek, pk)):
+            assert sorted(order) == list(range(len(pg)))
+            assert rank(g.material or "", order, materials) == sorted(
+                rank(g.material or "", order, materials))
+        for tier, e, p in [(StrictTier(), expected, predicted), (SoftTier(), expected, predicted),
+                           (FormulaTier(), expected, predicted), (_GroupTier(SoftTier()), eg, pg)]:
+            ek, pk = [tier.key(x) for x in e], [tier.key(y) for y in p]
+            assert [list(order) for order in tier.scan_orders(ek, pk)] == [
+                list(range(len(p)))] * len(e)  # ascending
+
+    @pytest.mark.parametrize("task", ["ner_material", "re"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), table=score_tables)
+    def test_semantic_reports_equal_all_pairs_at_any_concurrency(self, task, data, table):
+        if task == "re":
+            supplied = [EntityMention(t, c) for texts, c in (
+                (ROW_MATERIALS, "material"), (ROW_TCS, "tc"), (ROW_PRESSURES[1:], "pressure"))
+                for t in texts]
+            items, evaluate, kind = _re_items, evaluate_re, st.lists(row_groups, max_size=4)
+            docs = [Document(f"d{i}", "t", supplied, gold)
+                    for i, gold in enumerate(data.draw(st.lists(kind, min_size=1, max_size=3)))]
+            preds = [PredictionSet(doc.id, f"run{r}", relations=data.draw(kind))
+                     for r in (1, 2) for doc in docs]
+        else:
+            items, evaluate = _ner_items, evaluate_ner
+            kind = st.lists(st.sampled_from(ROW_MATERIALS), max_size=5)
+            docs = [Document(f"d{i}", "t", [EntityMention(t, "material") for t in gold])
+                    for i, gold in enumerate(data.draw(st.lists(kind, min_size=1, max_size=3)))]
+            preds = [PredictionSet(doc.id, f"run{r}", {"material": data.draw(kind)})
+                     for r in (1, 2) for doc in docs]
+        seen = []
+        for concurrency in (None, 1, 4):  # None: a provider without map
+            provider = RecordingProvider(table, concurrency)
+            report = evaluate(docs, preds, EvalConfig(task=task, matchers=("semantic",)),
+                              provider)
+            assert _per_document(report) == _all_pairs_report(
+                docs, preds, provider, items, groups=task == "re")
+            assert len(provider.calls) == len(set(provider.calls))
+            seen.append((sorted(provider.calls), report.to_dict()))
+        assert seen[0] == seen[1] == seen[2]
