@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "corpus": ("Document", "EntityMention", "PredictionSet", "RelationGroup", "load_corpus",
-               "load_predictions", "save_corpus", "validate_corpus"),
-    "evaluation": ("EvalConfig", "evaluate_ner", "evaluate_re", "filter_relation_blocks",
-                   "match_relation_groups"),
+               "load_predictions"),
+    "evaluation": ("EvalConfig", "evaluate_ner", "evaluate_re", "filter_relation_blocks"),
     "finetune": ("FineTuneRecord", "prepare_finetune", "write_finetune_file"),
     "llm": ("ChatEndpointConfig", "chat_complete", "parse_json_response",
             "parse_pseudo_format", "parse_response"),

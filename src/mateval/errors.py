@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all mateval modules."""
+"""Exception hierarchy shared by all mateval modules, and :func:`read_as`,
+which reads parsed JSON as the type a record's annotations declare, for
+corpus, prediction and report files alike."""
+
+import functools
+import itertools
+import types
+import typing
 
 
 class MatEvalError(Exception):
@@ -29,11 +36,33 @@ class EmptyRunsError(MatEvalError):
     """Run aggregation requires at least one run."""
 
 
-class SchemaViolationError(MatEvalError):
-    """A corpus or prediction line does not conform to the JSONL schema."""
+class SchemaError(MatEvalError):
+    """A JSON value does not have the type :func:`read_as` reads: ``reason``
+    says why, and ``field`` is the dotted path to it inside the value read
+    (``relations[0].tc``; "" for that value itself)."""
 
-    def __init__(self, line: int, field: str, message: str):
-        super().__init__(f"line {line}, field '{field}': {message}")
+    def __init__(self, reason: str, field: str = ""):
+        super().__init__(reason)
+        self.reason, self._path = reason, f".{field}" if field else ""
+
+    def within(self, part: str) -> "SchemaError":
+        """This error, raised inside the key or the item ``part`` (".tc", "[0]")."""
+        self._path = part + self._path
+        return self
+
+    @property
+    def field(self) -> str:
+        return self._path.removeprefix(".")
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.reason}" if self.field else self.reason
+
+
+class SchemaViolationError(MatEvalError):
+    """A line of the corpus or prediction file ``path`` does not conform to the JSONL schema."""
+
+    def __init__(self, line: int, field: str, message: str, path: str):
+        super().__init__(f"{path}: line {line}, field '{field}': {message}")
         self.line = line
         self.field = field
 
@@ -95,3 +124,156 @@ class ResponseParseError(MatEvalError):
 
 class EmptyCorpusError(MatEvalError):
     """Fine-tune preparation needs a non-empty corpus."""
+
+
+def read_as(value, kind):
+    """``value``, parsed JSON, read as the annotated type ``kind``, which is its schema:
+
+    - a dataclass or NamedTuple is an object of its fields. A field's key is
+      its name or its ``metadata["key"]``; a field with a default may be left
+      out; any other key is an error.
+    - ``list[X]`` is a list, ``tuple[X, Y]`` a list of exactly those items,
+      and ``dict[K, V]`` an object whose keys read as ``K``;
+    - ``X | None`` reads null as None; ``Literal[a, b]`` is one of its values;
+    - ``Annotated[X, rule, ...]`` is ``X`` passed through each rule, a
+      function that returns the value or raises :class:`SchemaError`;
+    - any other class is an instance of it: an int is read as a float, and a
+      bool is never a number.
+
+    Raises:
+        SchemaError: naming the dotted field, e.g. ``entities[0].class``.
+    """
+    return _reader(kind)(value)
+
+
+def _is_record(kind) -> bool:
+    return hasattr(kind, "__dataclass_fields__") or hasattr(kind, "_fields")
+
+
+@functools.cache
+def _reader(kind):
+    """The function that reads a value as ``kind``, built once per type."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Annotated:
+        return _ruled(_reader(args[0]), _plain(args[0]), args[1:])
+    if _is_record(kind):
+        return _record(kind)
+    if origin is list:
+        return _items(_reader(args[0]), _plain(args[0]))
+    if origin is tuple:
+        return _fixed(tuple(map(_reader, args)))
+    if origin is dict:
+        return _mapping(_reader(args[0]), _reader(args[1]))
+    if origin is types.UnionType:  # `X | None`
+        read = _reader(args[0])
+        return lambda value: None if value is None else read(value)
+    if origin is typing.Literal:
+        return functools.partial(_one_of, args)
+    return functools.partial(_instance, kind=kind)
+
+
+def _plain(kind):
+    """The class whose exact instances ``kind`` reads unchanged, if any (a fast path)."""
+    if typing.get_origin(kind) is types.UnionType:
+        kind = typing.get_args(kind)[0]
+    return kind if type(kind) is type and not _is_record(kind) else None
+
+
+def _instance(value, kind):
+    if isinstance(value, (int, float) if kind is float else kind) and (
+            type(value) is not bool or kind is bool):
+        return value
+    raise SchemaError(f"expected {kind.__name__}, got {type(value).__name__}")
+
+
+def _one_of(allowed: tuple, value):
+    if value in allowed:
+        return value
+    raise SchemaError(f"expected one of {', '.join(map(repr, allowed))}, got {value!r}")
+
+
+def _ruled(read, plain, rules):
+    def read_ruled(value):
+        value = value if type(value) is plain else read(value)
+        for rule in rules:
+            value = rule(value)
+        return value
+
+    return read_ruled
+
+
+def _each(readers, items) -> list:
+    out = []
+    for i, (read, item) in enumerate(zip(readers, items)):
+        try:
+            out.append(read(item))
+        except SchemaError as exc:
+            raise exc.within(f"[{i}]")
+    return out
+
+
+def _items(read_item, plain):
+    def read(value):
+        items = _instance(value, list)
+        if plain is not None and all(type(item) is plain for item in items):
+            return items
+        try:
+            return [read_item(item) for item in items]
+        except SchemaError:  # read again, to name the item
+            return _each(itertools.repeat(read_item), items)
+
+    return read
+
+
+def _fixed(readers: tuple):
+    def read(value):
+        items = _instance(value, list)
+        if len(items) != len(readers):
+            raise SchemaError(f"expected {len(readers)} items, got {len(items)}")
+        return tuple(_each(readers, items))
+
+    return read
+
+
+def _mapping(read_key, read_value):
+    def read(value):
+        out = {}
+        for key, item in _instance(value, dict).items():
+            try:
+                out[read_key(key)] = read_value(item)
+            except SchemaError as exc:
+                raise exc.within(f".{key}")
+        return out
+
+    return read
+
+
+def _record(kind):
+    hints = typing.get_type_hints(kind, include_extras=True)
+    if hasattr(kind, "_fields"):  # a NamedTuple
+        keys = [(name, name, name not in kind._field_defaults) for name in kind._fields]
+    else:  # a dataclass field without a default has both defaults MISSING
+        keys = [(f.metadata.get("key", f.name), f.name, f.default is f.default_factory)
+                for f in kind.__dataclass_fields__.values()]
+    fields = {key: (name, _plain(hints[name]), _reader(hints[name])) for key, name, _ in keys}
+    required = {name: key for key, name, needed in keys if needed}
+
+    def read(value):
+        found = {}
+        for key, item in (value if type(value) is dict else _instance(value, dict)).items():
+            if key not in fields:
+                raise SchemaError("unknown key", key)
+            name, plain, read_field = fields[key]
+            try:
+                found[name] = item if type(item) is plain else read_field(item)
+            except SchemaError as exc:
+                raise exc.within(f".{key}")
+        try:
+            return kind(**found)
+        except TypeError:  # a required field was left out, or kind itself failed
+            missing = [key for name, key in required.items() if name not in found]
+            if missing:
+                raise SchemaError("missing", missing[0]) from None
+            raise
+
+    return read

@@ -28,7 +28,7 @@ from .matching import (
     normalize_whitespace,
 )
 from .report import EvalReport, MatcherBlock, RunScores
-from .scoring import MatchCounts, aggregate_runs, count_matches, micro_average
+from .scoring import aggregate_runs, count_matches, micro_average
 
 TASKS = (*TASK_CLASSES, "re")
 
@@ -122,20 +122,6 @@ class _GroupTier(Tier):
                                      [k[0] or "" for k in predicted])
 
 
-def match_relation_groups(
-    expected: list[RelationGroup], predicted: list[RelationGroup]
-) -> MatchCounts:
-    """Count relation matches under strict slot comparison.
-
-    A predicted group matches an expected one when material and tc
-    strict-match and the pressure slots agree (both absent, or both present
-    and strict-matching); tp comes from a maximum one-to-one assignment.
-    Predicted groups are assumed to have passed
-    :func:`filter_relation_blocks`.
-    """
-    return count_matches(expected, predicted, _GroupTier(StrictTier()))
-
-
 def _group_predictions(
     documents: list[Document], predictions: list[PredictionSet]
 ) -> dict[str, dict[str, PredictionSet]]:
@@ -180,7 +166,7 @@ def _evaluate(
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
     report = EvalReport(task=config.task, config={
         **asdict(config), "matchers": list(config.matchers),  # a list, as read back
-        "run_labels": run_labels, "runs": len(run_labels)})
+        "run_labels": run_labels, "runs": len(run_labels)}, matchers={}, skipped=[], warnings=[])
     ordered_docs = sorted(documents, key=lambda d: d.id)
     items = [
         doc_items(doc, by_run.get(run_label, {}).get(doc.id), report)

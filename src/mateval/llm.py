@@ -26,6 +26,8 @@ from .errors import (
     MissingCredentialError,
     MissingFixtureError,
     ResponseParseError,
+    SchemaError,
+    read_as,
 )
 from .prompts import PromptBundle
 from .transport import NO_REPLY, RateLimiter, post_json
@@ -83,15 +85,17 @@ class ChatEndpointConfig:
     }
 
     def __post_init__(self):
-        """Check every field's type (a bool is no int, an int is a float), then
-        its value as :meth:`set` would, so a config built in code is refused
-        the way a config file is."""
+        """Check every field's type as :func:`~mateval.errors.read_as` reads
+        it (a bool is no int, an int is a float), then its value as
+        :meth:`set` would, so a config built in code is refused the way a
+        config file is."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, (int, float) if f.type is float else f.type) or (
-                    isinstance(value, bool) and f.type is not bool):
+            try:
+                read_as(value, f.type)
+            except SchemaError:
                 name = getattr(f.type, "__name__", f.type)
-                raise ConfigError(f"{f.name} must be of type {name}, got {value!r}")
+                raise ConfigError(f"{f.name} must be of type {name}, got {value!r}") from None
             self._check(f.name, value)
 
     def _check(self, key: str, value, shown=None) -> None:

@@ -11,11 +11,10 @@ documented in the README: ``EvalReport.to_dict`` writes them and
 import csv
 import io
 import json
-import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .errors import ReportSchemaError
+from .errors import ReportSchemaError, SchemaError, read_as
 from .scoring import RunAggregate, Scores, aggregate_runs
 
 
@@ -37,9 +36,9 @@ class MatcherBlock:
 class EvalReport:
     task: str
     config: dict
-    matchers: dict[str, MatcherBlock] = field(default_factory=dict)
-    skipped: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    matchers: dict[str, MatcherBlock]
+    skipped: list[str]
+    warnings: list[str]
     generated_at: str | None = None  # written only when set
 
     def to_dict(self) -> dict:
@@ -47,19 +46,19 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, payload) -> "EvalReport":
-        """The report whose ``to_dict`` is ``payload``.
-
-        Every field is required and must have its type, except
-        ``generated_at``, which may be left out; an int is read where a
-        float is expected, and a bool is never a number. Keys outside the
-        schema are rejected. ``config`` and ``per_document`` entries are
-        taken as they are, and aggregates are not recomputed.
+        """The report whose ``to_dict`` is ``payload``, read by
+        :func:`~mateval.errors.read_as`: every field but ``generated_at`` is
+        required. ``config`` and ``per_document`` entries are taken as they
+        are, and aggregates are not recomputed.
 
         Raises:
             ReportSchemaError: naming the dotted field, e.g.
                 ``matchers.strict.runs[0].scores: missing``.
         """
-        return _read(payload, cls, "")
+        try:
+            return read_as(payload, cls)
+        except SchemaError as exc:
+            raise ReportSchemaError(str(exc)) from None
 
     def verify(self) -> None:
         """Assert that every aggregate derives exactly from its run scores."""
@@ -68,40 +67,9 @@ class EvalReport:
                 raise AssertionError(f"inconsistent aggregate for {name!r}")
 
 
-def _read(value, kind, where: str):
-    """``value`` read as the annotated type ``kind``; ``where`` is its dotted path."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if is_dataclass(kind):
-        payload = _read(value, dict, where)
-        prefix = f"{where}." if where else ""
-        unknown = sorted(payload.keys() - {f.name for f in fields(kind)})
-        if unknown:
-            raise ReportSchemaError(f"{prefix}{unknown[0]}: unknown key")
-        found = {}
-        for f in fields(kind):
-            if f.name in payload:
-                found[f.name] = _read(payload[f.name], f.type, prefix + f.name)
-            elif f.default is not None:  # only an optional field defaults to None
-                raise ReportSchemaError(f"{prefix}{f.name}: missing")
-        return kind(**found)
-    if origin is list:
-        items = _read(value, list, where)
-        return [_read(v, args[0], f"{where}[{i}]") for i, v in enumerate(items)]
-    if origin is dict:
-        items = _read(value, dict, where).items()
-        return {k: _read(v, args[1], f"{where}.{k}") for k, v in items}
-    if origin is types.UnionType:  # `X | None`: left out when unset, never null
-        return _read(value, args[0], where)
-    # no report field is a bool, and a bool never counts as a number
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        got = f"expected {kind.__name__}, got {type(value).__name__}"
-        raise ReportSchemaError(f"{where}: {got}" if where else got)
-    return value
-
-
 def _write(value, kind):
-    """``value``, of the annotated type ``kind``, as the JSON ``_read`` reads back:
-    dataclasses are walked, what ``_read`` takes as it is (``config``,
+    """``value``, of the annotated type ``kind``, as the JSON ``read_as`` reads back:
+    dataclasses are walked, what ``read_as`` takes as it is (``config``,
     ``per_document`` entries, strings, numbers) is passed on, and a field
     that is ``None`` (only an optional one may be) is left out."""
     if is_dataclass(kind):

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from mateval.corpus import Document, EntityMention, RelationGroup
-from mateval.evaluation import filter_relation_blocks, match_relation_groups
+from mateval.evaluation import _GroupTier, filter_relation_blocks
 from mateval.finetune import prepare_finetune
-from mateval.matching import formula_match, ratcliff_obershelp, strict_match
+from mateval.matching import StrictTier, formula_match, ratcliff_obershelp, strict_match
 from mateval.materials import compositions_equal, parse_material
 from mateval.scoring import MatchCounts, aggregate_runs, count_matches, prf
 
@@ -172,11 +172,11 @@ def test_criterion_6_order_invariance():
 
             expected = [group() for _ in range(rng.randint(0, 5))]
             predicted = [group() for _ in range(rng.randint(0, 5))]
-            base = prf(match_relation_groups(expected, predicted))
+            base = prf(count_matches(expected, predicted, _GroupTier(StrictTier())))
             e, p = expected[:], predicted[:]
             rng.shuffle(e)
             rng.shuffle(p)
-            again = prf(match_relation_groups(e, p))
+            again = prf(count_matches(e, p, _GroupTier(StrictTier())))
         assert base == again
     report(6, "order invariance")
 

@@ -322,7 +322,8 @@ class TestBadInputLines:
             [command, "--corpus", corpus, "--predictions", preds], capsys
         )
         assert (code, out) == (3, "")
-        assert err.startswith("error: line 2, field ") and "Traceback" not in err
+        bad_file = preds if kind == "predictions" else corpus
+        assert err.startswith(f"error: {bad_file}: line 2, field ") and "Traceback" not in err
 
 
 # values the library rejects, given after each command's required inputs

@@ -12,10 +12,8 @@ from mateval.corpus import (
     RelationGroup,
     load_corpus,
     load_predictions,
-    save_corpus,
-    validate_corpus,
 )
-from mateval.errors import DuplicateIdError, SchemaViolationError
+from mateval.errors import DuplicateIdError, SchemaViolationError, read_as
 from mateval.report import EvalReport, render_report, write_report
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +21,18 @@ DATA = Path(__file__).parent / "data"
 
 def write_lines(path, lines):
     path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+
+
+def document_line(doc: Document) -> dict:
+    """The corpus line of a document, as the README's schema spells it."""
+    entities = []
+    for e in doc.entities:
+        item: dict = {"text": e.text, "class": e.class_}
+        if e.span is not None:
+            item["span"] = list(e.span)
+        entities.append(item)
+    return {"id": doc.id, "text": doc.text, "entities": entities,
+            "relations": [r.to_dict() for r in doc.relations]}
 
 
 class TestLoadCorpus:
@@ -34,7 +44,7 @@ class TestLoadCorpus:
         assert docs[2].relations[0] == RelationGroup("H2S", "150 K", "150 GPa")
 
         out = tmp_path / "copy.jsonl"
-        save_corpus(docs, str(out))
+        write_lines(out, [document_line(doc) for doc in docs])
         assert load_corpus(str(out)) == docs
 
     def test_two_valid_lines(self, tmp_path):
@@ -148,23 +158,31 @@ def test_relation_group_fields_are_the_relation_slots():
 
 
 class TestValidateCorpus:
-    def test_clean_fixture(self):
-        docs = load_corpus(str(DATA / "corpus.jsonl"))
-        assert validate_corpus(docs) == []
+    """The checks ``load_corpus`` makes on each document it reads."""
 
-    def test_dangling_relation_slot(self):
+    def load_one(self, tmp_path, doc: Document):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [{"id": "ok", "text": "t"}, document_line(doc)])
+        return load_corpus(str(path))
+
+    def test_clean_fixture(self):
+        assert len(load_corpus(str(DATA / "corpus.jsonl"))) == 5
+
+    def test_dangling_relation_slot(self, tmp_path):
         doc = Document(
             id="x",
             text="some text",
-            entities=[EntityMention("MgB2", "material")],
+            entities=[EntityMention("MgB2", "material"), EntityMention("39 K", "tc")],
             relations=[RelationGroup("MgB2", "99 K")],
         )
-        issues = validate_corpus([doc])
-        assert len(issues) == 1
-        assert issues[0].kind == "DanglingRelationSlot"
-        assert "99 K" in issues[0].detail
+        with pytest.raises(SchemaViolationError) as err:
+            self.load_one(tmp_path, doc)
+        assert (err.value.line, err.value.field) == (2, "relations[0].tc")
+        assert "'99 K' is not among the document's tc entities" in str(err.value)
 
-    def test_tc_slot_satisfied_by_quantity_entity(self):
+    def test_tc_slot_is_not_satisfied_by_quantity_entity(self, tmp_path):
+        # an RE prompt supplies the tc entities only, so eval-re could never
+        # keep a predicted block naming this tc
         doc = Document(
             id="x",
             text="t",
@@ -174,26 +192,31 @@ class TestValidateCorpus:
             ],
             relations=[RelationGroup("MgB2", "99 K")],
         )
-        assert validate_corpus([doc]) == []
+        with pytest.raises(SchemaViolationError, match="relations.0..tc"):
+            self.load_one(tmp_path, doc)
 
-    def test_span_mismatch(self):
-        doc = Document(
-            id="x",
-            text="ABCDEF",
-            entities=[EntityMention("ZZZ", "material", span=(0, 3))],
-        )
-        issues = validate_corpus([doc])
-        assert issues and issues[0].kind == "SpanMismatch"
+    def test_span_mismatch(self, tmp_path):
+        # a span is provenance only: its shape is checked, not what it slices
+        path = tmp_path / "c.jsonl"
+        entity = {"text": "ZZZ", "class": "material"}
+        write_lines(path, [
+            {"id": "a", "text": "ABCDEF", "entities": [{**entity, "span": [0, 3]}]},
+            {"id": "b", "text": "ABCDEF", "entities": [{**entity, "span": [0, 3, 5]}]},
+        ])
+        with pytest.raises(SchemaViolationError) as err:
+            load_corpus(str(path))
+        assert (err.value.line, err.value.field) == (2, "entities[0].span")
+        assert "expected 2 items, got 3" in str(err.value)
 
-    def test_empty_document(self):
-        issues = validate_corpus([Document(id="x", text="  ")])
-        assert issues and issues[0].kind == "EmptyDocument"
+    def test_empty_document(self, tmp_path):
+        with pytest.raises(SchemaViolationError) as err:
+            self.load_one(tmp_path, Document(id="x", text="  "))
+        assert (err.value.line, err.value.field) == (2, "text")
 
     def test_validation_does_not_mutate(self):
-        docs = load_corpus(str(DATA / "corpus.jsonl"))
-        snapshot = [doc for doc in docs]
-        validate_corpus(docs)
-        assert docs == snapshot
+        lines = (DATA / "corpus.jsonl").read_text().splitlines()
+        assert load_corpus(str(DATA / "corpus.jsonl")) == [
+            read_as(json.loads(line), Document) for line in lines]
 
 
 SAMPLE_REPORT = {

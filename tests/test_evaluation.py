@@ -20,13 +20,14 @@ from mateval.errors import (
 )
 from mateval.evaluation import (
     EvalConfig,
+    _GroupTier,
     evaluate_ner,
     evaluate_re,
     filter_relation_blocks,
-    match_relation_groups,
 )
+from mateval.matching import StrictTier
 from mateval.prompts import shuffle_entities
-from mateval.scoring import MatchCounts
+from mateval.scoring import MatchCounts, count_matches
 
 DATA = Path(__file__).parent / "data"
 
@@ -230,13 +231,18 @@ class TestFilterRelationBlocks:
             assert filter_relation_blocks(once, SUPPLIED) == once
 
 
+def strict_group_counts(expected, predicted):
+    """Relation groups counted as ``evaluate_re`` counts them under strict."""
+    return count_matches(expected, predicted, _GroupTier(StrictTier()))
+
+
 class TestMatchRelationGroups:
     def test_identity(self):
         groups = [
             RelationGroup("H2S", "150 K", "150 GPa"),
             RelationGroup("H3S", "203 K", "150 GPa"),
         ]
-        assert match_relation_groups(groups, list(groups)) == MatchCounts(2, 0, 0)
+        assert strict_group_counts(groups, list(groups)) == MatchCounts(2, 0, 0)
 
     def test_swapped_tcs_are_all_wrong(self):
         expected = [
@@ -247,16 +253,16 @@ class TestMatchRelationGroups:
             RelationGroup("H2S", "203 K", "150 GPa"),
             RelationGroup("H3S", "150 K", "150 GPa"),
         ]
-        assert match_relation_groups(expected, predicted) == MatchCounts(0, 2, 2)
+        assert strict_group_counts(expected, predicted) == MatchCounts(0, 2, 2)
 
     def test_pressureless_group(self):
         expected = [RelationGroup("La 3 Ir 2 Ge 2", "4.7 K")]
-        assert match_relation_groups(expected, list(expected)) == MatchCounts(1, 0, 0)
+        assert strict_group_counts(expected, list(expected)) == MatchCounts(1, 0, 0)
 
     def test_missing_pressure_is_non_match(self):
         expected = [RelationGroup("H2S", "150 K", "150 GPa")]
         predicted = [RelationGroup("H2S", "150 K")]
-        assert match_relation_groups(expected, predicted) == MatchCounts(0, 1, 1)
+        assert strict_group_counts(expected, predicted) == MatchCounts(0, 1, 1)
 
 
 def re_pred(doc_id, blocks, run="run1"):

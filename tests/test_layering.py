@@ -5,7 +5,8 @@ error types, so extraction and fine-tune preparation cannot drift apart,
 and the task/slot vocabulary is spelled out once, in ``corpus``; the
 matcher names are the keys of ``matching.TIERS``. The report schema,
 its renderers and its reader live in ``report``, on ``errors`` and
-``scoring`` alone. Both HTTP
+``scoring`` alone. Reports, corpora and predictions are all read by the
+one schema reader, ``errors.read_as``, below both. Both HTTP
 clients sit on ``transport``, and the package needs nothing outside the
 standard library at run time. Each CLI command runs only the modules it
 uses.
@@ -88,6 +89,18 @@ def test_llm_plumbing_stays_below_evaluation(module):
 
 def test_report_depends_only_on_errors_and_scoring():
     assert DEPS["report"] <= {"errors", "scoring"}
+
+
+def test_errors_is_a_leaf_holding_the_one_schema_reader():
+    assert DEPS["errors"] == set()
+    readers = {name for name, tree in TREES.items()
+               for module, names in _imports(tree) if module == "errors" and "read_as" in names}
+    assert readers == {"corpus", "llm", "report"}  # llm checks its config's field types
+    # no other module walks annotations, but for report's writer, the reader's mirror
+    walkers = {name for name, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("get_origin", "get_type_hints")}
+    assert walkers == {"errors", "report"}
 
 
 def test_corpus_re_exports_the_one_renderer():
