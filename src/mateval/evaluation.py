@@ -161,7 +161,9 @@ def _evaluate(
     predicted lists, once per run; ``lift(tier)`` is the tier they are
     counted with. A semantic tier counts the documents of all runs through
     the provider's ``map``, when it has one, so they wait on the service
-    together.
+    together, largest ``len(expected) * len(predicted)`` first (ties in run,
+    then document order); a failure skips the matcher, and the one named is
+    the first in that start order.
     """
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
     report = EvalReport(task=config.task, config={
@@ -176,9 +178,13 @@ def _evaluate(
     for name in config.matchers:
         matcher = TIERS[name](config.threshold, provider)
         tier = lift(matcher)
-        count_all = getattr(provider, "map", map) if isinstance(matcher, SemanticTier) else map
+        count_all, order = map, range(len(items))
+        if isinstance(matcher, SemanticTier) and hasattr(provider, "map"):
+            count_all = provider.map  # largest first (LPT): a document asks at most |G|*|P| pairs
+            order = sorted(order, key=lambda i: -len(items[i][0]) * len(items[i][1]))
         try:
-            all_counts = list(count_all(lambda item: count_matches(*item, tier), items))
+            counted = zip(order, count_all(lambda i: count_matches(*items[i], tier), order))
+            all_counts = [counts for _, counts in sorted(counted)]  # back in input order
         except ProviderUnavailableError as exc:
             report.skipped.append(f"{name}: {exc}")
             continue

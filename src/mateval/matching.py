@@ -115,12 +115,14 @@ def soft_match(a: str, b: str, threshold: float = DEFAULT_THRESHOLD) -> MatchOut
 class SimilarityProvider:
     """Scorer contract for semantic matching: ``score(a, b) -> [0, 1]``.
 
-    Conforming providers must return 1.0 for identical inputs. A provider may
+    Conforming providers must return 1.0 for identical inputs, and
+    :func:`semantic_match` asks them no raw-identical pair. A provider may
     also offer ``map(fn, items) -> [fn(item) for item in items]``, in order,
-    run concurrently; evaluations count documents through it, each ``fn``
-    calling ``score`` as its matching search needs. Without it, documents
-    are counted one at a time. The bundled implementation calls an external
-    HTTP service; tests may substitute any object with a compatible ``score``.
+    run concurrently, raising the first failing item's failure; evaluations
+    count documents through it, largest first, each ``fn`` calling ``score``
+    as its matching search needs. Without it, documents are counted one at a
+    time. The bundled implementation calls an external HTTP service; tests
+    may substitute any object with a compatible ``score``.
     """
 
     def score(self, a: str, b: str) -> float:
@@ -184,6 +186,9 @@ def semantic_match(
 ) -> MatchOutcome:
     """Match when the provider's semantic similarity reaches ``threshold``.
 
+    A raw-identical pair scores 1.0 without a call (a provider scoring it
+    otherwise breaks the contract), and is still compared with ``threshold``.
+
     Raises:
         ProviderUnavailableError: no provider, transport failure, or timeout.
             Callers running evaluations must report the matcher as skipped,
@@ -191,7 +196,7 @@ def semantic_match(
     """
     if provider is None:
         raise ProviderUnavailableError("no similarity provider configured")
-    similarity = provider.score(a, b)
+    similarity = 1.0 if a == b else provider.score(a, b)
     if similarity >= threshold:
         return MatchOutcome(True, "semantic", similarity)
     return MatchOutcome(False, "none", similarity)

@@ -42,6 +42,7 @@ from mateval.matching import (
     SemanticTier,
     SimilarityProvider,
     Tier,
+    semantic_match,
 )
 from mateval.prompts import build_ner_prompt
 from mateval.scoring import count_matches
@@ -478,6 +479,15 @@ RE_BLOCKS = [
 ]
 RE_PREDS = [PredictionSet("d1", run, relations=RE_BLOCKS) for run in ("run1", "run2")]
 RE_TABLE = {("155 GPa", "150 GPa"): 0.95}
+# documents of unequal sizes, pairs shared between them
+UNEQUAL_DOCS = [Document(f"d{i}", "t", [EntityMention(t, "material") for t in texts])
+                for i, texts in enumerate((["MgB2"], ["MgB2", "Nb3Sn", "H3S"], ["Nb3Sn", "LaH10"]))]
+UNEQUAL_PREDS = [PredictionSet(doc, run, {"material": texts}) for doc, run, texts in (
+    ("d0", "run1", ["MgB 2", "Nb3Sn wires", "H3S", "x"]),
+    ("d1", "run1", ["MgB 2"]),
+    ("d1", "run2", ["Nb3Sn wires", "MgB 2", "H3S", "LaH 10", "y"]),
+    ("d2", "run2", ["Nb3Sn", "LaH 10"]))]
+UNEQUAL_TABLE = {**NER_TABLE, ("LaH10", "LaH 10"): 0.95}
 
 
 def _ner_items(doc, pred):
@@ -572,13 +582,13 @@ class TestBatchedSemanticScoring:
             NER_DOCS, NER_PREDS, provider, _ner_items)
         assert len(provider.calls) == len(set(provider.calls))
         assert set(provider.calls) <= _product(NER_DOCS, NER_PREDS, _ner_items)
-        # rows scan likeliest first. d1 run1: MgB2 ranks "MgB2" (overlap 1)
-        # before "MgB 2" (8/9) and takes it, Nb3Sn ranks "Nb3Sn" first and
-        # takes it; d2 run1 takes "H3S"; d1 run2: MgB2 takes "MgB 2" (8/9),
-        # Nb3Sn takes "Nb3Sn wires" (10/16). No row asks a pair that misses
-        expected = [("MgB2", "MgB2"), ("Nb3Sn", "Nb3Sn"), ("H3S", "H3S"),
-                    ("MgB2", "MgB 2"), ("Nb3Sn", "Nb3Sn wires")]
-        assert provider.calls == expected
+        # rows scan likeliest first, and an identical pair scores 1.0 unasked.
+        # d1 run1: MgB2 ranks "MgB2" (overlap 1) before "MgB 2" (8/9) and
+        # takes it unasked, Nb3Sn ranks "Nb3Sn" first and takes it unasked;
+        # d2 run1 takes "H3S" unasked; d1 run2: MgB2 asks and takes "MgB 2"
+        # (8/9), Nb3Sn asks and takes "Nb3Sn wires" (10/16). No row asks a
+        # pair that misses
+        assert provider.calls == [("MgB2", "MgB 2"), ("Nb3Sn", "Nb3Sn wires")]
         assert [r.per_document[0]["tp"] for r in report.matchers["semantic"].runs] == [2, 2]
 
     def test_re_asks_for_exactly_the_serial_pairs(self):
@@ -589,13 +599,14 @@ class TestBatchedSemanticScoring:
             RE_DOCS, RE_PREDS, provider, _re_items, groups=True)
         assert len(provider.calls) == len(set(provider.calls))
         assert set(provider.calls) <= _product(RE_DOCS, RE_PREDS, _re_items, groups=True)
-        # MgB2/39 K takes block 1; H3S/203 K/155 GPa ranks the H3S blocks
-        # before block 1 (material overlap 1 against 0), fails block 2 on tc
-        # and takes block 3; block 4 and ("H3S", "MgB2") are never read, and
-        # run2 asks nothing. tc is asked only where the materials matched
-        assert provider.calls == [
-            ("MgB2", "MgB2"), ("39 K", "39 K"), ("H3S", "H3S"),
-            ("203 K", "39 K"), ("203 K", "203 K"), ("155 GPa", "150 GPa")]
+        # MgB2/39 K takes block 1 with both slots identical, unasked;
+        # H3S/203 K/155 GPa ranks the H3S blocks before block 1 (material
+        # overlap 1 against 0), matches block 2's material unasked, asks and
+        # fails its tc ("203 K", "39 K"), then takes block 3: material and tc
+        # identical, pressure asked ("155 GPa", "150 GPa"). Block 4 and
+        # ("H3S", "MgB2") are never read, and run2 asks nothing. tc is asked
+        # only where the materials matched
+        assert provider.calls == [("203 K", "39 K"), ("155 GPa", "150 GPa")]
         assert report.matchers["semantic"].runs[0].per_document[0]["tp"] == 2
 
     def test_ner_likeliest_first_asks_fewer_pairs_than_ascending(self):
@@ -617,7 +628,8 @@ class TestBatchedSemanticScoring:
 
     def test_re_likeliest_first_asks_fewer_pairs_than_ascending(self):
         # rows rank blocks by material: MgB2 puts "MgB 2" (8/9) before "H3S"
-        # (0), so ascending's ("MgB2", "H3S") is never asked
+        # (0), so ascending's ("MgB2", "H3S") is never asked. Identical slots
+        # ("39 K", "H3S", "203 K") score 1.0 unasked in both orders
         gold = [RelationGroup("MgB2", "39 K"), RelationGroup("H3S", "203 K")]
         predicted = [RelationGroup("H3S", "203 K"), RelationGroup("MgB 2", "39 K")]
         calls = {}
@@ -626,15 +638,15 @@ class TestBatchedSemanticScoring:
             assert count_matches(gold, predicted, _GroupTier(tier(provider=provider))).tp == 2
             calls[name] = provider.calls
         assert calls == {
-            "ascending": [("MgB2", "H3S"), ("MgB2", "MgB 2"), ("39 K", "39 K"),
-                          ("H3S", "H3S"), ("203 K", "203 K")],
-            "ranked": [("MgB2", "MgB 2"), ("39 K", "39 K"), ("H3S", "H3S"), ("203 K", "203 K")],
+            "ascending": [("MgB2", "H3S"), ("MgB2", "MgB 2")],
+            "ranked": [("MgB2", "MgB 2")],
         }
 
     @pytest.mark.parametrize("evaluate, docs, preds, table, items", [
         (evaluate_ner, NER_DOCS, NER_PREDS, NER_TABLE, _ner_items),
         (evaluate_re, RE_DOCS, RE_PREDS, RE_TABLE, _re_items),
-    ], ids=["ner", "re"])
+        (evaluate_ner, UNEQUAL_DOCS, UNEQUAL_PREDS, UNEQUAL_TABLE, _ner_items),
+    ], ids=["ner", "re", "ner-unequal-sizes"])
     def test_calls_and_report_do_not_depend_on_concurrency(
         self, evaluate, docs, preds, table, items
     ):
@@ -657,15 +669,17 @@ class TestBatchedSemanticScoring:
 
             def score(self, a, b):
                 self.calls.append((a, b))
-                return float(a == b)
+                return float(a.replace(" ", "") == b.replace(" ", ""))
 
+        # MgB2 ranks "MgB 2" (8/9) before "x" (0): run1 asks the pair and
+        # takes it, run2 reads it from the tier; "x" is never asked
         docs = [Document("d1", "t", [EntityMention("MgB2", "material")])]
-        preds = [PredictionSet("d1", run, {"material": ["MgB2", "x"]})
+        preds = [PredictionSet("d1", run, {"material": ["MgB 2", "x"]})
                  for run in ("run1", "run2")]
         provider = ScoreOnly()
         report = evaluate_ner(docs, preds, EvalConfig(
             task="ner_material", matchers=("semantic",), runs=2), provider)
-        assert provider.calls == [("MgB2", "MgB2")]
+        assert provider.calls == [("MgB2", "MgB 2")]
         assert report.matchers["semantic"].aggregate.mean_f1 == pytest.approx(2 / 3)
 
     def test_a_pair_two_documents_need_at_once_is_asked_once(self):
@@ -721,13 +735,169 @@ class TestBatchedSemanticScoring:
         assert provider.calls == [("a", "b")]
 
     def test_failing_batch_skips_the_matcher(self):
+        # not identical, so the pair is asked and the request fails
         docs = [Document("d1", "t", [EntityMention("MgB2", "material")])]
-        preds = [PredictionSet("d1", "run1", {"material": ["MgB2", "x"]})]
+        preds = [PredictionSet("d1", "run1", {"material": ["MgB 2", "x"]})]
         provider = HttpSimilarityProvider("http://127.0.0.1:9/score", 0.5)
         report = evaluate_ner(docs, preds, EvalConfig(
             task="ner_material", matchers=("semantic", "strict")), provider)
         assert "semantic" not in report.matchers and "strict" in report.matchers
         assert report.skipped[0].startswith("semantic: similarity service at")
+
+
+class ContractBreaker(RecordingProvider):
+    """Scores every pair 0.0, identical ones too: the ``score(a, a) = 1``
+    contract broken, so a pair it is asked for shows in the report."""
+
+    def __init__(self, concurrency=None):
+        super().__init__({}, concurrency)
+
+    def similarity(self, a, b):
+        return 0.0
+
+
+class TestIdenticalPairsScoreOneUnasked:
+    """A raw-identical pair scores 1.0 without a request, on every path that
+    reaches ``semantic_match``; texts that differ in whitespace are asked."""
+
+    def test_semantic_match(self):
+        provider = ContractBreaker()
+        outcome = semantic_match("MgB2", "MgB2", DEFAULT_THRESHOLD, provider)
+        assert (outcome.matched, outcome.tier, outcome.similarity) == (True, "semantic", 1.0)
+        assert not semantic_match("MgB2", "MgB2 ", DEFAULT_THRESHOLD, provider).matched
+        assert provider.calls == [("MgB2", "MgB2 ")]
+
+    def test_tier_verify_agrees_with_outcome(self):
+        provider = ContractBreaker()
+        tier = SemanticTier(provider=provider)
+        for a, b in (("MgB2", "MgB2"), ("MgB2", "MgB 2"), ("39 K", "39  K")):
+            assert tier.verify(tier.key(a), tier.key(b)) == tier.outcome(a, b).matched == (a == b)
+        # each whitespace variant asked twice: outcome keeps no score, verify does
+        assert provider.calls == [("MgB2", "MgB 2")] * 2 + [("39 K", "39  K")] * 2
+
+    @pytest.mark.parametrize("concurrency", [None, 1, 4])
+    def test_evaluate_ner(self, concurrency):
+        provider = ContractBreaker(concurrency)
+        report = evaluate_ner(NER_DOCS, NER_PREDS, EvalConfig(
+            task="ner_material", matchers=("semantic",)), provider)
+        # d1 run1 and d2 run1 reach identical pairs only; d1 run2 asks each
+        # gold item's row in full, likeliest first, and matches nothing
+        assert sorted(provider.calls) == [
+            ("MgB2", "MgB 2"), ("MgB2", "Nb3Sn wires"), ("Nb3Sn", "MgB 2"),
+            ("Nb3Sn", "Nb3Sn wires")]
+        assert [[d["tp"] for d in run.per_document]
+                for run in report.matchers["semantic"].runs] == [[2, 1], [0, 0]]
+
+    @pytest.mark.parametrize("concurrency", [None, 1, 4])
+    def test_evaluate_re_slot_by_slot(self, concurrency):
+        provider = ContractBreaker(concurrency)
+        report = evaluate_re(RE_DOCS, RE_PREDS, EvalConfig(task="re", matchers=("semantic",)),
+                             provider)
+        # MgB2/39 K takes block 1, both slots identical. H3S/203 K/155 GPa
+        # matches block 2's material unasked and asks its tc, then block 3's
+        # material and tc unasked and asks its pressure; block 4 has no
+        # pressure, and block 1's material is asked last
+        assert sorted(provider.calls) == [
+            ("155 GPa", "150 GPa"), ("203 K", "39 K"), ("H3S", "MgB2")]
+        assert [run.per_document[0]["tp"] for run in report.matchers["semantic"].runs] == [1, 1]
+
+    def test_cli_match(self, chat_stub, capsys):
+        chat_stub.script = [(200, {}, b'{"score": 0.0}')] * 2
+        url = chat_stub.url + "/score"
+        code, out, _ = _extract(["match", "--matcher", "semantic", "--semantic-endpoint", url,
+                                 "MgB2", "MgB2"], capsys)
+        assert (code, chat_stub.requests) == (0, 0)
+        assert json.loads(out) == {"matched": True, "tier": "semantic", "similarity": 1.0,
+                                   "detail": None}
+        code, out, _ = _extract(["match", "--matcher", "semantic", "--semantic-endpoint", url,
+                                 "MgB2", "MgB2 "], capsys)
+        assert (code, chat_stub.requests) == (0, 1)
+        assert json.loads(out)["similarity"] == 0.0
+
+    def test_threshold_above_one_rejects_an_identical_pair(self):
+        provider = ContractBreaker()
+        tier = SemanticTier(threshold=1.5, provider=provider)
+        outcome = tier.outcome("MgB2", "MgB2")
+        assert (outcome.matched, outcome.similarity) == (False, 1.0)
+        assert not tier.verify(tier.key("MgB2"), tier.key("MgB2"))
+        assert not semantic_match("MgB2", "MgB2", 1.5, provider).matched
+        assert count_matches(["MgB2"], ["MgB2"], tier).tp == 0
+        assert provider.calls == []
+
+    def test_unreachable_service_is_not_asked_for_identical_pairs(self):
+        # "MgB2" ranks first in its row (overlap 1) and takes it, so "x" is
+        # never reached and the service is never asked
+        docs = [Document("d1", "t", [EntityMention("MgB2", "material")])]
+        preds = [PredictionSet("d1", run, {"material": ["x", "MgB2"]})
+                 for run in ("run1", "run2")]
+        provider = HttpSimilarityProvider("http://127.0.0.1:9/score", 0.5, max_concurrency=2)
+        asked = []
+        score = provider.score
+        provider.score = lambda a, b: asked.append((a, b)) or score(a, b)
+        report = evaluate_ner(docs, preds, EvalConfig(
+            task="ner_material", matchers=("semantic",)), provider)
+        assert asked == [] and report.skipped == []
+        assert [run.per_document[0] for run in report.matchers["semantic"].runs] == [
+            {"doc_id": "d1", "tp": 1, "fp": 1, "fn": 0}] * 2
+
+
+# a, b, c hold 2, 3 and 1 gold items. |G|*|P| per (run, doc): run1 a 6,
+# b 6, c 4; run2 a 2, b 9, c 6. No text is shared between documents
+SIZED_DOCS = [Document(doc, "t", [EntityMention(f"{doc}{k}", "material") for k in range(n)])
+              for doc, n in (("a", 2), ("b", 3), ("c", 1))]
+SIZED_PREDS = [PredictionSet(doc, run, {"material": [f"{doc}{k} {run}" for k in range(n)]})
+               for run, sizes in (("run1", (3, 2, 4)), ("run2", (1, 3, 6)))
+               for doc, n in zip("abc", sizes)]
+SIZED_START_ORDER = [("run2", "b"), ("run1", "a"), ("run1", "b"), ("run2", "c"),
+                     ("run1", "c"), ("run2", "a")]
+
+
+def _started(calls):
+    """(run, doc) of each document, in the order its first pair was asked."""
+    order = []
+    for _, predicted in calls:
+        text, run = predicted.split()
+        if (run, text[0]) not in order:
+            order.append((run, text[0]))
+    return order
+
+
+class TestLargestDocumentsStartFirst:
+    """Through a provider's ``map``, documents start in descending
+    ``|G|*|P|``, ties in (run, doc) order; without one they are counted in
+    (run, doc) order. (``test_calls_and_report_do_not_depend_on_concurrency``
+    checks that reports and the pairs asked do not change.)"""
+
+    @pytest.mark.parametrize("concurrency, expected", [
+        (1, SIZED_START_ORDER),  # one slot: documents run in start order
+        (None, sorted(SIZED_START_ORDER)),  # no map
+    ], ids=["map", "no-map"])
+    def test_start_order(self, concurrency, expected):
+        provider = RecordingProvider({}, concurrency)
+        evaluate_ner(SIZED_DOCS, SIZED_PREDS, EvalConfig(
+            task="ner_material", matchers=("semantic",)), provider)
+        # nothing matches, so each document asks all its pairs, in one run
+        assert len(provider.calls) == 6 + 6 + 4 + 2 + 9 + 6
+        assert _started(provider.calls) == expected
+
+    @pytest.mark.parametrize("concurrency, failure", [
+        (1, "H3S ~ H 3 S"), (2, "H3S ~ H 3 S"), (4, "H3S ~ H 3 S"),
+        (None, "MgB2 ~ MgB 2"),  # no map: (run, doc) order
+    ])
+    def test_two_failures_name_the_first_to_start(self, concurrency, failure):
+        # d1 (1x1) comes first in (run, doc) order, d2 (2x2) starts first
+        # through map; d2's first row, H3S, ranks "H 3 S" (6/8) before
+        # "LaH 10" (2/8). With two or more slots both documents start and fail
+        docs = [Document("d1", "t", [EntityMention("MgB2", "material")]),
+                Document("d2", "t", [EntityMention(t, "material") for t in ("H3S", "LaH10")])]
+        preds = [PredictionSet("d1", "run1", {"material": ["MgB 2"]}),
+                 PredictionSet("d2", "run1", {"material": ["H 3 S", "LaH 10"]})]
+        for _ in range(3):
+            provider = FailingProvider({}, concurrency, delay=0.05)
+            report = _within(30, lambda: evaluate_ner(docs, preds, EvalConfig(
+                task="ner_material", matchers=("semantic", "strict")), provider))
+            assert report.skipped == [f"semantic: refused {failure}"]
+            assert list(report.matchers) == ["strict"]
 
 
 class TestPostJson:
@@ -794,8 +964,9 @@ class TestReplyThatIsNotHttp:
         assert (garbage_server.requests, sleeps) == (2, [0.5])
 
     def test_semantic_matcher_is_skipped(self, garbage_server):
+        # not identical, so the pair is asked and the reply is refused
         docs = [Document("d1", "t", [EntityMention("MgB2", "material")])]
-        preds = [PredictionSet("d1", "run1", {"material": ["MgB2", "x"]})]
+        preds = [PredictionSet("d1", "run1", {"material": ["MgB 2", "x"]})]
         provider = HttpSimilarityProvider(garbage_server.url + "/score", 5.0)
         report = evaluate_ner(docs, preds, EvalConfig(
             task="ner_material", matchers=("semantic", "strict")), provider)
@@ -826,10 +997,10 @@ class TestMalformedChatReplies:
         assert chat_stub.requests == 1
 
 
-def _predictions(tmp_path: Path) -> Path:
+def _predictions(tmp_path: Path, materials=("MgB2", "Nb3Sn")) -> Path:
     path = tmp_path / "preds.jsonl"
     path.write_text(json.dumps({"doc_id": "d1", "run": "run1",
-                                "entities": {"material": ["MgB2", "Nb3Sn"]}}) + "\n")
+                                "entities": {"material": list(materials)}}) + "\n")
     return path
 
 
@@ -863,9 +1034,11 @@ class TestSimilarityReplies:
         chat_stub.script = [(200, {}, b'{"score": 7}')] * 50
         cfg = _write_config(tmp_path / "c.cfg", chat_stub.url, 1,
                             semantic_endpoint=chat_stub.url + "/score")
+        # d1's gold "MgB2" against "MgB 2": not identical, so the pair is asked
         code, out, err = _extract(
             ["eval-ner", "--corpus", DATA / "corpus.jsonl", "--predictions",
-             _predictions(tmp_path), "--matchers", "semantic,strict", "--config", cfg],
+             _predictions(tmp_path, ["MgB 2", "Nb3Sn"]), "--matchers", "semantic,strict",
+             "--config", cfg],
             capsys)
         assert code == 1, err
         report = json.loads(out)

@@ -164,8 +164,9 @@ class TestSemanticMatch:
             semantic_match("a", "b", 0.9, FailingProvider())
 
     def test_no_provider(self):
-        with pytest.raises(ProviderUnavailableError):
-            semantic_match("a", "b", 0.9, None)
+        for a, b in (("a", "b"), ("a", "a")):  # an identical pair too
+            with pytest.raises(ProviderUnavailableError):
+                semantic_match(a, b, 0.9, None)
 
 
 class TestFormulaMatch:
