@@ -21,8 +21,7 @@ _EXPORTS = {
                "load_predictions"),
     "evaluation": ("EvalConfig", "evaluate_ner", "evaluate_re", "filter_relation_blocks"),
     "finetune": ("FineTuneRecord", "prepare_finetune", "write_finetune_file"),
-    "llm": ("ChatEndpointConfig", "chat_complete", "parse_json_response",
-            "parse_pseudo_format", "parse_response"),
+    "llm": ("chat_complete", "parse_json_response", "parse_pseudo_format", "parse_response"),
     "matching": ("HttpSimilarityProvider", "MatchOutcome", "SimilarityProvider",
                  "formula_match", "ratcliff_obershelp", "semantic_match", "soft_match",
                  "strict_match"),
@@ -33,6 +32,7 @@ _EXPORTS = {
     "report": ("EvalReport", "read_report", "render_report", "write_report"),
     "scoring": ("MatchCounts", "RunAggregate", "Scores", "aggregate_runs", "count_matches",
                 "micro_average", "prf"),
+    "transport": ("ChatEndpointConfig",),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,7 +9,8 @@ unless --timestamps is given.
 
 The mateval modules the commands run are bound below but run on their
 first attribute access, so a process runs only what its command uses:
-``--help`` and ``report`` run no matcher, corpus reader or chat client.
+``--help`` and ``report`` run no matcher, corpus reader or chat client;
+``eval-*`` runs no chat client, and the formula parser only for ``formula``.
 """
 
 import argparse
@@ -51,6 +52,7 @@ matching = _lazy("matching")
 materials = _lazy("materials")
 prompts = _lazy("prompts")
 report = _lazy("report")
+transport = _lazy("transport")
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -133,6 +135,7 @@ def cmd_parse_material(args) -> int:
 def cmd_match(args) -> int:
     threshold = _threshold(args)
     matching.check_threshold(threshold)
+    _refuse_unread_endpoint_flags(args, args.matcher == "semantic")
     provider = _semantic_provider(args) if args.matcher == "semantic" else None
     if args.matcher == "semantic" and provider is None:
         raise MatEvalError("semantic matching needs --semantic-endpoint")
@@ -146,11 +149,11 @@ _CONFIG_FLAGS = {"model": "model", "fixtures": "fixture_dir", "dry_run": "dry_ru
                  "semantic_endpoint": "semantic_endpoint", "timeout": "timeout"}
 
 
-def _endpoint_config(args) -> "llm.ChatEndpointConfig":
+def _endpoint_config(args) -> "transport.ChatEndpointConfig":
     """--config (or the defaults), then every endpoint flag given, each set
     and checked as the same key in the file would be."""
-    cfg = (llm.ChatEndpointConfig.from_file(args.config) if args.config
-           else llm.ChatEndpointConfig())
+    cfg = (transport.ChatEndpointConfig.from_file(args.config) if args.config
+           else transport.ChatEndpointConfig())
     for dest, key in _CONFIG_FLAGS.items():
         text = getattr(args, dest, None)
         if text is not None:
@@ -159,6 +162,14 @@ def _endpoint_config(args) -> "llm.ChatEndpointConfig":
             except ConfigError as exc:
                 raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from exc
     return cfg
+
+
+def _refuse_unread_endpoint_flags(args, semantic: bool) -> None:
+    """On match and eval-*, only a semantic matcher reads the endpoint flags."""
+    given = [dest for dest in ("config", *_CONFIG_FLAGS) if getattr(args, dest, None) is not None]
+    if given and not semantic:
+        raise ConfigError(f"--{given[0].replace('_', '-')} is read only by the semantic "
+                          "matcher, and it is not selected")
 
 
 def _semantic_provider(args) -> "matching.HttpSimilarityProvider | None":
@@ -177,9 +188,12 @@ def _semantic_provider(args) -> "matching.HttpSimilarityProvider | None":
 def _run_eval(args, task: str) -> int:
     if args.format and not args.output:  # stdout is always JSON
         raise ConfigError("--format applies to --output, and no --output was given")
+    matchers = tuple(m.strip() for m in args.matchers.split(",") if m.strip())
+    _refuse_unread_endpoint_flags(args, "semantic" in matchers)
     documents = corpus.load_corpus(args.corpus)
     predictions = corpus.load_predictions(args.predictions)
-    matchers = tuple(m.strip() for m in args.matchers.split(",") if m.strip())
+    if "formula" in matchers:  # run the parser here, on the main thread, before counting
+        materials.parse_material  # noqa: B018  (the first attribute access runs it)
     config = evaluation.EvalConfig(
         task=task,
         matchers=matchers,

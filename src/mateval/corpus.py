@@ -8,12 +8,11 @@ differs from the plain field is declared on the field. Reports live in
 :mod:`mateval.report`.
 """
 
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Annotated, Literal, NamedTuple
 
-from .errors import DuplicateIdError, SchemaError, SchemaViolationError, read_as
+from .errors import DuplicateIdError, SchemaError, SchemaViolationError, numbered_lines, read_as
 
 ENTITY_CLASSES = ("material", "quantity", "tc", "pressure")
 # the entity class each NER task extracts
@@ -112,19 +111,6 @@ class PredictionSet:
     run_label: str = field(default="run1", metadata={"key": "run"})
     entities: dict[EntityClass, list[str]] = field(default_factory=dict)
     relations: list[Annotated[RelationGroup, _predicted_relation]] = field(default_factory=list)
-
-
-def numbered_lines(path: str, not_utf8):
-    """``(line number, line)`` pairs of a UTF-8 text file, counted from 1 and
-    read with universal newlines; text that is not UTF-8 raises the error
-    ``not_utf8(number of the first bad byte's line)``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise not_utf8(data.count(b"\n", 0, exc.start) + 1) from exc
-    return enumerate(io.StringIO(text, newline=None), 1)
 
 
 def _reachable(doc: Document) -> Document:

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by all mateval modules, and :func:`read_as`,
-which reads parsed JSON as the type a record's annotations declare, for
-corpus, prediction and report files alike."""
+"""Exception hierarchy shared by all mateval modules; :func:`read_as`, which
+reads parsed JSON as a record's annotations declare, for corpus, prediction
+and report files alike; and :func:`numbered_lines`, the text-line reader."""
 
 import functools
+import io
 import itertools
 import types
 import typing
@@ -94,8 +95,8 @@ class NoEntitiesError(MatEvalError):
 class ConfigError(MatEvalError, ValueError):
     """A setting has an unknown key or an invalid value.
 
-    Also a ValueError, so callers that catch ValueError from
-    ``ChatEndpointConfig.from_file`` or a library constructor keep working.
+    Also a ValueError, so callers of ``transport.ChatEndpointConfig.from_file``
+    or a library constructor that catch ValueError keep working.
     """
 
 
@@ -124,6 +125,19 @@ class ResponseParseError(MatEvalError):
 
 class EmptyCorpusError(MatEvalError):
     """Fine-tune preparation needs a non-empty corpus."""
+
+
+def numbered_lines(path: str, not_utf8):
+    """``(line number, line)`` pairs of a UTF-8 text file, counted from 1 and
+    read with universal newlines; text that is not UTF-8 raises the error
+    ``not_utf8(number of the first bad byte's line)``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(data.count(b"\n", 0, exc.start) + 1) from exc
+    return enumerate(io.StringIO(text, newline=None), 1)
 
 
 def read_as(value, kind):

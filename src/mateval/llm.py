@@ -15,22 +15,18 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES, numbered_lines
+from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
 from .errors import (
-    ConfigError,
     EndpointError,
     MatEvalError,
     MissingCredentialError,
     MissingFixtureError,
     ResponseParseError,
-    SchemaError,
-    read_as,
 )
 from .prompts import PromptBundle
-from .transport import NO_REPLY, RateLimiter, post_json
+from .transport import NO_REPLY, ChatEndpointConfig, RateLimiter, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -39,109 +35,6 @@ REFUSALS = ("i don't know", "i do not know", "none", "n/a", "no answer")
 _KEY_MARKER_RE = re.compile(r"(?:(?<=^)|(?<=,)|(?<=;))\s*([A-Za-z_][A-Za-z0-9_]*)\s*:")
 _BULLET_RE = re.compile(r"^\s*[-*]\s+(.*\S)\s*$")
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*$")
-
-
-def _bool(text: str) -> bool:
-    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError("expected 1/true/yes or 0/false/no, in any case")
-    return text.lower() in ("1", "true", "yes")
-
-
-def _is_http_url(text: str) -> bool:
-    scheme, sep, rest = text.partition("://")
-    return bool(sep and rest) and scheme.lower() in ("http", "https")
-
-
-@dataclass
-class ChatEndpointConfig:
-    """Settings of the chat endpoint and the similarity service.
-
-    ``timeout``, ``max_concurrency`` and ``min_interval`` govern both
-    clients. Every chat request names ``model``, at temperature 0.
-    ``credential_env`` names the environment variable holding the API key,
-    which never lives in config files. ``dry_run`` requires ``fixture_dir``.
-    """
-
-    base_url: str = "https://api.openai.com/v1"
-    credential_env: str = "OPENAI_API_KEY"
-    model: str = "gpt-3.5-turbo"
-    timeout: float = 60.0
-    max_retries: int = 3
-    dry_run: bool = False
-    fixture_dir: str | None = None
-    backoff_base: float = 1.0
-    max_concurrency: int = 4
-    min_interval: float = 0.0
-    semantic_endpoint: str | None = None
-
-    _VALID = {  # NaN fails every comparison
-        "base_url": (_is_http_url, "must be an http(s) URL"),
-        "semantic_endpoint": (lambda v: not v or _is_http_url(v), "must be an http(s) URL"),
-        "timeout": (lambda v: 0 < v < math.inf, "must be positive and finite"),
-        "backoff_base": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
-        "min_interval": (lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
-        "max_retries": (lambda v: v >= 0, "must be >= 0"),
-        "max_concurrency": (lambda v: v >= 1, "must be >= 1"),
-    }
-
-    def __post_init__(self):
-        """Check every field's type as :func:`~mateval.errors.read_as` reads
-        it (a bool is no int, an int is a float), then its value as
-        :meth:`set` would, so a config built in code is refused the way a
-        config file is."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                read_as(value, f.type)
-            except SchemaError:
-                name = getattr(f.type, "__name__", f.type)
-                raise ConfigError(f"{f.name} must be of type {name}, got {value!r}") from None
-            self._check(f.name, value)
-
-    def _check(self, key: str, value, shown=None) -> None:
-        if key in self._VALID and not self._VALID[key][0](value):
-            shown = value if shown is None else shown
-            raise ConfigError(f"{key} {self._VALID[key][1]}, got {shown!r}")
-
-    def set(self, key: str, text: str) -> None:
-        """Cast ``text`` by field ``key``'s annotation, check it and store it.
-
-        Config files and flags both set fields here. An unknown key, a value
-        that does not convert, a negative count or interval, no concurrency
-        slot, a timeout that is not positive and finite, or an endpoint that
-        is not an http(s) URL raises ConfigError.
-        """
-        kind = next((f.type for f in fields(self) if f.name == key), None)
-        if kind is None:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            value = {float: float, int: int, bool: _bool}.get(kind, str)(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
-        self._check(key, value, text)
-        setattr(self, key, value)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ChatEndpointConfig":
-        """Read ``key=value`` lines through :meth:`set`.
-
-        Text that is not UTF-8, a line without ``=``, or a key or value
-        that :meth:`set` rejects raises ConfigError naming ``path:line``.
-        """
-        cfg = cls()
-        lines = numbered_lines(path, lambda n: ConfigError(f"{path}:{n}: not UTF-8 text"))
-        for lineno, line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, text = line.partition("=")
-            try:
-                cfg.set(key.strip(), text.strip())
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        return cfg
 
 
 class _TransientFailure(Exception):

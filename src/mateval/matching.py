@@ -19,7 +19,8 @@ the shorter length (the index bisects the length-sorted keys for the window
 it passes) or the character-multiset intersection size (:func:`overlap_bound`,
 which also ranks semantic rows). Formula indexes keys by normalized text and
 by each variant's element set, which :func:`~mateval.materials.compositions_equal`
-requires to be equal.
+requires to be equal. :mod:`~mateval.materials` is reached at call time, so the
+CLI, which binds it unrun, runs the parser only for the formula tier.
 """
 
 import json
@@ -31,14 +32,8 @@ from dataclasses import asdict, dataclass
 from difflib import SequenceMatcher
 from typing import NamedTuple
 
+from . import materials
 from .errors import ConfigError, MatEvalError, ProviderUnavailableError
-from .materials import (
-    Composition,
-    compositions_equal,
-    expand_substitutions,
-    format_composition,
-    parse_material,
-)
 from .transport import NO_REPLY, RateLimiter, post_json
 
 DEFAULT_THRESHOLD = 0.9
@@ -204,13 +199,14 @@ def semantic_match(
 
 def material_variants(
     text: str, lexicon: tuple[str, ...] | None = None
-) -> list[Composition]:
+) -> "list[materials.Composition]":
     """Candidate compositions of a material expression, in expansion order.
 
     The per-string half of formula matching: parses the expression and
     expands its substitution sets, raising MatEvalError on either failure.
     """
-    return [v.composition for v in expand_substitutions(parse_material(text, lexicon))]
+    parsed = materials.parse_material(text, lexicon)
+    return [v.composition for v in materials.expand_substitutions(parsed)]
 
 
 def formula_match(
@@ -414,7 +410,7 @@ class FormulaTier(Tier):
         """The first variant pair, in expansion order, with equal compositions."""
         for elements, va in ka.variants:
             for vb in kb.buckets.get(elements, ()):
-                if compositions_equal(va, vb):
+                if materials.compositions_equal(va, vb):
                     return va, vb
         return None
 
@@ -441,7 +437,8 @@ class FormulaTier(Tier):
         pair = self.witness(ka, kb)
         if pair is None:
             return MatchOutcome(False, "none", detail="no composition variant pair matched")
-        return MatchOutcome(True, "formula", detail=" ~ ".join(map(format_composition, pair)))
+        detail = " ~ ".join(map(materials.format_composition, pair))
+        return MatchOutcome(True, "formula", detail=detail)
 
 
 TIERS = {"strict": StrictTier, "soft": SoftTier, "semantic": SemanticTier, "formula": FormulaTier}

@@ -341,6 +341,16 @@ REJECTED_VALUES = {
                             "solar cell", "solar cell"],
     "match negative threshold": ["match", "--matcher", "soft", "--threshold", "-1",
                                  "abc", "xyz"],
+    # endpoint flags that only a semantic matcher reads
+    "config without semantic": ["eval-ner", "--matchers", "strict", "--config",
+                                "/nonexistent.cfg"],
+    "semantic endpoint without semantic": ["eval-ner", "--matchers", "strict,soft",
+                                           "--semantic-endpoint", "http://127.0.0.1:9/score"],
+    "timeout without semantic": ["eval-ner", "--timeout", "5"],
+    "match config with strict": ["match", "--matcher", "strict", "--config", "/nonexistent.cfg",
+                                 "MgB2", "MgB2"],
+    "match timeout with formula": ["match", "--matcher", "formula", "--timeout", "5",
+                                   "MgB2", "MgB2"],
 }
 
 
@@ -361,6 +371,19 @@ class TestRejectedOptionValues:
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
         assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "train.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--config", ["match", "--matcher", "soft", "--config", "/nonexistent.cfg", "a", "b"]),
+        ("--semantic-endpoint", ["eval-ner", "--corpus", "/nonexistent.jsonl", "--predictions",
+                                 "/nonexistent.jsonl", "--matchers", "strict,soft,formula",
+                                 "--semantic-endpoint", "http://127.0.0.1:9/score"]),
+        ("--timeout", ["eval-re", "--corpus", "/nonexistent.jsonl", "--predictions",
+                       "/nonexistent.jsonl", "--timeout", "5"]),
+    ], ids=["match", "eval-ner", "eval-re"])
+    def test_unread_endpoint_flag_is_named_before_any_input_is_read(self, capsys, flag, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {flag} is read only by the semantic matcher, and it is not selected\n"
 
 
 class TestExtractCommand:

@@ -7,9 +7,11 @@ matcher names are the keys of ``matching.TIERS``. The report schema,
 its renderers and its reader live in ``report``, on ``errors`` and
 ``scoring`` alone. Reports, corpora and predictions are all read by the
 one schema reader, ``errors.read_as``, below both. Both HTTP
-clients sit on ``transport``, and the package needs nothing outside the
+clients sit on ``transport``, which also holds the endpoint settings they
+read, on ``errors`` alone, and the package needs nothing outside the
 standard library at run time. Each CLI command runs only the modules it
-uses.
+uses: an evaluation runs no chat client, a semantic one included, and the
+formula parser only when the formula matcher is selected.
 """
 
 import ast
@@ -95,7 +97,7 @@ def test_errors_is_a_leaf_holding_the_one_schema_reader():
     assert DEPS["errors"] == set()
     readers = {name for name, tree in TREES.items()
                for module, names in _imports(tree) if module == "errors" and "read_as" in names}
-    assert readers == {"corpus", "llm", "report"}  # llm checks its config's field types
+    assert readers == {"corpus", "report", "transport"}  # transport checks its config's field types
     # no other module walks annotations, but for report's writer, the reader's mirror
     walkers = {name for name, tree in TREES.items() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute)
@@ -298,6 +300,7 @@ _LIBRARY = {f"mateval.{m}" for m in
             ("corpus", "evaluation", "matching", "materials", "llm", "prompts", "finetune")}
 _SCORING = {f"mateval.{m}" for m in ("evaluation", "matching", "materials", "scoring", "report")}
 _CHAT = {"mateval.llm", "mateval.prompts", "mateval.finetune", "logging", "hashlib"}
+_PARSER = {"mateval.materials", "mateval.elements"}
 _OFFLINE = {"http.client", "urllib.request", "datetime", "secrets"}
 
 
@@ -342,18 +345,27 @@ def _command(name: str, work: Path) -> list:
         "eval-ner": ["eval-ner", *corpus, "--predictions", work / "ner_material.jsonl",
                      "--matchers", "strict,soft,formula"],
         "eval-re": ["eval-re", *corpus, "--predictions", work / "re.jsonl"],
+        # nothing listens on port 9: the matcher is skipped, with exit code 1
+        "eval-ner --matchers semantic": ["eval-ner", *corpus, "--predictions",
+                                         work / "ner_material.jsonl", "--matchers", "semantic",
+                                         "--semantic-endpoint", "http://127.0.0.1:9/score"],
+        "match --matcher strict": ["match", "--matcher", "strict", "MgB2", "MgB2"],
     }[name]
 
 
 # modules each command must not run: --help and report no library module,
-# the offline prompt and fine-tune commands no scoring, eval-* no chat client
+# the offline prompt and fine-tune commands no scoring, eval-* no chat client,
+# and a command without the formula matcher no formula parser. A semantic
+# evaluation sends requests, and urllib.request loads hashlib
 COMMAND_MUST_NOT_LOAD = {
     "--help": _LIBRARY | _OFFLINE,
     "report": _LIBRARY | _OFFLINE,
     "extract --dry-run": _SCORING | {"statistics"} | _OFFLINE,
     "prepare-finetune": _SCORING | {"statistics"} | _OFFLINE,
     "eval-ner": _CHAT | _OFFLINE,
-    "eval-re": _CHAT | _OFFLINE,
+    "eval-re": _CHAT | _PARSER | _OFFLINE,
+    "eval-ner --matchers semantic": (_CHAT - {"hashlib"}) | _PARSER,
+    "match --matcher strict": _CHAT | _PARSER | _OFFLINE,
 }
 
 
@@ -377,7 +389,7 @@ def test_cli_binds_command_modules_unrun_as_an_import_would():
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     same, unrun, identical, ran = ast.literal_eval(out)
-    assert same and all(unrun) and len(unrun) == 9
+    assert same and all(unrun) and len(unrun) == 10
     assert identical and ran
 
 
@@ -386,6 +398,30 @@ def test_each_command_loads_only_what_it_runs(name, pipeline_files, tmp_path):
     code, loaded = _run_probe(tmp_path, _command(name, pipeline_files))
     assert code in (0, 1) and "mateval.cli" in loaded
     assert sorted(loaded & COMMAND_MUST_NOT_LOAD[name]) == []
+
+
+def test_formula_evaluation_runs_the_parser_before_counting(pipeline_files):
+    # the parser runs on the main thread before the first document is
+    # counted, strict's included, not at the first formula key
+    probe = (
+        "import sys, types\n"
+        "import mateval.cli, mateval.scoring\n"
+        "count, ran = mateval.scoring.count_matches, []\n"
+        "def first_count(*args, **kwargs):\n"
+        "    if not ran:\n"
+        "        ran.append(type(sys.modules['mateval.materials']) is types.ModuleType)\n"
+        "    return count(*args, **kwargs)\n"
+        "mateval.scoring.count_matches = first_count\n"
+        "print([mateval.cli.main(sys.argv[1:]), ran])\n"
+    )
+    argv = ["eval-ner", "--corpus", _DATA / "corpus.jsonl", "--predictions",
+            pipeline_files / "ner_material.jsonl", "--matchers", "strict,formula"]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, argv)], env={"PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    code, ran = ast.literal_eval(out.splitlines()[-1])
+    assert code in (0, 1) and ran == [True]
 
 
 @pytest.mark.parametrize("command", ["extract", "eval-ner --matchers semantic"])
