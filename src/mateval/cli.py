@@ -44,7 +44,6 @@ def _lazy(name: str):
 
 
 corpus = _lazy("corpus")
-elements = _lazy("elements")
 evaluation = _lazy("evaluation")
 finetune = _lazy("finetune")
 llm = _lazy("llm")
@@ -89,7 +88,7 @@ def _resolve_seed(args) -> int:
 
 def _load_lexicon(args):
     if getattr(args, "adjunct_lexicon", None):
-        return elements.load_adjuncts(args.adjunct_lexicon)
+        return materials.load_adjuncts(args.adjunct_lexicon)
     return None
 
 
@@ -135,9 +134,10 @@ def cmd_parse_material(args) -> int:
 def cmd_match(args) -> int:
     threshold = _threshold(args)
     matching.check_threshold(threshold)
-    _refuse_unread_endpoint_flags(args, args.matcher == "semantic")
-    provider = _semantic_provider(args) if args.matcher == "semantic" else None
-    if args.matcher == "semantic" and provider is None:
+    _refuse_unread_scoring_flags(args, [args.matcher])
+    read = matching.TIERS[args.matcher].reads
+    provider = _semantic_provider(args) if "provider" in read else None
+    if "provider" in read and provider is None:
         raise MatEvalError("semantic matching needs --semantic-endpoint")
     tier = matching.TIERS[args.matcher](threshold, provider, _load_lexicon(args))
     _emit_json(tier.outcome(args.a, args.b).to_dict(), args)
@@ -164,12 +164,20 @@ def _endpoint_config(args) -> "transport.ChatEndpointConfig":
     return cfg
 
 
-def _refuse_unread_endpoint_flags(args, semantic: bool) -> None:
-    """On match and eval-*, only a semantic matcher reads the endpoint flags."""
-    given = [dest for dest in ("config", *_CONFIG_FLAGS) if getattr(args, dest, None) is not None]
-    if given and not semantic:
-        raise ConfigError(f"--{given[0].replace('_', '-')} is read only by the semantic "
-                          "matcher, and it is not selected")
+# argparse dest of each scoring flag of match and eval-* -> its setting in matching.Tier.reads
+_SCORING_FLAGS = {"threshold": "threshold", "config": "provider", "semantic_endpoint": "provider",
+                  "timeout": "provider", "adjunct_lexicon": "lexicon"}
+
+
+def _refuse_unread_scoring_flags(args, matchers) -> None:
+    """Refuse the first scoring flag given that no known name in ``matchers`` reads."""
+    for dest, setting in _SCORING_FLAGS.items():
+        if getattr(args, dest, None) is not None and not any(
+                setting in matching.TIERS[m].reads for m in matchers if m in matching.TIERS):
+            readers = [name for name, tier in matching.TIERS.items() if setting in tier.reads]
+            tail = "s, and neither is" if len(readers) > 1 else ", and it is not"
+            raise ConfigError(f"--{dest.replace('_', '-')} is read only by the "
+                              f"{' and '.join(readers)} matcher{tail} selected")
 
 
 def _semantic_provider(args) -> "matching.HttpSimilarityProvider | None":
@@ -185,23 +193,24 @@ def _semantic_provider(args) -> "matching.HttpSimilarityProvider | None":
     )
 
 
-def _run_eval(args, task: str) -> int:
+def cmd_eval(args) -> int:
+    task = f"ner_{args.entity_class}" if args.command == "eval-ner" else "re"
     if args.format and not args.output:  # stdout is always JSON
         raise ConfigError("--format applies to --output, and no --output was given")
     matchers = tuple(m.strip() for m in args.matchers.split(",") if m.strip())
-    _refuse_unread_endpoint_flags(args, "semantic" in matchers)
+    _refuse_unread_scoring_flags(args, matchers)
     documents = corpus.load_corpus(args.corpus)
     predictions = corpus.load_predictions(args.predictions)
-    if "formula" in matchers:  # run the parser here, on the main thread, before counting
-        materials.parse_material  # noqa: B018  (the first attribute access runs it)
     config = evaluation.EvalConfig(
         task=task,
         matchers=matchers,
         threshold=_threshold(args),
-        shuffle=getattr(args, "shuffle", "non_shuffled"),
         seed=args.seed if args.seed is not None else 0,
     )
-    provider = _semantic_provider(args) if "semantic" in matchers else None
+    read = matching.settings_read(config.matchers)
+    if "lexicon" in read:  # the parser reads it: run the parser on the main thread, before counting
+        materials.parse_material  # noqa: B018  (the first attribute access runs it)
+    provider = _semantic_provider(args) if "provider" in read else None
     evaluate = evaluation.evaluate_re if task == "re" else evaluation.evaluate_ner
     result = evaluate(documents, predictions, config, provider)
     if args.timestamps:
@@ -216,15 +225,6 @@ def _run_eval(args, task: str) -> int:
     if args.pretty:
         _note(report.render_report(result, "markdown"))
     return EXIT_WARNINGS if (result.skipped or result.warnings) else EXIT_OK
-
-
-def cmd_eval_ner(args) -> int:
-    task = "ner_material" if args.entity_class == "material" else "ner_quantity"
-    return _run_eval(args, task)
-
-
-def cmd_eval_re(args) -> int:
-    return _run_eval(args, "re")
 
 
 def _load_hints(path: str, class_: str) -> dict[str, list[str]]:
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.set_defaults(func=cmd_match)
 
-    for name, entity_flag in (("eval-ner", True), ("eval-re", False)):
+    for name in ("eval-ner", "eval-re"):
         p = sub.add_parser(name, parents=[scoring],
                            help=f"run {name.split('-')[1].upper()} evaluation")
         p.add_argument("--corpus", required=True)
@@ -394,14 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--timestamps", action="store_true",
                        help="embed a generation timestamp in the report")
-        if entity_flag:
+        if name == "eval-ner":
             p.add_argument("--class", dest="entity_class",
                            choices=("material", "quantity"), default="material")
-            p.set_defaults(func=cmd_eval_ner)
-        else:
-            p.add_argument("--shuffle", choices=("shuffled", "non_shuffled"),
-                           default="non_shuffled")
-            p.set_defaults(func=cmd_eval_re)
+        p.set_defaults(func=cmd_eval)
         _add_output_flags(p)
 
     p = sub.add_parser("extract", help="build prompts and call the chat endpoint")

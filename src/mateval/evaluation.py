@@ -1,9 +1,9 @@
 """NER and RE evaluation across matchers and runs.
 
 Scoring is deterministic and order-invariant: documents are processed in id
-order and counts use maximum bipartite matching. The shuffle mode and seed
-of an RE configuration are echoed in the report; they shape prompts (see
-:mod:`mateval.prompts`), never scores.
+order and counts use maximum bipartite matching. A report's config holds the
+task, the matchers, the run labels (``runs`` counts them), the threshold only
+when a selected matcher reads it, and ``seed``, echoed as given and unread.
 """
 
 import re
@@ -22,10 +22,10 @@ from .matching import (
     TIERS,
     SemanticTier,
     SimilarityProvider,
-    StrictTier,
     Tier,
     check_threshold,
     normalize_whitespace,
+    settings_read,
 )
 from .report import EvalReport, MatcherBlock, RunScores
 from .scoring import aggregate_runs, count_matches, micro_average
@@ -38,8 +38,7 @@ class EvalConfig:
     task: str
     matchers: tuple[str, ...] = ("strict",)
     threshold: float = DEFAULT_THRESHOLD
-    shuffle: str = "non_shuffled"
-    seed: int = 0
+    seed: int = 0  # unread: echoed into the report's config
     runs: int = 1  # unread: a report's config.runs counts its run labels
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class EvalConfig:
         if repeated:
             raise ConfigError(f"repeated matchers: {repeated}")
         check_threshold(self.threshold)
-        if self.shuffle not in ("shuffled", "non_shuffled"):
-            raise ConfigError(f"unknown shuffle mode {self.shuffle!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
 
@@ -166,8 +163,11 @@ def _evaluate(
     the first in that start order.
     """
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
+    settings = asdict(config)
+    if "threshold" not in settings_read(config.matchers):
+        del settings["threshold"]
     report = EvalReport(task=config.task, config={
-        **asdict(config), "matchers": list(config.matchers),  # a list, as read back
+        **settings, "matchers": list(config.matchers),  # a list, as read back
         "run_labels": run_labels, "runs": len(run_labels)}, matchers={}, skipped=[], warnings=[])
     ordered_docs = sorted(documents, key=lambda d: d.id)
     items = [
@@ -241,8 +241,7 @@ def evaluate_re(
     Predicted blocks are filtered against the entities supplied in the
     prompt (the document's gold lists) before matching; dropped blocks are
     recorded as warnings. Slot comparison uses the configured matcher tier
-    (strict for the headline scores). The shuffle mode and seed are echoed
-    in the report; scoring itself is order-invariant.
+    (strict for the headline scores); scoring is order-invariant.
     """
     if config.task != "re":
         raise ValueError("evaluate_re requires task 're'")

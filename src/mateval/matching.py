@@ -236,6 +236,7 @@ class Tier:
     """
 
     closed_form = False
+    reads: frozenset[str] = frozenset()  # the constructor settings it reads; it ignores the rest
 
     def __init__(
         self,
@@ -303,6 +304,8 @@ class StrictTier(Tier):
 
 
 class SoftTier(Tier):
+    reads = frozenset({"threshold"})
+
     @staticmethod
     def make_key(text: str) -> tuple[str, int, Counter]:
         norm = normalize_whitespace(text)
@@ -350,6 +353,7 @@ class SemanticTier(Tier):
     asked for the pair.
     """
 
+    reads = frozenset({"threshold", "provider"})
     make_key = staticmethod(str)
 
     def __init__(self, *args, **kwargs):
@@ -395,6 +399,8 @@ class FormulaKey(NamedTuple):
 
 
 class FormulaTier(Tier):
+    reads = frozenset({"lexicon"})
+
     def make_key(self, text: str) -> FormulaKey:
         try:
             compositions, error = material_variants(text, self.lexicon), None
@@ -442,3 +448,8 @@ class FormulaTier(Tier):
 
 
 TIERS = {"strict": StrictTier, "soft": SoftTier, "semantic": SemanticTier, "formula": FormulaTier}
+
+
+def settings_read(matchers) -> set[str]:
+    """The settings (:attr:`Tier.reads`) that the named matchers read between them."""
+    return {setting for name in matchers for setting in TIERS[name].reads}

@@ -8,17 +8,19 @@ and 0.5`` are captured separately and can be expanded into concrete variants.
 
 Spaced (``La 2-x Sr x CuO 4``) and fused (``La2-xSrxCuO4``) renderings parse
 to identical compositions. Mixtures (``A/B in molar ratio``) are rejected
-rather than mis-parsed.
+rather than mis-parsed. The periodic table and adjunct lexicon are bundled.
 """
 
 import itertools
+import json
 import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
+from importlib import resources
 
-from .elements import default_adjuncts, is_element, periodic_table
 from .errors import (
+    ConfigError,
     EmptyInputError,
     ExpansionLimitError,
     MixtureNotSupportedError,
@@ -43,6 +45,44 @@ _TEXT_CLAUSE_RE = re.compile(
     r"([A-Za-z])\s*=\s*(.+)$",
     re.IGNORECASE,
 )
+
+
+def _bundled(name: str):
+    return json.loads(resources.files("mateval.resources").joinpath(name).read_text())
+
+
+@lru_cache(maxsize=1)
+def periodic_table() -> frozenset[str]:
+    """Return the 118 element symbols bundled with the package."""
+    return frozenset(_bundled("periodic_table.json")["symbols"])
+
+
+@lru_cache(maxsize=1)
+def default_adjuncts() -> tuple[str, ...]:
+    """Descriptor words stripped from material expressions before parsing."""
+    return tuple(_bundled("adjunct_lexicon.json")["adjuncts"])
+
+
+def load_adjuncts(path: str) -> tuple[str, ...]:
+    """Load a replacement adjunct lexicon from a JSON file.
+
+    Accepts either ``{"adjuncts": [...]}`` or a bare JSON list of non-empty
+    strings; anything else raises ConfigError naming the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
+    words = payload.get("adjuncts") if isinstance(payload, dict) else payload
+    if not isinstance(words, list) or not all(isinstance(w, str) and w.strip() for w in words):
+        raise ConfigError(f'{path}: expected {{"adjuncts": [...]}} or a list of non-empty strings')
+    return tuple(words)
+
+
+def is_element(symbol: str) -> bool:
+    """True for a valid periodic-table symbol (case-sensitive: 'Ca', not 'CA')."""
+    return symbol in periodic_table()
 
 
 @dataclass(frozen=True)

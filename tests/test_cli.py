@@ -11,6 +11,7 @@ import pytest
 from mateval.cli import main
 
 DATA = Path(__file__).parent / "data"
+BUNDLED_LEXICON = DATA.parent.parent / "src" / "mateval" / "resources" / "adjunct_lexicon.json"
 
 
 def run_cli(argv, capsys):
@@ -328,7 +329,7 @@ class TestBadInputLines:
 
 # values the library rejects, given after each command's required inputs
 REJECTED_VALUES = {
-    "threshold above 1": ["eval-ner", "--threshold", "2"],
+    "threshold above 1": ["eval-ner", "--matchers", "soft", "--threshold", "2"],
     "unknown matcher": ["eval-ner", "--matchers", "bogus"],
     "repeated matcher": ["eval-ner", "--matchers", "strict,strict"],
     "split ratio above 1": ["prepare-finetune", "--task", "re", "--seed", "1",
@@ -351,6 +352,15 @@ REJECTED_VALUES = {
                                  "MgB2", "MgB2"],
     "match timeout with formula": ["match", "--matcher", "formula", "--timeout", "5",
                                    "MgB2", "MgB2"],
+    # a threshold that only soft and semantic read, a lexicon that only formula reads
+    "threshold with strict": ["eval-ner", "--matchers", "strict", "--threshold", "0.5"],
+    "threshold with formula": ["eval-ner", "--matchers", "formula", "--threshold", "0.5"],
+    "match threshold with strict": ["match", "--matcher", "strict", "--threshold", "0.5",
+                                    "MgB2", "MgB2"],
+    "match lexicon with soft": ["match", "--matcher", "soft", "--adjunct-lexicon", BUNDLED_LEXICON,
+                                "MgB2", "MgB2"],
+    "match missing lexicon with strict": ["match", "--matcher", "strict", "--adjunct-lexicon",
+                                          "/nonexistent.json", "MgB2", "MgB2"],
 }
 
 
@@ -384,6 +394,71 @@ class TestRejectedOptionValues:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, "")
         assert err == f"error: {flag} is read only by the semantic matcher, and it is not selected\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval-ner", "--corpus", "/nonexistent.jsonl", "--predictions", "/nonexistent.jsonl",
+          "--matchers", "strict,formula", "--threshold", "0.5"],
+         "--threshold is read only by the soft and semantic matchers, and neither is selected"),
+        (["eval-re", "--corpus", "/nonexistent.jsonl", "--predictions", "/nonexistent.jsonl",
+          "--threshold", "0.5"],
+         "--threshold is read only by the soft and semantic matchers, and neither is selected"),
+        (["match", "--matcher", "strict", "--threshold", "0.5", "a", "b"],
+         "--threshold is read only by the soft and semantic matchers, and neither is selected"),
+        (["match", "--matcher", "strict", "--adjunct-lexicon", "/nonexistent.json", "a", "b"],
+         "--adjunct-lexicon is read only by the formula matcher, and it is not selected"),
+        (["match", "--matcher", "semantic", "--adjunct-lexicon", "/nonexistent.json", "a", "b"],
+         "--adjunct-lexicon is read only by the formula matcher, and it is not selected"),
+    ], ids=["eval-ner", "eval-re", "match threshold", "match lexicon", "semantic lexicon"])
+    def test_unread_scoring_flag_is_named_before_any_input_is_read(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+class TestScoringFlagsReadByTheirMatchers:
+    """--threshold reaches soft and semantic, --adjunct-lexicon reaches formula."""
+
+    @pytest.mark.parametrize("threshold, matched", [("0.95", True), ("0.96", False)])
+    def test_soft_reads_the_threshold(self, capsys, threshold, matched):
+        # ratio("solar cell", "solar cells") = 20/21 = 0.952...
+        code, out, _ = run_cli(["match", "--matcher", "soft", "--threshold", threshold,
+                                "solar cell", "solar cells"], capsys)
+        assert code == 0 and json.loads(out)["matched"] is matched
+
+    @pytest.mark.parametrize("threshold, matched", [("0.96", True), ("0.98", False)])
+    def test_semantic_reads_the_threshold(self, capsys, semantic_endpoint, threshold, matched):
+        code, out, _ = run_cli(["match", "--matcher", "semantic", "--threshold", threshold,
+                                "--semantic-endpoint", semantic_endpoint,
+                                "solar cell", "solar cells"], capsys)  # the stub scores 0.97
+        assert code == 0 and json.loads(out)["matched"] is matched
+
+    def test_formula_reads_the_lexicon(self, capsys, tmp_path):
+        lex = tmp_path / "lex.json"
+        lex.write_text(json.dumps(["shiny"]))
+        pair = ["shiny MgB2", "MgB 2"]
+        code, out, _ = run_cli(["match", "--matcher", "formula", "--adjunct-lexicon", lex, *pair],
+                               capsys)
+        assert code == 0 and json.loads(out)["tier"] == "formula"
+        code, out, _ = run_cli(["match", "--matcher", "formula", *pair], capsys)
+        assert code == 0 and json.loads(out)["matched"] is False
+
+    @pytest.mark.parametrize("matchers, threshold", [
+        ("strict", None), ("strict,formula", None), ("soft", 0.8), ("strict,semantic", 0.8)])
+    def test_eval_report_records_the_threshold_only_when_read(
+            self, capsys, tmp_path, semantic_endpoint, matchers, threshold):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_bytes(GOOD_PREDICTION + b"\n")
+        argv = ["eval-ner", "--corpus", DATA / "corpus.jsonl", "--predictions", preds,
+                "--matchers", matchers, "--seed", "4"]
+        if threshold is not None:
+            argv += ["--threshold", threshold]
+        if "semantic" in matchers:
+            argv += ["--semantic-endpoint", semantic_endpoint]
+        code, out, _ = run_cli(argv, capsys)
+        config = json.loads(out)["config"]
+        assert code == 0 and config.get("threshold") == threshold
+        assert sorted(config) == sorted(
+            ["task", "matchers", "seed", "runs", "run_labels"] + ["threshold"] * bool(threshold))
+        assert config["seed"] == 4
 
 
 class TestExtractCommand:

@@ -1,5 +1,6 @@
 """Tests for NER/RE evaluation orchestration, shuffling, and filtering."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from mateval.evaluation import (
     evaluate_re,
     filter_relation_blocks,
 )
-from mateval.matching import StrictTier
+from mateval.matching import TIERS, StrictTier
 from mateval.prompts import shuffle_entities
 from mateval.scoring import MatchCounts, count_matches
 
@@ -279,24 +280,16 @@ class TestEvaluateRe:
             re_pred(d.id, list(d.relations), run=run) for d in docs
         ]
 
-    def test_perfect_predictions_under_both_shuffle_modes(self):
+    def test_perfect_predictions_echo_the_seed(self):
         docs = self.fixture_docs()
-        for shuffle in ("shuffled", "non_shuffled"):
-            config = EvalConfig(task="re", shuffle=shuffle, seed=13)
-            report = evaluate_re(docs, self.perfect_preds(docs), config)
-            assert report.matchers["strict"].runs[0].scores.f1 == 1.0
-            assert report.config["shuffle"] == shuffle
-            assert report.config["seed"] == 13
+        report = evaluate_re(docs, self.perfect_preds(docs), EvalConfig(task="re", seed=13))
+        assert report.matchers["strict"].runs[0].scores.f1 == 1.0
+        assert report.config["seed"] == 13
 
-    def test_shuffle_flag_never_changes_scores(self):
-        docs = self.fixture_docs()
-        preds = self.perfect_preds(docs)
-        reports = [
-            evaluate_re(docs, preds, EvalConfig(task="re", shuffle=mode, seed=4))
-            for mode in ("shuffled", "non_shuffled")
-        ]
-        a, b = (r.matchers["strict"].runs[0].scores for r in reports)
-        assert a == b
+    def test_shuffle_is_not_an_evaluation_setting(self):
+        # it orders the entities of RE prompts (extract), never scores
+        with pytest.raises(TypeError):
+            EvalConfig(task="re", shuffle="shuffled")
 
     def test_empty_blocks_score_zero(self):
         docs = self.fixture_docs()
@@ -328,6 +321,33 @@ class TestEvaluateRe:
                 report.matchers["strict"].runs[0].scores
                 == base.matchers["strict"].runs[0].scores
             )
+
+
+# every non-empty set of matchers, in TIERS order
+MATCHER_SETS = [ms for n in range(1, len(TIERS) + 1) for ms in itertools.combinations(TIERS, n)]
+
+
+class TestReportConfig:
+    """A report's config records only what shaped its scores."""
+
+    @pytest.mark.parametrize("task", ["ner_material", "re"])
+    @pytest.mark.parametrize("matchers", MATCHER_SETS, ids=",".join)
+    def test_threshold_is_recorded_only_when_soft_or_semantic_runs(self, task, matchers):
+        docs = load_corpus(str(DATA / "corpus.jsonl"))
+        if task == "re":
+            evaluate, preds = evaluate_re, [re_pred(d.id, list(d.relations)) for d in docs]
+        else:
+            evaluate = evaluate_ner
+            preds = [ner_pred(d.id, d.entity_texts("material")) for d in docs]
+        config = EvalConfig(task=task, matchers=matchers, threshold=0.8, seed=3)
+        report = evaluate(docs, preds, config, CountingProvider())
+        assert list(report.matchers) == list(matchers)  # every matcher ran
+        keys = {"task", "matchers", "seed", "runs", "run_labels"}
+        if {"soft", "semantic"} & set(matchers):
+            keys.add("threshold")
+            assert report.config["threshold"] == 0.8
+        assert set(report.config) == keys  # never "shuffle"
+        assert report.config["seed"] == 3
 
 
 class CountingProvider:

@@ -300,7 +300,7 @@ _LIBRARY = {f"mateval.{m}" for m in
             ("corpus", "evaluation", "matching", "materials", "llm", "prompts", "finetune")}
 _SCORING = {f"mateval.{m}" for m in ("evaluation", "matching", "materials", "scoring", "report")}
 _CHAT = {"mateval.llm", "mateval.prompts", "mateval.finetune", "logging", "hashlib"}
-_PARSER = {"mateval.materials", "mateval.elements"}
+_PARSER = {"mateval.materials"}
 _OFFLINE = {"http.client", "urllib.request", "datetime", "secrets"}
 
 
@@ -389,7 +389,7 @@ def test_cli_binds_command_modules_unrun_as_an_import_would():
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     same, unrun, identical, ran = ast.literal_eval(out)
-    assert same and all(unrun) and len(unrun) == 10
+    assert same and all(unrun) and len(unrun) == 9
     assert identical and ran
 
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mateval import materials
-from mateval.elements import default_adjuncts, is_element
 from mateval.errors import (
     EmptyInputError,
     MatEvalError,
@@ -19,8 +18,10 @@ from mateval.materials import (
     SubstitutionSet,
     canonicalize_amount,
     compositions_equal,
+    default_adjuncts,
     expand_substitutions,
     format_composition,
+    is_element,
     parse_material,
     strip_adjuncts,
 )
