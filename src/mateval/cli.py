@@ -132,9 +132,9 @@ def cmd_parse_material(args) -> int:
 
 
 def cmd_match(args) -> int:
+    _refuse_unread_scoring_flags(args, [args.matcher])
     threshold = _threshold(args)
     matching.check_threshold(threshold)
-    _refuse_unread_scoring_flags(args, [args.matcher])
     read = matching.TIERS[args.matcher].reads
     provider = _semantic_provider(args) if "provider" in read else None
     if "provider" in read and provider is None:

@@ -114,9 +114,11 @@ class _GroupTier(Tier):
         return all(map(self.slot_matches, ka, kb))
 
     def scan_orders(self, expected: list, predicted: list) -> list:
-        """The slot tier's order on the material slot (an absent one read as "")."""
-        return self.slot.scan_orders([k[0] or "" for k in expected],
-                                     [k[0] or "" for k in predicted])
+        """The slot tier's scan order on the material slot, an absent material
+        keyed as the slot's key of "", whose candidates hold every absent one."""
+        absent = self.slot.key("")
+        return self.slot.scan_orders([k[0] or absent for k in expected],
+                                     [k[0] or absent for k in predicted])
 
 
 def _group_predictions(

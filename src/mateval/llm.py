@@ -251,7 +251,8 @@ def parse_pseudo_format(raw: str, task: str):
     """Parse the line-based pseudo format used by fine-tuned models.
 
     RE responses are ``key: value`` lines, one or more pairs per line,
-    groups separated by blank lines or a repeated ``material`` key. NER
+    groups separated by blank lines or a repeated ``material`` key; a value
+    ending in a JSON object (a citation) is read without it. NER
     responses are a ``materials:``/``quantities:`` header followed by
     ``- item`` bullets. Every parsed value is a substring of the input;
     nothing is invented. "None" counts as an empty answer.
@@ -294,6 +295,7 @@ def _parse_pseudo_relations(raw: str) -> list[dict]:
                 continue
             end = markers[i + 1].start() if i + 1 < len(markers) else len(text)
             value = text[marker.end(): end].strip().strip(",").rstrip(":").strip()
+            value = _drop_trailing_object(value)
             if not value:
                 continue
             if key in current:
@@ -303,6 +305,18 @@ def _parse_pseudo_relations(raw: str) -> list[dict]:
     if not saw_marker and raw.strip():
         raise ResponseParseError("no relation keys found in pseudo response", raw)
     return blocks
+
+
+def _drop_trailing_object(value: str) -> str:
+    """``value`` without a trailing brace-delimited text that reads as a JSON
+    object (a citation such as ``{"ref": 3}``) and the whitespace before it."""
+    for brace in re.finditer("{", value):
+        try:
+            if isinstance(json.loads(value[brace.start():]), dict):
+                return value[:brace.start()].rstrip()
+        except (ValueError, RecursionError):
+            pass
+    return value
 
 
 def _parse_pseudo_entities(raw: str, task: str) -> list[str]:

@@ -7,20 +7,19 @@ matching (normalize both sides to chemical compositions and compare
 element by element, expanding substitution clauses).
 
 Evaluations score through :class:`Tier` objects: a per-string ``key``,
-computed once per distinct string, an exact pairwise ``verify``, and an
-``adjacency`` that verifies only the pairs a per-document candidate index
-admits (blocking) or, for tiers without an index, only the pairs the
-matching search reaches, likeliest first. Indexes and filters test necessary
-conditions of a match, and no row order changes a maximum matching's size, so
-verdicts (and reports) equal the public predicates'. Strict keys match on
-equality, so counting reduces to a multiset intersection. Soft bounds
-``ratio()`` from above, bit for bit, by ``2.0*bound/length``, ``bound`` being
-the shorter length (the index bisects the length-sorted keys for the window
-it passes) or the character-multiset intersection size (:func:`overlap_bound`,
-which also ranks semantic rows). Formula indexes keys by normalized text and
-by each variant's element set, which :func:`~mateval.materials.compositions_equal`
-requires to be equal. :mod:`~mateval.materials` is reached at call time, so the
-CLI, which binds it unrun, runs the parser only for the formula tier.
+computed once per distinct string, an exact pairwise ``verify``, and
+``scan_orders``, each expected key's candidates among the predicted keys, in
+the order :func:`~mateval.scoring.count_matches` verifies them as its search
+reaches them. An order leaves out only pairs failing a necessary condition
+of a match (blocking), and no order changes a maximum matching's size, so
+reports equal the public predicates'. Strict keys match on equality, so
+counting reduces to a multiset intersection. Soft bounds ``ratio()`` from
+above, bit for bit, by ``2.0*bound/length``, ``bound`` being the shorter
+length (its order is the length window that passes) or the character-multiset
+intersection size (:func:`overlap_bound`, which ranks semantic rows). Formula
+scans the keys sharing the normalized text or an element set, which
+:func:`~mateval.materials.compositions_equal` requires to be equal. The CLI
+binds :mod:`~mateval.materials` unrun, and only the formula tier runs it.
 """
 
 import json
@@ -227,11 +226,11 @@ def formula_match(
 
 
 class Tier:
-    """A matcher tier: a per-string ``key`` and an exact pairwise ``verify``.
+    """A matcher tier: a per-string ``key``, exact ``verify`` and candidate ``scan_orders``.
 
     ``verify(key(a), key(b)) == outcome(a, b).matched`` for every pair, and
-    ``adjacency`` gives the rows that verifying every pair gives. Keys are
-    cached per tier object (build one per evaluation); ``closed_form``
+    ``scan_orders`` leaves out only predicted keys ``verify`` rejects. Keys
+    are cached per tier object (build one per evaluation); ``closed_form``
     tiers match on key equality.
     """
 
@@ -253,45 +252,9 @@ class Tier:
             found = self._keys[text] = self.make_key(text)
         return found
 
-    def adjacency(self, expected: list, predicted: list) -> list:
-        """Per expected key, the indices of the predicted keys it matches, in any
-        order: here :class:`LazyRow` rows, verified in ``scan_orders`` order."""
-        orders = self.scan_orders(expected, predicted)
-        return [LazyRow(self.verify, ka, predicted, order) for ka, order in zip(expected, orders)]
-
     def scan_orders(self, expected: list, predicted: list) -> list:
-        """Per expected key, the order its lazy row verifies predicted indices in."""
+        """Per expected key, the predicted indices its row verifies, in order."""
         return [range(len(predicted))] * len(expected)
-
-    def verified(self, ka, predicted: list, candidates) -> list[int]:
-        """The ``candidates`` (predicted indices) that ``ka`` matches, ascending."""
-        verify = self.verify
-        return [j for j in sorted(candidates) if verify(ka, predicted[j])]
-
-
-class LazyRow:
-    """An adjacency row verified on demand. Iterating it replays the indices
-    found so far, then verifies the predicted keys ``order`` lists next, so
-    a reader that stops early leaves the rest of the row unverified."""
-
-    def __init__(self, verify, ka, predicted: list, order):
-        self.verify, self.ka, self.predicted, self.order = verify, ka, predicted, order
-        self.found: list[int] = []
-        self.scanned = 0  # entries of order verified so far
-
-    def __iter__(self):
-        found, k = self.found, 0
-        while True:
-            while k == len(found):
-                if self.scanned == len(self.order):
-                    return
-                j = self.order[self.scanned]
-                matched = self.verify(self.ka, self.predicted[j])
-                self.scanned += 1  # after verify: a failed call is asked again
-                if matched:
-                    found.append(j)
-            yield found[k]
-            k += 1
 
 
 class StrictTier(Tier):
@@ -318,20 +281,20 @@ class SoftTier(Tier):
             return False
         return soft_match(ka[0], kb[0], self.threshold).matched
 
-    def adjacency(self, expected: list, predicted: list) -> list[list[int]]:
-        """Verify only the predicted keys in each expected key's length window:
+    def scan_orders(self, expected: list, predicted: list) -> list[list[int]]:
+        """The predicted keys in each expected key's length window, ascending:
         ``2*min(la, lb)/(la + lb)`` rises with ``lb`` up to ``la`` and falls
         after it, so two bisections with the bound's own float test find the
         run of lengths it passes, at any threshold."""
         order = sorted(range(len(predicted)), key=lambda j: predicted[j][1])
-        lengths, t, rows = [predicted[j][1] for j in order], self.threshold, []
+        lengths, t, orders = [predicted[j][1] for j in order], self.threshold, []
         for ka in expected:
             la = ka[1]
             mid = bisect_left(lengths, la)
             lo = bisect_left(lengths, True, 0, mid, key=lambda b: not 2.0 * b / (la + b) < t)
             hi = bisect_left(lengths, True, mid, key=lambda b: b > la and 2.0 * la / (la + b) < t)
-            rows.append(self.verified(ka, predicted, order[lo:hi]))
-        return rows
+            orders.append(sorted(order[lo:hi]))
+        return orders
 
     def outcome(self, a: str, b: str) -> MatchOutcome:
         return soft_match(a, b, self.threshold)
@@ -423,15 +386,15 @@ class FormulaTier(Tier):
     def verify(self, ka: FormulaKey, kb: FormulaKey) -> bool:
         return ka.text == kb.text or self.witness(ka, kb) is not None
 
-    def adjacency(self, expected: list, predicted: list) -> list[list[int]]:
-        """Verify only the predicted keys that share the expected key's text or
-        one of its element sets: ``verify`` needs one or the other."""
+    def scan_orders(self, expected: list, predicted: list) -> list[list[int]]:
+        """The predicted keys that share the expected key's text or one of its
+        element sets, ascending: ``verify`` needs one or the other."""
         index: dict = {}  # text or element set -> predicted indices
         for j, kb in enumerate(predicted):
             for token in (kb.text, *kb.buckets):
                 index.setdefault(token, []).append(j)
-        return [self.verified(ka, predicted, {j for token in (ka.text, *ka.buckets)
-                                              for j in index.get(token, ())}) for ka in expected]
+        return [sorted({j for token in (ka.text, *ka.buckets) for j in index.get(token, ())})
+                for ka in expected]
 
     def outcome(self, a: str, b: str) -> MatchOutcome:
         ka, kb = self.key(a), self.key(b)

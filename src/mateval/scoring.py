@@ -2,10 +2,10 @@
 
 Counts come from a MAXIMUM one-to-one assignment between expected and
 predicted items (augmenting-path bipartite matching), so scores are
-invariant under any permutation of either list. The match matrix is built
-from per-item keys when the matcher is a tier (see :mod:`mateval.matching`);
-when the tier's match is key equality, the assignment size is the multiset
-intersection of the keys and no matrix is built. Scores are micro-averaged
+invariant under any permutation of either list. Each row is a :class:`LazyRow`
+over the candidates a tier (see :mod:`mateval.matching`) names, or over every
+item for a plain matcher; when the tier's match is key equality, tp is the
+keys' multiset intersection and no row is built. Scores are micro-averaged
 by summing counts corpus-wide before applying the P/R/F1 formulas.
 """
 
@@ -67,6 +67,28 @@ def _truncate(value: float, places: int) -> float:
     return math.floor(value * scale + 1e-9) / scale
 
 
+class LazyRow:
+    """A row of the search, verified on demand. Iterating it replays the
+    indices found so far, then verifies the predicted keys ``order`` lists
+    next, so a reader that stops early leaves the rest of the row unverified.
+    One reader at a time: the search reads a row at most once per augment."""
+
+    def __init__(self, verify, ka, predicted: Sequence[Any], order):
+        self.verify, self.ka, self.predicted, self.order = verify, ka, predicted, order
+        self.found: list[int] = []
+        self.scanned = 0  # entries of order verified so far
+
+    def __iter__(self):
+        yield from self.found
+        for scanned in range(self.scanned, len(self.order)):
+            j = self.order[scanned]
+            matched = self.verify(self.ka, self.predicted[j])
+            self.scanned = scanned + 1  # after verify: a failed call is asked again
+            if matched:
+                self.found.append(j)
+                yield j
+
+
 def count_matches(
     expected: Sequence[Any],
     predicted: Sequence[Any],
@@ -75,29 +97,28 @@ def count_matches(
     """Count tp/fp/fn between two entity lists under a boolean matcher.
 
     tp is the size of a maximum one-to-one assignment (Kuhn's augmenting
-    paths over the match matrix), which makes the result independent of the
-    order of either list; duplicates are honoured as multiset multiplicity.
-    The matcher is called as ``matcher(expected_item, predicted_item)``, or
-    is a tier whose ``adjacency`` gives each expected key's matches among
-    the predicted keys as rows of indices, the matches all pairs would give,
-    each row in any order: the size of a maximum matching does not depend
-    on it. A row is an iterable that the search reads only as far as it
-    needs, so a lazily verified row costs only the pairs the search reaches;
-    a tier with ``closed_form`` set matches on key equality, an equivalence
-    relation, so tp is the size of the keys' multiset intersection.
-    The search is iterative, so corpus-sized lists cannot hit the
-    interpreter recursion limit.
+    paths), which makes the result independent of the order of either list;
+    duplicates are honoured as multiset multiplicity. The matcher is called
+    as ``matcher(expected_item, predicted_item)``, each row in index order,
+    or is a tier: ``verify`` on keys, and ``scan_orders``, per expected key
+    the predicted indices to verify, leaving out only ones ``verify``
+    rejects. A maximum matching's size depends neither on a row's order nor
+    on pairs that cannot match, and a :class:`LazyRow` verifies only the
+    pairs the search reaches. A ``closed_form`` tier matches on key
+    equality, so tp is the size of the keys' multiset intersection. The
+    search is iterative, so corpus-sized lists cannot hit the interpreter
+    recursion limit.
     """
     n, m = len(expected), len(predicted)
     key = getattr(matcher, "key", None)
-    if key is None:
-        adjacency = [[j for j, p in enumerate(predicted) if matcher(e, p)] for e in expected]
-    else:
+    verify, orders = matcher, [range(m)] * n
+    if key is not None:
         expected, predicted = [key(x) for x in expected], [key(y) for y in predicted]
         if matcher.closed_form:
             tp = sum((Counter(expected) & Counter(predicted)).values())
             return MatchCounts(tp=tp, fp=m - tp, fn=n - tp)
-        adjacency = matcher.adjacency(expected, predicted)
+        verify, orders = matcher.verify, matcher.scan_orders(expected, predicted)
+    adjacency = [LazyRow(verify, ka, predicted, order) for ka, order in zip(expected, orders)]
     owner = [-1] * m  # predicted index -> expected index
     matched_pred = [-1] * n  # expected index -> predicted index
 
@@ -150,10 +171,7 @@ def micro_average(per_doc: Sequence[MatchCounts]) -> Scores:
     The result is independent of how entities distribute over documents;
     an empty list scores all zeros.
     """
-    total = MatchCounts()
-    for counts in per_doc:
-        total = total + counts
-    return prf(total)
+    return prf(sum(per_doc, MatchCounts()))
 
 
 def aggregate_runs(runs: Sequence[Scores]) -> RunAggregate:

@@ -404,11 +404,14 @@ class TestRejectedOptionValues:
          "--threshold is read only by the soft and semantic matchers, and neither is selected"),
         (["match", "--matcher", "strict", "--threshold", "0.5", "a", "b"],
          "--threshold is read only by the soft and semantic matchers, and neither is selected"),
+        (["match", "--matcher", "strict", "--threshold", "2", "MgB2", "MgB2"],
+         "--threshold is read only by the soft and semantic matchers, and neither is selected"),
         (["match", "--matcher", "strict", "--adjunct-lexicon", "/nonexistent.json", "a", "b"],
          "--adjunct-lexicon is read only by the formula matcher, and it is not selected"),
         (["match", "--matcher", "semantic", "--adjunct-lexicon", "/nonexistent.json", "a", "b"],
          "--adjunct-lexicon is read only by the formula matcher, and it is not selected"),
-    ], ids=["eval-ner", "eval-re", "match threshold", "match lexicon", "semantic lexicon"])
+    ], ids=["eval-ner", "eval-re", "match threshold", "match threshold out of range",
+            "match lexicon", "semantic lexicon"])
     def test_unread_scoring_flag_is_named_before_any_input_is_read(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (3, "", f"error: {message}\n")
@@ -615,13 +618,14 @@ CORPUS_LINES = (DATA / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
 
 
 class TestResponseFormatThroughExtract:
-    """A pseudo-format answer with a bracketed fragment keeps its entities."""
+    """A pseudo-format answer with a bracketed fragment keeps its entities,
+    and an RE slot value drops a trailing JSON object."""
 
     ANSWERS = {
         "ner_material": ("materials:\n - MgB2 [12]\n",
                          {"entities": {"material": ["MgB2 [12]"]}}),
         "re": ('material: MgB2, tc: 39 K {"ref": 3}\n',
-               {"relations": [{"material": "MgB2", "tc": '39 K {"ref": 3}'}]}),
+               {"relations": [{"material": "MgB2", "tc": "39 K"}]}),
     }
 
     @pytest.mark.parametrize("task", ANSWERS)
@@ -637,6 +641,22 @@ class TestResponseFormatThroughExtract:
              "--fixtures", tmp_path / "fixtures", "--seed", "1"], capsys)
         assert (code, err) == (0, "")
         assert json.loads(out) == {"doc_id": "d1", "run": "run1", **parsed}
+
+    def test_a_relation_with_a_json_citation_is_scored(self, capsys, tmp_path):
+        fixture = tmp_path / "fixtures" / "d1" / "re" / "run1.txt"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_text(self.ANSWERS["re"][0], encoding="utf-8")
+        corpus, preds = tmp_path / "corpus.jsonl", tmp_path / "preds.jsonl"
+        corpus.write_text(CORPUS_LINES[0] + "\n", encoding="utf-8")
+        code, _, _ = run_cli(
+            ["extract", "--corpus", corpus, "--task", "re", "--dry-run", "--fixtures",
+             tmp_path / "fixtures", "--seed", "1", "--output", preds], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["eval-re", "--corpus", corpus, "--predictions", preds], capsys)
+        report = json.loads(out)
+        assert (code, report["warnings"]) == (0, [])
+        assert report["matchers"]["strict"]["runs"][0]["per_document"] == [
+            {"doc_id": "d1", "tp": 1, "fp": 0, "fn": 0}]
 
     def test_response_format_option_is_gone(self, capsys):
         with pytest.raises(SystemExit):

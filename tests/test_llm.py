@@ -352,6 +352,27 @@ class TestParsePseudoFormat:
             {"material": "MgB3", "tc": "29-31K", "pressure": "ambient pressure"},
         ]
 
+    @pytest.mark.parametrize("raw, tc", [
+        ('material: MgB2, tc: 39 K {"ref": 3}', "39 K"),
+        ('material: MgB2, tc: 39 K\t {"ref": {"doi": "x"}, "page": [1]}', "39 K"),
+        ('material: MgB2, tc: 39 K {}', "39 K"),
+        ('material: MgB2, tc: 39 K {"ref": 3} {"note": 1}', '39 K {"ref": 3}'),
+        ('material: MgB2, tc: 39 K {ref 3}', "39 K {ref 3}"),  # not JSON
+        ('material: MgB2, tc: 39 K ["ref", 3]', '39 K ["ref", 3]'),  # not an object
+        ('material: MgB2, tc: 39 K {"ref": 3} at ambient', '39 K {"ref": 3} at ambient'),
+        ('material: MgB2, tc: 39 K{"ref": 3}', "39 K"),
+    ])
+    def test_trailing_json_object_is_dropped_from_a_slot_value(self, raw, tc):
+        assert parse_pseudo_format(raw, "re") == [{"material": "MgB2", "tc": tc}]
+
+    def test_a_slot_value_that_is_only_a_json_object_is_empty(self):
+        raw = 'material: MgB2 {"ref": 3}, tc: {"ref": 3}'
+        assert parse_pseudo_format(raw, "re") == [{"material": "MgB2"}]
+
+    def test_trailing_json_object_is_kept_in_an_entity(self):
+        raw = 'materials:\n - MgB2 {"ref": 3}\n - MgB2 [12]'
+        assert parse_pseudo_format(raw, "ner_material") == ['MgB2 {"ref": 3}', "MgB2 [12]"]
+
     def test_material_value_containing_commas(self):
         raw = "material: Eu 1-x K x Fe 2 As 2 samples with x = 0.35, 0.45 and 0.5, tc: 30 K"
         blocks = parse_pseudo_format(raw, "re")
@@ -605,7 +626,7 @@ class TestParseResponseDecidesTheFormat:
 
     def test_json_object_in_a_pseudo_relation_is_not_json(self):
         raw = 'material: MgB2, tc: 39 K {"ref": 3}'
-        assert parse_response(raw, "re") == [{"material": "MgB2", "tc": '39 K {"ref": 3}'}]
+        assert parse_response(raw, "re") == [{"material": "MgB2", "tc": "39 K"}]
 
     @pytest.mark.parametrize("raw", [
         'Here are the materials:\n["MgB2"]',

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mateval.corpus import Document, EntityMention, PredictionSet, RelationGroup
-from mateval.errors import EmptyRunsError
+from mateval.errors import EmptyRunsError, ProviderUnavailableError
 from mateval.evaluation import EvalConfig, _GroupTier, evaluate_ner, evaluate_re
 from mateval.matching import (
     FormulaTier,
@@ -21,6 +21,7 @@ from mateval.matching import (
     strict_match,
 )
 from mateval.scoring import (
+    LazyRow,
     MatchCounts,
     Scores,
     aggregate_runs,
@@ -53,6 +54,30 @@ def brute_force_max_matching(matrix):
         return top
 
     return best(0, frozenset())
+
+
+def max_matching_size(matrix):
+    """Maximum bipartite matching size by recursive Kuhn's augmenting paths
+    over a full boolean matrix: an oracle sharing nothing with the rows and
+    the search of count_matches."""
+    owner = {}
+
+    def augment(i, seen):
+        for j, hit in enumerate(matrix[i]):
+            if hit and j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(matrix)))
+
+
+def all_pairs_counts(expected, predicted, matches):
+    """tp/fp/fn from the maximum matching over every pair's verdict."""
+    tp = max_matching_size([[matches(a, b) for b in predicted] for a in expected])
+    return MatchCounts(tp=tp, fp=len(predicted) - tp, fn=len(expected) - tp)
 
 
 class TestCountMatches:
@@ -133,6 +158,16 @@ class TestCountMatches:
         items = ["MgB2"] * 1200
         counts = count_matches(items, items, strict_match)
         assert counts == MatchCounts(tp=1200, fp=0, fn=0)
+
+    def test_a_callable_is_asked_only_the_pairs_the_search_reaches(self):
+        calls = []
+
+        def counting_strict(a, b):
+            calls.append((a, b))
+            return strict_match(a, b)
+
+        assert count_matches(["a"], ["a", "b", "c", "d"], counting_strict) == MatchCounts(1, 3, 0)
+        assert calls == [("a", "a")]  # the first candidate is free: the row stops there
 
     def test_deep_alternating_paths(self):
         # a ladder graph where every augment after the first must rewire the
@@ -336,6 +371,16 @@ groups = st.lists(
     ),
     max_size=5,
 )
+# absent, empty and whitespace-only materials beside present ones
+absent_groups = st.lists(
+    st.builds(
+        RelationGroup,
+        material=st.sampled_from([None, "", " ", "\t", "MgB2", "MgB 2", "H2S", "a", "La2-xSrxCuO4"]),
+        tc=st.sampled_from(["39 K", "", None]),
+        pressure=st.sampled_from([None, "", "150 GPa"]),
+    ),
+    max_size=6,
+)
 
 
 def all_pairs_rows(tier, expected_keys, predicted_keys):
@@ -352,6 +397,27 @@ def scanned_rows(tier, expected_keys, predicted_keys):
             for ka, order in zip(expected_keys, orders)]
 
 
+def lazy_rows(tier, expected_keys, predicted_keys):
+    """The rows count_matches builds for a tier, each iterated to its end."""
+    orders = tier.scan_orders(expected_keys, predicted_keys)
+    return [list(LazyRow(tier.verify, ka, predicted_keys, order))
+            for ka, order in zip(expected_keys, orders)]
+
+
+def assert_orders_hold_every_match(tier, expected_keys, predicted_keys, ascending):
+    """Each expected key's scan order lists predicted indices only, every
+    all-pairs match exactly once, and (``ascending``) no index twice, in
+    ascending order."""
+    orders = tier.scan_orders(expected_keys, predicted_keys)
+    assert len(orders) == len(expected_keys)
+    for ka, order, row in zip(expected_keys, orders,
+                              all_pairs_rows(tier, expected_keys, predicted_keys)):
+        assert all(0 <= j < len(predicted_keys) for j in order)
+        assert sorted(j for j in order if tier.verify(ka, predicted_keys[j])) == row
+        if ascending:
+            assert list(order) == sorted(set(order))
+
+
 def slot_tiers(threshold):
     return [
         StrictTier(),
@@ -362,31 +428,49 @@ def slot_tiers(threshold):
 
 
 class TestCandidateIndex:
-    """Each tier's adjacency lists exactly the matches all pairs give, in the
-    order its rows scan: ascending, or likeliest first for semantic rows."""
+    """Each tier's scan orders hold every match all pairs give, and its rows,
+    iterated to the end, list exactly those matches in scan order: ascending,
+    or likeliest first for semantic rows."""
 
     @settings(max_examples=300, deadline=None)
     @given(index_texts, index_texts, index_thresholds)
-    def test_adjacency_equals_all_pairs(self, expected, predicted, threshold):
+    def test_rows_equal_all_pairs(self, expected, predicted, threshold):
         for tier in slot_tiers(threshold):
             ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
-            rows = [list(row) for row in tier.adjacency(ek, pk)]  # a row may be lazy
+            rows = lazy_rows(tier, ek, pk)
             assert [sorted(row) for row in rows] == all_pairs_rows(tier, ek, pk)
             assert rows == scanned_rows(tier, ek, pk)
-            assert count_matches(expected, predicted, tier) == count_matches(
+            assert_orders_hold_every_match(tier, ek, pk, not isinstance(tier, SemanticTier))
+            assert count_matches(expected, predicted, tier) == all_pairs_counts(
                 expected, predicted, lambda a, b, tier=tier: tier.outcome(a, b).matched
             )
 
     @settings(max_examples=150, deadline=None)
     @given(groups, groups, index_thresholds)
-    def test_group_tier_adjacency_equals_all_pairs(self, expected, predicted, threshold):
+    def test_group_tier_rows_equal_all_pairs(self, expected, predicted, threshold):
         for slot in slot_tiers(threshold):
             tier = _GroupTier(slot)
             ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
-            rows = [list(row) for row in tier.adjacency(ek, pk)]
+            rows = lazy_rows(tier, ek, pk)
             assert [sorted(row) for row in rows] == all_pairs_rows(tier, ek, pk)
             assert rows == scanned_rows(tier, ek, pk)
-            assert count_matches(expected, predicted, tier) == count_matches(
+            assert count_matches(expected, predicted, tier) == all_pairs_counts(
+                expected, predicted,
+                lambda a, b, tier=tier: tier.verify(tier.key(a), tier.key(b)),
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(absent_groups, absent_groups, index_thresholds)
+    def test_group_orders_hold_every_match_with_absent_and_empty_materials(
+        self, expected, predicted, threshold
+    ):
+        # an absent material is keyed as the slot's key of "", which a
+        # present "" or whitespace material shares
+        for slot in slot_tiers(threshold):
+            tier = _GroupTier(slot)
+            ek, pk = [tier.key(x) for x in expected], [tier.key(y) for y in predicted]
+            assert_orders_hold_every_match(tier, ek, pk, not isinstance(slot, SemanticTier))
+            assert count_matches(expected, predicted, tier) == all_pairs_counts(
                 expected, predicted,
                 lambda a, b, tier=tier: tier.verify(tier.key(a), tier.key(b)),
             )
@@ -395,8 +479,9 @@ class TestCandidateIndex:
         tier = FormulaTier()
         keys = [tier.key(t) for t in ("foo  bar", "foo bar", "LSCO", "SCLO")]
         assert keys[0].error is not None and not keys[0].buckets
-        assert tier.adjacency(keys[:2], keys[:2]) == [[0, 1], [0, 1]]
-        assert tier.adjacency(keys, keys) == all_pairs_rows(tier, keys, keys)
+        assert tier.scan_orders(keys[:2], keys[:2]) == [[0, 1], [0, 1]]
+        assert lazy_rows(tier, keys, keys) == all_pairs_rows(tier, keys, keys)
+        assert_orders_hold_every_match(tier, keys, keys, ascending=True)
 
     @pytest.mark.parametrize(
         "threshold", [1.0, 1.5, 2.0, 3.0, 5e-324, 0.0, -1.0, math.inf, math.nan]
@@ -407,26 +492,89 @@ class TestCandidateIndex:
         texts = ["", " \t", "a", "ab", "ba", "aab", "abc", "MgB2", "MgB2 ", "MgB", "Mg", "abcdefgh"]
         tier = SoftTier(threshold)
         keys = [tier.key(t) for t in texts]
-        rows = tier.adjacency(keys, keys)
+        rows = lazy_rows(tier, keys, keys)
         assert rows == all_pairs_rows(tier, keys, keys)
         assert rows == [
             [j for j, b in enumerate(texts) if soft_match(a, b, threshold).matched] for a in texts
         ]
+        assert_orders_hold_every_match(tier, keys, keys, ascending=True)
+
+
+class TestLazyRow:
+    def test_a_row_read_in_parts_verifies_each_candidate_once(self):
+        calls = []
+
+        def even(_, b):
+            calls.append(b)
+            return b % 2 == 0
+
+        row = LazyRow(even, None, list(range(6)), [5, 4, 3, 2, 1, 0])
+        assert next(iter(row)) == 4 and calls == [5, 4]  # a reader that stops early
+        assert list(row) == [4, 2, 0] and calls == [5, 4, 3, 2, 1, 0]
+        assert list(row) == [4, 2, 0] and len(calls) == 6  # replayed, not verified again
+
+    def test_a_verify_that_raised_is_asked_again(self):
+        calls = []
+
+        def flaky(_, b):
+            calls.append(b)
+            if len(calls) == 2:
+                raise ProviderUnavailableError("down")
+            return True
+
+        row = LazyRow(flaky, None, ["a", "b"], [0, 1])
+        with pytest.raises(ProviderUnavailableError):
+            list(row)
+        assert list(row) == [0, 1] and calls == ["a", "b", "b"]
+
+
+class CountingSoftTier(SoftTier):
+    """A soft tier that records the key pairs it verifies."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def verify(self, ka, kb):
+        self.calls.append((ka[0], kb[0]))
+        return super().verify(ka, kb)
+
+
+class TestSlotCandidatesInGroups:
+    """Relation groups scan their material slot's candidates."""
+
+    def test_soft_groups_verify_no_material_outside_the_length_window(self):
+        slot = CountingSoftTier(0.9)
+        gold = [RelationGroup("MgB2", "39 K")]
+        predicted = [RelationGroup("x" * n, "39 K") for n in (30, 31, 45)]
+        assert count_matches(gold, predicted, _GroupTier(slot)) == MatchCounts(0, 3, 1)
+        assert slot.calls == []  # 2*4/(4+30) < 0.9: no predicted material is a candidate
+
+    def test_soft_groups_verify_the_window(self):
+        slot = CountingSoftTier(0.9)
+        gold = [RelationGroup("MgB2", "39 K")]
+        predicted = [RelationGroup("x" * 30, "39 K"), RelationGroup("MgB2", "39 K")]
+        assert count_matches(gold, predicted, _GroupTier(slot)) == MatchCounts(1, 1, 0)
+        assert slot.calls == [("MgB2", "MgB2"), ("39 K", "39 K")]
 
 
 class RowsTier:
-    """A tier whose adjacency is the given rows, whatever their order."""
+    """A tier over index keys whose rows scan the given orders, verified
+    against a boolean matrix."""
 
     closed_form = False
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, matrix, orders):
+        self.matrix, self.orders = matrix, orders
 
     def key(self, item):
         return item
 
-    def adjacency(self, expected, predicted):
-        return self.rows
+    def verify(self, i, j):
+        return self.matrix[i][j]
+
+    def scan_orders(self, expected, predicted):
+        return self.orders
 
 
 def multiset_overlap(a, b):
@@ -462,9 +610,10 @@ class TestRowOrder:
         m = data.draw(st.integers(0, 6))
         matrix = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
                                     min_size=n, max_size=n))
-        rows = [data.draw(st.permutations([j for j, hit in enumerate(row) if hit]))
-                for row in matrix]
-        tp = count_matches(range(n), range(m), RowsTier(rows)).tp
+        # every match in any order, with any of the non-matches
+        orders = [[j for j in data.draw(st.permutations(range(m)))
+                   if row[j] or data.draw(st.booleans())] for row in matrix]
+        tp = count_matches(range(n), range(m), RowsTier(matrix, orders)).tp
         if n and m:
             picked_rows, picked_cols = optimize.linear_sum_assignment(matrix, maximize=True)
             best = sum(matrix[i][j] for i, j in zip(picked_rows, picked_cols))
@@ -489,11 +638,14 @@ class TestRowOrder:
             assert sorted(order) == list(range(len(pg)))
             assert rank(g.material or "", order, materials) == sorted(
                 rank(g.material or "", order, materials))
-        for tier, e, p in [(StrictTier(), expected, predicted), (SoftTier(), expected, predicted),
-                           (FormulaTier(), expected, predicted), (_GroupTier(SoftTier()), eg, pg)]:
+        strict = StrictTier()
+        ek, pk = [strict.key(x) for x in expected], [strict.key(y) for y in predicted]
+        assert [list(order) for order in strict.scan_orders(ek, pk)] == [
+            list(range(len(predicted)))] * len(expected)  # ascending over all indices
+        for tier, e, p in [(SoftTier(), expected, predicted), (FormulaTier(), expected, predicted),
+                           (_GroupTier(SoftTier()), eg, pg), (_GroupTier(FormulaTier()), eg, pg)]:
             ek, pk = [tier.key(x) for x in e], [tier.key(y) for y in p]
-            assert [list(order) for order in tier.scan_orders(ek, pk)] == [
-                list(range(len(p)))] * len(e)  # ascending
+            assert_orders_hold_every_match(tier, ek, pk, ascending=True)  # candidates only
 
     @pytest.mark.parametrize("task", ["ner_material", "re"])
     @settings(max_examples=40, deadline=None)
