@@ -17,8 +17,8 @@ counting reduces to a multiset intersection. Soft bounds ``ratio()`` from
 above, bit for bit, by ``2.0*bound/length``, ``bound`` being the shorter
 length (its order is the length window that passes) or the character-multiset
 intersection size (:func:`overlap_bound`, which ranks semantic rows). Formula
-scans the keys sharing the normalized text or an element set, which
-:func:`~mateval.materials.compositions_equal` requires to be equal. The CLI
+scans the keys sharing the normalized text or a sorted element tuple:
+:func:`~mateval.materials.compositions_equal` requires equal element sets. The CLI
 binds :mod:`~mateval.materials` unrun, and only the formula tier runs it.
 """
 
@@ -63,8 +63,10 @@ class MatchOutcome:
 
 
 def normalize_whitespace(text: str) -> str:
-    """Trim and collapse internal whitespace runs to single spaces."""
-    return " ".join(text.split())
+    """Trim and collapse internal whitespace runs to single spaces; ``text``
+    itself when it is normalized already, so keys share the caller's string."""
+    norm = " ".join(text.split())
+    return text if norm == text else norm
 
 
 def strict_match(a: str, b: str) -> bool:
@@ -204,8 +206,7 @@ def material_variants(
     The per-string half of formula matching: parses the expression and
     expands its substitution sets, raising MatEvalError on either failure.
     """
-    parsed = materials.parse_material(text, lexicon)
-    return [v.composition for v in materials.expand_substitutions(parsed)]
+    return list(materials.expand_compositions(materials.parse_material(text, lexicon)))
 
 
 def formula_match(
@@ -355,9 +356,10 @@ class SemanticTier(Tier):
 
 
 class FormulaKey(NamedTuple):
+    """All ``verify`` reads of a string; its text and element symbols are shared, not copied."""
+
     text: str  # whitespace-normalized, for the strict fast path
-    variants: list  # (element set, composition), in expansion order
-    buckets: dict  # element set -> compositions, in expansion order
+    variants: tuple  # (sorted element tuple, composition), in expansion order
     error: str | None  # why the text has no variants
 
 
@@ -368,18 +370,16 @@ class FormulaTier(Tier):
         try:
             compositions, error = material_variants(text, self.lexicon), None
         except MatEvalError as exc:  # keep the message, not the traceback
-            compositions, error = [], str(exc)
-        variants = [(frozenset(c), c) for c in compositions]
-        buckets: dict = {}
-        for elements, composition in variants:
-            buckets.setdefault(elements, []).append(composition)
-        return FormulaKey(normalize_whitespace(text), variants, buckets, error)
+            compositions, error = (), str(exc)
+        variants = tuple((tuple(sorted(c)), c) for c in compositions)
+        return FormulaKey(normalize_whitespace(text), variants, error)
 
     def witness(self, ka: FormulaKey, kb: FormulaKey) -> tuple[dict, dict] | None:
-        """The first variant pair, in expansion order, with equal compositions."""
+        """The first variant pair, in expansion order, with equal compositions;
+        only pairs over equal element tuples are compared."""
         for elements, va in ka.variants:
-            for vb in kb.buckets.get(elements, ()):
-                if materials.compositions_equal(va, vb):
+            for other, vb in kb.variants:
+                if elements == other and materials.compositions_equal(va, vb):
                     return va, vb
         return None
 
@@ -388,13 +388,13 @@ class FormulaTier(Tier):
 
     def scan_orders(self, expected: list, predicted: list) -> list[list[int]]:
         """The predicted keys that share the expected key's text or one of its
-        element sets, ascending: ``verify`` needs one or the other."""
-        index: dict = {}  # text or element set -> predicted indices
+        element tuples, ascending: ``verify`` needs one or the other."""
+        index: dict = {}  # text or element tuple -> predicted indices
         for j, kb in enumerate(predicted):
-            for token in (kb.text, *kb.buckets):
+            for token in {kb.text, *[e for e, _ in kb.variants]}:
                 index.setdefault(token, []).append(j)
-        return [sorted({j for token in (ka.text, *ka.buckets) for j in index.get(token, ())})
-                for ka in expected]
+        return [sorted({j for token in (ka.text, *[e for e, _ in ka.variants])
+                        for j in index.get(token, ())}) for ka in expected]
 
     def outcome(self, a: str, b: str) -> MatchOutcome:
         ka, kb = self.key(a), self.key(b)

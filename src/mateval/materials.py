@@ -15,6 +15,8 @@ import itertools
 import json
 import math
 import re
+import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -256,7 +258,7 @@ def _parse_fragment(token: str) -> list[tuple[str, Amount | None]]:
         symbol, inner, number, sign, after, var = m.groups()
         if not symbol[0].isupper():
             raise UnparseableMaterialError(f"expected element symbol at {token[i:]!r}")
-        i = m.end()
+        symbol, i = sys.intern(symbol), m.end()  # every key shares one copy
         if inner is not None:
             pairs.append((symbol, _parse_amount_text(inner)))
             continue
@@ -304,7 +306,7 @@ def _parse_clause(variable: str, body: str) -> list[SubstitutionSet]:
             values: list[Amount] = [_finite(float(c)) for c in cands]
             var = var.lower()
         elif all(is_element(c) for c in cands):
-            values = list(cands)
+            values = list(map(sys.intern, cands))
             var = var.upper()
         else:
             raise UnparseableMaterialError(
@@ -442,43 +444,40 @@ def _substitute_numeric(
     return out
 
 
+def expand_compositions(pm: ParsedMaterial, cap: int = EXPANSION_CAP) -> Iterator[Composition]:
+    """Yield the composition of each candidate combination, in clause order;
+    a material without substitutions yields its own composition.
+
+    Raises:
+        ExpansionLimitError: if the product of candidate counts exceeds ``cap``.
+    """
+    total = math.prod(len(s.candidates) for s in pm.substitutions)
+    if pm.substitutions and total > cap:
+        raise ExpansionLimitError(f"{total} variants exceed the expansion cap of {cap}")
+    for combo in itertools.product(*(s.candidates for s in pm.substitutions)):
+        comp = pm.composition  # each substitution returns a new dict
+        for sub, candidate in zip(pm.substitutions, combo):
+            substitute = _substitute_numeric if sub.is_numeric else _substitute_element
+            comp = substitute(comp, sub.variable, candidate)  # type: ignore[arg-type]
+        yield comp
+
+
 def expand_substitutions(
     pm: ParsedMaterial, cap: int = EXPANSION_CAP
 ) -> list[ParsedMaterial]:
     """Expand all substitution sets into concrete material variants.
 
     Returns the Cartesian expansion (one variant per candidate combination,
-    in clause order); a material without substitutions expands to itself.
+    in clause order, as :func:`expand_compositions` yields them); a material
+    without substitutions expands to itself.
 
     Raises:
         ExpansionLimitError: if the product of candidate counts exceeds ``cap``.
     """
     if not pm.substitutions:
         return [pm]
-    total = 1
-    for s in pm.substitutions:
-        total *= len(s.candidates)
-    if total > cap:
-        raise ExpansionLimitError(
-            f"{total} variants exceed the expansion cap of {cap}"
-        )
-    variants = []
-    for combo in itertools.product(*(s.candidates for s in pm.substitutions)):
-        comp = dict(pm.composition)
-        for sub, candidate in zip(pm.substitutions, combo):
-            if sub.is_numeric:
-                comp = _substitute_numeric(comp, sub.variable, candidate)  # type: ignore[arg-type]
-            else:
-                comp = _substitute_element(comp, sub.variable, candidate)  # type: ignore[arg-type]
-        variants.append(
-            replace(
-                pm,
-                composition=comp,
-                substitutions=[],
-                free_variables=set(pm.free_variables),
-            )
-        )
-    return variants
+    return [replace(pm, composition=c, substitutions=[], free_variables=set(pm.free_variables))
+            for c in expand_compositions(pm, cap)]
 
 
 def _norm_amount(value) -> Amount:

@@ -244,7 +244,7 @@ def test_cli_start_up_loads_only_the_standard_library():
         "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
+        [sys.executable, "-B", "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
         capture_output=True, text=True, check=True,
     ).stdout
     loaded = set(ast.literal_eval(out))
@@ -258,7 +258,7 @@ def test_cli_start_up_leaves_the_http_stack_unloaded():
         "print(sorted({'http.client', 'urllib.request', 'ssl', 'email'} & set(sys.modules)))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
+        [sys.executable, "-B", "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
         capture_output=True, text=True, check=True,
     ).stdout
     assert ast.literal_eval(out) == []
@@ -307,7 +307,7 @@ _OFFLINE = {"http.client", "urllib.request", "datetime", "secrets"}
 def _run_probe(tmp_path: Path, argv: list, env: dict | None = None) -> tuple[int, set[str]]:
     listing = tmp_path / "modules.txt"
     subprocess.run(
-        [sys.executable, "-c", _COMMAND_PROBE, str(listing), *map(str, argv)],
+        [sys.executable, "-B", "-c", _COMMAND_PROBE, str(listing), *map(str, argv)],
         env={"PYTHONPATH": str(SRC.parent), **(env or {})}, capture_output=True, check=True,
         timeout=120,
     )
@@ -385,7 +385,7 @@ def test_cli_binds_command_modules_unrun_as_an_import_would():
         "       type(mateval.cli.corpus) is types.ModuleType])\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
+        [sys.executable, "-B", "-c", probe], env={"PYTHONPATH": str(SRC.parent)},
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     same, unrun, identical, ran = ast.literal_eval(out)
@@ -417,8 +417,9 @@ def test_formula_evaluation_runs_the_parser_before_counting(pipeline_files):
     argv = ["eval-ner", "--corpus", _DATA / "corpus.jsonl", "--predictions",
             pipeline_files / "ner_material.jsonl", "--matchers", "strict,formula"]
     out = subprocess.run(
-        [sys.executable, "-c", probe, *map(str, argv)], env={"PYTHONPATH": str(SRC.parent)},
-        capture_output=True, text=True, check=True, timeout=120,
+        [sys.executable, "-B", "-c", probe, *map(str, argv)],
+        env={"PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True, check=True,
+        timeout=120,
     ).stdout
     code, ran = ast.literal_eval(out.splitlines()[-1])
     assert code in (0, 1) and ran == [True]

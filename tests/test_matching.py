@@ -1,11 +1,13 @@
 """Tests for the four matcher tiers."""
 
+import gc
 import hashlib
 import importlib.util
 import json
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ from mateval.matching import (
     strict_match,
 )
 from mateval.materials import compositions_equal
+from test_materials import material_texts
 
 MIXTURE = (
     "(1-x/2)La 2 O 3 /xSrCO 3 /CuO in molar ratio "
@@ -351,7 +354,7 @@ class TestTierExactness:
     def test_greek_variable_amounts_match(self):
         assert formula_match("YBa2Cu3O7-δ", "YBa2Cu3O7 - δ").matched
         assert formula_match("YBa2Cu3O7-δ", "YBa 2 Cu 3 O 7-δ").tier == "formula"
-        assert FormulaTier().key("YBa2Cu3O7-δ").buckets
+        assert FormulaTier().key("YBa2Cu3O7-δ").variants
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -399,6 +402,93 @@ def test_formula_keys_unchanged_on_fixture_and_bench_strings(tmp_path):
         digest.update(repr((text, key.text, [c for _, c in key.variants], key.error)).encode())
     assert len(strings) == 10524
     assert digest.hexdigest() == FORMULA_KEYS_SHA256
+
+
+def material_strings(path):
+    """The material texts of a JSONL corpus or NER predictions file: what eval-ner keys."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        entities = json.loads(line).get("entities", ())
+        if isinstance(entities, dict):
+            yield from entities.get("material", ())
+        else:
+            yield from (e["text"] for e in entities if e["class"] == "material")
+
+
+def test_formula_keys_stay_compact(tmp_path):
+    # a key holds its text, one (element tuple, composition) per variant and
+    # its error; shared strings and no per-key sets or dicts keep it small
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.generate("ner-tiers", 9137, tmp_path)
+    strings = sorted({s for name in ("corpus.jsonl", "ner_predictions.jsonl")
+                      for s in material_strings(tmp_path / name)})
+    warm = FormulaTier()  # first uses fill the parser's caches: not the keys' bytes
+    for text in strings:
+        warm.key(text)
+    del warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tier = FormulaTier()
+        for text in strings:
+            tier.key(text)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(strings) == 2997
+    assert retained / len(strings) <= 900
+
+
+def fixture_strings() -> list[str]:
+    """Every entity and slot text of the fixture corpus and its canned responses."""
+    data = ROOT / "tests" / "data"
+    strings = set(entity_strings(data / "corpus.jsonl"))
+    for path in sorted((data / "fixtures").rglob("*.txt")):
+        for item in parse_response(path.read_text(encoding="utf-8"), path.parent.name):
+            values = item.values() if isinstance(item, dict) else item
+            strings.update(v for v in values if isinstance(v, str))
+    return sorted(strings)
+
+
+def first_equal_pair(ka, kb):
+    """Witness oracle: every variant pair, ``ka``'s outer and ``kb``'s inner, in expansion order."""
+    return next(((va, vb) for _, va in ka.variants for _, vb in kb.variants
+                 if compositions_equal(va, vb)), None)
+
+
+def assert_witness_is_first_equal_pair(tier, a, b):
+    ka, kb = tier.key(a), tier.key(b)
+    found, first = tier.witness(ka, kb), first_equal_pair(ka, kb)
+    assert (found is None) == (first is None)
+    if found is not None:  # the same dicts, not merely equal ones
+        assert found[0] is first[0] and found[1] is first[1]
+
+
+def test_witness_is_first_equal_pair_on_fixture_strings():
+    tier, strings = FormulaTier(), fixture_strings()
+    for a in strings:
+        for b in strings:
+            assert_witness_is_first_equal_pair(tier, a, b)
+
+
+# several variants a side, candidates in any order: two sides can match
+# through crossing variant pairs, and a value of 1 empties a site
+crossing_texts = st.builds(
+    lambda core, values, elements: core + (f" with x = {' and '.join(values)}" if values else "")
+    + (f" (X = {', '.join(elements)})" if elements else ""),
+    st.sampled_from(["Zr 5 X 3", "La 1-x X x CuO 4", "X 2 Cu 1-x O x", "Zr5Pb3", "LaSbCuO4"]),
+    st.lists(st.sampled_from(["0.1", "0.2", "1"]), unique=True, max_size=3),
+    st.lists(st.sampled_from(["Sb", "Pb", "Sn"]), unique=True, max_size=3),
+)
+witness_texts = st.one_of(material_texts, crossing_texts, st.sampled_from(fixture_strings()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(witness_texts, witness_texts)
+def test_witness_is_first_equal_pair(a, b):
+    assert_witness_is_first_equal_pair(FormulaTier(), a, b)
 
 
 @settings(max_examples=500, deadline=None)

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _fresh(probe: str) -> str:
     return subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC)},
+        [sys.executable, "-B", "-c", probe], env={"PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
 

@@ -478,7 +478,7 @@ class TestCandidateIndex:
     def test_unparseable_keys_with_equal_text_are_formula_candidates(self):
         tier = FormulaTier()
         keys = [tier.key(t) for t in ("foo  bar", "foo bar", "LSCO", "SCLO")]
-        assert keys[0].error is not None and not keys[0].buckets
+        assert keys[0].error is not None and not keys[0].variants
         assert tier.scan_orders(keys[:2], keys[:2]) == [[0, 1], [0, 1]]
         assert lazy_rows(tier, keys, keys) == all_pairs_rows(tier, keys, keys)
         assert_orders_hold_every_match(tier, keys, keys, ascending=True)
