@@ -2,7 +2,8 @@
 
 A composition maps element symbols (or single-letter placeholders such as
 ``X``, ``A``, ``R``) to amounts. An amount is either a positive ``float`` or a
-canonical symbolic string over one variable (``"x"``, ``"1-x"``, ``"2+y"``).
+:class:`Linear` form ``const + coef·var`` over one variable (``x``, ``1-x``,
+``2+y``), read once from the text; ``str()`` of a ``Linear`` is its canonical text.
 Substitution clauses such as ``(X = Sb, Pb, Sn)`` or ``with x = 0.35, 0.45
 and 0.5`` are captured separately and can be expanded into concrete variants.
 
@@ -20,6 +21,7 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -29,7 +31,21 @@ from .errors import (
     UnparseableMaterialError,
 )
 
-Amount = float | str
+
+class Linear(NamedTuple):
+    """The amount ``const + coef·var`` (``coef`` = ±1); ``str()`` gives its canonical text."""
+
+    const: float
+    coef: float
+    var: str  # a lowercase letter
+
+    def __str__(self) -> str:
+        if self.const == 0 and self.coef == 1:
+            return self.var
+        return f"{_number_text(self.const)}{'+' if self.coef > 0 else '-'}{self.var}"
+
+
+Amount = float | Linear
 Composition = dict[str, Amount]
 
 EXPANSION_CAP = 256
@@ -40,11 +56,11 @@ _PERCENT_TOKEN_RE = re.compile(r"\d+(?:\.\d+)?\s*%$")
 # a sign spaced between a decimal and a lone letter, as in "O 7 - δ"
 _SPACED_SIGN_RE = re.compile(r"(\d)\s*([+-])\s*([^\W\d_])(?![^\W\d_])")
 # trailing "(X = Sb, Pb and Sn)" style clause
-_PAREN_CLAUSE_RE = re.compile(r"\(\s*([A-Za-z])\s*=\s*([^()]*)\)\s*$")
+_PAREN_CLAUSE_RE = re.compile(r"\(\s*([^\W\d_])\s*=\s*([^()]*)\)\s*$")
 # trailing "samples with x = 0.35, 0.45 and 0.5" / "where R = Zn and Ni" clause
 _TEXT_CLAUSE_RE = re.compile(
     r"(?:\b(samples?|compounds?|crystals?)\s+)?\b(?:where|with|for)\s+"
-    r"([A-Za-z])\s*=\s*(.+)$",
+    r"([^\W\d_])\s*=\s*(.+)$",
     re.IGNORECASE,
 )
 
@@ -92,12 +108,12 @@ class SubstitutionSet:
     """Binds one placeholder variable to its candidate values.
 
     Candidates are homogeneous: either all element symbols (replacing a
-    placeholder element) or all numeric doping values (evaluated into
-    symbolic amounts).
+    placeholder element) or all numeric doping values (substituted into
+    linear amounts).
     """
 
     variable: str
-    candidates: tuple[Amount, ...]
+    candidates: tuple[float, ...] | tuple[str, ...]
 
     @property
     def is_numeric(self) -> bool:
@@ -116,7 +132,8 @@ class ParsedMaterial:
     adjuncts: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "free_variables": sorted(self.free_variables)}
+        comp = {k: str(v) if isinstance(v, Linear) else v for k, v in self.composition.items()}
+        return {**asdict(self), "composition": comp, "free_variables": sorted(self.free_variables)}
 
 
 @lru_cache(maxsize=16)
@@ -178,19 +195,6 @@ def strip_adjuncts(
     return text, adjuncts
 
 
-def canonicalize_amount(text: str) -> str:
-    """Canonicalize a symbolic amount: drop whitespace, lowercase the variable.
-
-    Accepts ``v`` or ``c±v`` where ``c`` is a decimal and ``v`` a letter
-    (``x``, ``δ``, ...): the amount grammar the parser reads. Idempotent.
-    Raises UnparseableMaterialError for anything richer.
-    """
-    amount = _parse_amount_text(text)
-    if isinstance(amount, float):
-        raise UnparseableMaterialError(f"unsupported amount expression: {text!r}")
-    return amount
-
-
 def _parse_amount_text(text: str) -> Amount:
     """A whole amount (``c``, ``c±v`` or ``v``); whitespace is ignored."""
     squeezed = re.sub(r"\s+", "", text).lower()
@@ -219,18 +223,18 @@ def _read_amount(text: str, i: int) -> tuple[Amount, int] | None:
 
     ``c`` is a decimal and ``v`` any cased letter; a bare ``v`` must be
     lowercase, since an uppercase letter starts the next element symbol.
-    Returns the amount (float or canonical string) and the end index.
+    Returns the amount (a float or a :class:`Linear`) and the end index.
     """
     m = _NUMBER_RE.match(text, i)
     if m is None:
         if i < len(text) and _variable(text[i]) == text[i]:
-            return text[i], i + 1
+            return Linear(0.0, 1.0, text[i]), i + 1
         return None
     j = m.end()
     value = _finite(float(m.group(0)))
     var = _variable(text[j + 1]) if j + 1 < len(text) and text[j] in "+-" else None
     if var:
-        return f"{m.group(0)}{text[j]}{var}", j + 2
+        return Linear(value, -1.0 if text[j] == "-" else 1.0, var), j + 2
     return value, j
 
 
@@ -266,20 +270,19 @@ def _parse_fragment(token: str) -> list[tuple[str, Amount | None]]:
             amount: Amount | None = _finite(float(number))
             letter = after and _variable(after)
             if letter:
-                amount = f"{number}{sign}{letter}"
+                amount = Linear(amount, -1.0 if sign == "-" else 1.0, letter)
+                if i < len(token) and token[i].islower():
+                    raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
             else:
                 i = m.end(3)
         elif var is not None and _variable(var) == var:
-            amount = var
+            amount = Linear(0.0, 1.0, var)
+            if i < len(token) and not (token[i].isupper() or token[i] == "("):
+                raise UnparseableMaterialError(f"cannot read amount in {token!r}")
         elif var == "(":
             raise UnparseableMaterialError(f"unbalanced parenthesis in {token!r}")
         else:
             amount, i = None, m.end(1)
-        if isinstance(amount, str) and i < len(token):
-            if len(amount) > 1 and token[i].islower():
-                raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
-            if len(amount) == 1 and not (token[i].isupper() or token[i] == "("):
-                raise UnparseableMaterialError(f"cannot read amount in {token!r}")
         pairs.append((symbol, amount))
     return pairs
 
@@ -293,8 +296,8 @@ def _parse_clause(variable: str, body: str) -> list[SubstitutionSet]:
     into substitution sets. A ``name = value`` token starts a new set."""
     groups: list[tuple[str, list[str]]] = [(variable, [])]
     for part in _split_candidates(body):
-        m = re.fullmatch(r"([A-Za-z])\s*=\s*(.+)", part)
-        if m:
+        m = re.fullmatch(r"([^\W\d_])\s*=\s*(.+)", part)
+        if m and _variable(m.group(1)):
             groups.append((m.group(1), [m.group(2).strip()]))
         else:
             groups[-1][1].append(part)
@@ -303,7 +306,7 @@ def _parse_clause(variable: str, body: str) -> list[SubstitutionSet]:
         if not cands:
             continue
         if all(_NUMBER_RE.fullmatch(c) for c in cands):
-            values: list[Amount] = [_finite(float(c)) for c in cands]
+            values: list[float | str] = [_finite(float(c)) for c in cands]
             var = var.lower()
         elif all(is_element(c) for c in cands):
             values = list(map(sys.intern, cands))
@@ -320,7 +323,7 @@ def _parse_clause(variable: str, body: str) -> list[SubstitutionSet]:
 
 def _add_amount(composition: Composition, symbol: str, amount: Amount) -> bool:
     """Merge ``amount`` into ``symbol``'s: numeric amounts sum. False, leaving
-    ``composition`` as it was, when a symbolic amount meets any other."""
+    ``composition`` as it was, when a linear amount meets any other."""
     if symbol in composition:
         prev = composition[symbol]
         if not (isinstance(prev, float) and isinstance(amount, float)):
@@ -356,12 +359,12 @@ def parse_material(
     substitutions: list[SubstitutionSet] = []
     while True:
         m = _PAREN_CLAUSE_RE.search(core)
-        if not m:
+        if not m or not _variable(m.group(1)):
             break
         substitutions = _parse_clause(m.group(1), m.group(2)) + substitutions
         core = core[: m.start()].strip()
     m = _TEXT_CLAUSE_RE.search(core)
-    if m:
+    if m and _variable(m.group(2)):
         noun, var, body = m.groups()
         substitutions = substitutions + _parse_clause(var, body)
         if noun:
@@ -395,9 +398,7 @@ def parse_material(
     if periodic_table().isdisjoint(composition):
         raise UnparseableMaterialError(f"no valid element token in {raw!r}")
 
-    amount_vars = {
-        v[-1] for v in composition.values() if isinstance(v, str)
-    }
+    amount_vars = {v.var for v in composition.values() if isinstance(v, Linear)}
     numeric_bound = {s.variable for s in substitutions if s.is_numeric}
     free_variables = amount_vars - numeric_bound
 
@@ -430,15 +431,14 @@ def _substitute_numeric(
 ) -> Composition:
     out: Composition = {}
     for key, amount in composition.items():
-        if isinstance(amount, str) and amount[-1] == variable:
-            if len(amount) == 1:
-                resolved = value
-            else:
-                coeff = float(amount[:-2])
-                resolved = _finite(coeff + value if amount[-2] == "+" else coeff - value)
+        if isinstance(amount, Linear) and amount.var == variable:
+            resolved = _finite(amount.const + amount.coef * value)
+            if resolved < -DEFAULT_TOL:
+                raise UnparseableMaterialError(
+                    f"{variable} = {value} makes the amount of {key} negative: {resolved}")
             if resolved > DEFAULT_TOL:
                 out[key] = resolved
-            # amounts evaluating to zero vacate the site entirely
+            # amounts within tol of zero vacate the site entirely
         else:
             out[key] = amount
     return out
@@ -482,10 +482,10 @@ def expand_substitutions(
 
 def _norm_amount(value) -> Amount:
     if isinstance(value, bool):
-        raise TypeError("amounts are numbers or symbolic strings")
+        raise TypeError("amounts are numbers, linear forms or amount text")
     if isinstance(value, (int, float)):
         return float(value)
-    return canonicalize_amount(str(value))
+    return value if isinstance(value, Linear) else _parse_amount_text(str(value))
 
 
 def compositions_equal(
@@ -493,33 +493,33 @@ def compositions_equal(
 ) -> bool:
     """Element-by-element comparison of two compositions.
 
-    Numeric amounts must agree within ``tol``; symbolic amounts must have
-    identical canonical text after one consistent variable renaming applied
-    across the whole composition. Compositions over different element sets
-    are never equal. Total and symmetric; never raises.
+    Numbers and the constants of linear amounts agree within ``tol``;
+    coefficients are equal, and variables correspond under one renaming
+    across the whole composition. Text amounts are read by the amount
+    grammar. Different element sets never compare equal. Total, symmetric.
     """
     try:
         na = {k: _norm_amount(v) for k, v in a.items()}
         nb = {k: _norm_amount(v) for k, v in b.items()}
-    except (UnparseableMaterialError, TypeError, ValueError):
-        return False
-    if set(na) != set(nb):
-        return False
-    forward: dict[str, str] = {}
-    backward: dict[str, str] = {}
-    for key, va in na.items():
-        vb = nb[key]
-        if isinstance(va, float) and isinstance(vb, float):
-            if not abs(va - vb) <= tol:  # a NaN difference is never equal
-                return False
-        elif isinstance(va, str) and isinstance(vb, str):
-            if va[:-1] != vb[:-1]:
-                return False
-            xa, xb = va[-1], vb[-1]
-            if forward.setdefault(xa, xb) != xb or backward.setdefault(xb, xa) != xa:
-                return False
-        else:
+        if set(na) != set(nb):
             return False
+        forward: dict[str, str] = {}
+        backward: dict[str, str] = {}
+        for key, va in na.items():
+            vb = nb[key]
+            if isinstance(va, float) and isinstance(vb, float):
+                if not abs(va - vb) <= tol:  # a NaN difference is never equal
+                    return False
+            elif isinstance(va, Linear) and isinstance(vb, Linear):
+                if not abs(va.const - vb.const) <= tol or va.coef != vb.coef:
+                    return False
+                xa, xb = va.var, vb.var
+                if forward.setdefault(xa, xb) != xb or backward.setdefault(xb, xa) != xa:
+                    return False
+            else:
+                return False
+    except (UnparseableMaterialError, TypeError, ValueError):  # a caller's malformed amount
+        return False
     return True
 
 
@@ -534,13 +534,18 @@ def format_composition(composition: Composition) -> str:
     parts = []
     for symbol, amount in composition.items():
         amount = _norm_amount(amount)
-        if isinstance(amount, str):
-            fused = is_element(symbol + amount)  # only a bare variable can fuse
-            parts.append(f"{symbol}({amount})" if fused else f"{symbol}{amount}")
+        if isinstance(amount, Linear):
+            text = str(amount)
+            fused = is_element(symbol + text)  # only a bare variable can fuse
+            parts.append(f"{symbol}({text})" if fused else f"{symbol}{text}")
         elif abs(amount - 1.0) <= 1e-12:
             parts.append(symbol)
-        elif abs(amount - round(amount)) <= 1e-9:
-            parts.append(f"{symbol}{int(round(amount))}")
         else:
-            parts.append(f"{symbol}{format(amount, '.10f').rstrip('0')}")
+            parts.append(f"{symbol}{_number_text(amount)}")
     return "".join(parts)
+
+
+def _number_text(amount: float) -> str:
+    """A number as formulas write it: ``2``, ``0.5`` (at most ten decimals)."""
+    near = round(amount)
+    return str(near) if abs(amount - near) <= 1e-9 else format(amount, ".10f").rstrip("0")

@@ -43,6 +43,15 @@ class TestParseMaterialCommand:
         payload = json.loads(out)
         assert len(payload["variants"]) == 3
 
+    def test_linear_amounts_print_canonical_text(self, capsys):
+        code, out, _ = run_cli(
+            ["parse-material", "La 2.0-x Sr x CuO 4 with x = 0.5", "--expand"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["composition"] == {"La": "2-x", "Sr": "x", "Cu": 1.0, "O": 4.0}
+        assert payload["variants"] == [{"La": 1.5, "Sr": 0.5, "Cu": 1.0, "O": 4.0}]
+
     def test_unparseable_exits_3(self, capsys):
         code, _, err = run_cli(["parse-material", "ambient pressure"], capsys)
         assert code == 3

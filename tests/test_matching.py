@@ -29,7 +29,7 @@ from mateval.matching import (
     soft_match,
     strict_match,
 )
-from mateval.materials import compositions_equal
+from mateval.materials import Linear, compositions_equal
 from test_materials import material_texts
 
 MIXTURE = (
@@ -356,6 +356,30 @@ class TestTierExactness:
         assert formula_match("YBa2Cu3O7-δ", "YBa 2 Cu 3 O 7-δ").tier == "formula"
         assert FormulaTier().key("YBa2Cu3O7-δ").variants
 
+    @pytest.mark.parametrize("a, b, detail", [
+        # one constant, two spellings
+        ("La2-xSrxCuO4", "La2.0-xSrxCuO4", "La2-xSrxCuO4 ~ La2-xSrxCuO4"),
+        ("Fe0+xSe", "FexSe", "FexSe ~ FexSe"),  # 0 + x is x
+        # constants 4e-8 apart, within tol
+        ("La0.3333333-xSrx", "La0.33333334-xSrx", "La0.3333333-xSrx ~ La0.33333334-xSrx"),
+    ])
+    def test_linear_amounts_compare_by_value(self, a, b, detail):
+        assert formula_match(a, b) == MatchOutcome(True, "formula", detail=detail)
+
+    def test_substitution_making_an_amount_negative_is_refused(self):
+        outcome = formula_match("La2-xSrxCuO4 (x = 3)", "Sr3CuO4")
+        detail = "left side unparseable: x = 3.0 makes the amount of La negative: -1.0"
+        assert outcome == MatchOutcome(False, "none", detail=detail)
+        assert formula_match("La2-xSrxCuO4 (x = 3)", "La2-xSrxCuO4 (x = 3)").tier == "strict"
+        outcome = formula_match("La2-xSrxCuO4 (x = 2)", "Sr2CuO4")
+        assert outcome == MatchOutcome(True, "formula", detail="Sr2CuO4 ~ Sr2CuO4")
+
+    @pytest.mark.parametrize("text", [
+        "YBa2Cu3O7-δ (δ = 0.1)", "YBa2Cu3O7-δ with δ = 0.1", "YBa2Cu3O7-δ (Δ = 0.1)",
+    ])
+    def test_clauses_bind_any_amount_variable(self, text):
+        assert formula_match(text, "YBa2Cu3O6.9").tier == "formula"
+
 
 ROOT = Path(__file__).resolve().parent.parent
 # SHA-256 of every fixture and bench string's formula key (text, compositions
@@ -399,9 +423,40 @@ def test_formula_keys_unchanged_on_fixture_and_bench_strings(tmp_path):
     tier, digest = FormulaTier(), hashlib.sha256()
     for text in sorted(strings):
         key = tier.key(text)
-        digest.update(repr((text, key.text, [c for _, c in key.variants], key.error)).encode())
+        compositions = [{k: str(v) if isinstance(v, Linear) else v for k, v in c.items()}
+                        for _, c in key.variants]  # a linear amount as its canonical text
+        digest.update(repr((text, key.text, compositions, key.error)).encode())
     assert len(strings) == 10524
     assert digest.hexdigest() == FORMULA_KEYS_SHA256
+
+
+# SHA-256 of the formula verdict (matched, tier, detail) of every ordered pair
+# of those strings that share an element tuple, as amount text compared them
+FORMULA_VERDICTS_SHA256 = "59512726951e10ee0e5f957cab229d1f8a69a380488e596c1b55d72954b3d0bb"
+
+
+def test_formula_verdicts_unchanged_on_fixture_and_bench_strings(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    strings = set(fixture_strings())
+    for workload, seed in BENCH_INPUTS:
+        out = tmp_path / f"{workload}-{seed}"
+        out.mkdir()
+        gen.generate(workload, seed, out)
+        for name in ("corpus.jsonl", "ner_predictions.jsonl", "re_predictions.jsonl"):
+            strings.update(entity_strings(out / name))
+    tier, by_elements = FormulaTier(), {}
+    for text in sorted(strings):
+        for elements, _ in tier.key(text).variants:
+            by_elements.setdefault(elements, set()).add(text)
+    pairs = sorted({(a, b) for texts in by_elements.values() for a in texts for b in texts})
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        outcome = tier.outcome(a, b)
+        digest.update(repr((a, b, outcome.matched, outcome.tier, outcome.detail)).encode())
+    assert (len(strings), len(pairs)) == (10524, 22033)
+    assert digest.hexdigest() == FORMULA_VERDICTS_SHA256
 
 
 def material_strings(path):

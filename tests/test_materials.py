@@ -1,6 +1,7 @@
 """Tests for material expression parsing, expansion, and comparison."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,8 @@ from mateval.errors import (
     UnparseableMaterialError,
 )
 from mateval.materials import (
+    Linear,
     SubstitutionSet,
-    canonicalize_amount,
     compositions_equal,
     default_adjuncts,
     expand_substitutions,
@@ -30,6 +31,8 @@ MIXTURE = (
     "(1-x/2)La 2 O 3 /xSrCO 3 /CuO in molar ratio "
     "with x = 0.063, 0.07, 0.09, 0.10, 0.111 and 0.125"
 )
+X = Linear(0.0, 1.0, "x")
+ONE_MINUS_X = Linear(1.0, -1.0, "x")
 
 
 class TestStripAdjuncts:
@@ -104,14 +107,14 @@ class TestParseMaterial:
 
     def test_numeric_substitution_clause(self):
         pm = parse_material("Eu 1-x K x Fe 2 As 2 samples with x = 0.35, 0.45 and 0.5")
-        assert pm.composition == {"Eu": "1-x", "K": "x", "Fe": 2.0, "As": 2.0}
+        assert pm.composition == {"Eu": ONE_MINUS_X, "K": X, "Fe": 2.0, "As": 2.0}
         assert pm.substitutions == [SubstitutionSet("x", (0.35, 0.45, 0.5))]
         assert "samples" in pm.adjuncts
 
     def test_where_clause_binds_placeholder(self):
         pm = parse_material("Sr 0.9 La 0.1 Cu 1-x R x O 2 where R = Zn and Ni")
         assert pm.composition == {
-            "Sr": 0.9, "La": 0.1, "Cu": "1-x", "R": "x", "O": 2.0,
+            "Sr": 0.9, "La": 0.1, "Cu": ONE_MINUS_X, "R": X, "O": 2.0,
         }
         assert pm.substitutions == [SubstitutionSet("R", ("Zn", "Ni"))]
         assert pm.free_variables == {"x"}
@@ -125,11 +128,11 @@ class TestParseMaterial:
 
     def test_parenthesized_amounts(self):
         pm = parse_material("La(1-x)Fe(x)O3")
-        assert pm.composition == {"La": "1-x", "Fe": "x", "O": 3.0}
+        assert pm.composition == {"La": ONE_MINUS_X, "Fe": X, "O": 3.0}
 
     def test_complementary_variables_fused(self):
         pm = parse_material("LaFexO1-x")
-        assert pm.composition == {"La": 1.0, "Fe": "x", "O": "1-x"}
+        assert pm.composition == {"La": 1.0, "Fe": X, "O": ONE_MINUS_X}
         assert pm.free_variables == {"x"}
 
     def test_mixture_rejected(self):
@@ -164,7 +167,7 @@ class TestParseMaterial:
         pm = parse_material("hole-doped La 2-x Sr x CuO 4")
         assert pm.adjuncts == ["hole-doped"]
         assert pm.core_text == "La 2-x Sr x CuO 4"
-        assert pm.composition == {"La": "2-x", "Sr": "x", "Cu": 1.0, "O": 4.0}
+        assert pm.composition == {"La": Linear(2.0, -1.0, "x"), "Sr": X, "Cu": 1.0, "O": 4.0}
 
     def test_percent_doping_recorded_as_adjunct(self):
         pm = parse_material("4% MgB2")
@@ -214,10 +217,11 @@ class TestExpandSubstitutions:
             expand_substitutions(pm, cap=2)
 
     def test_zero_amount_vacates_site(self):
-        pm = parse_material("Eu 1-x K x Fe 2 As 2 with x = 1")
-        (variant,) = expand_substitutions(pm)
-        assert "Eu" not in variant.composition
-        assert variant.composition["K"] == 1.0
+        for x in ("1", "1.0000001"):  # zero, or below it within tol
+            pm = parse_material(f"Eu 1-x K x Fe 2 As 2 with x = {x}")
+            (variant,) = expand_substitutions(pm)
+            assert "Eu" not in variant.composition
+            assert variant.composition["K"] == float(x)
 
 
 class TestCompositionsEqual:
@@ -247,6 +251,10 @@ class TestCompositionsEqual:
     def test_numeric_vs_symbolic_never_equal(self):
         assert not compositions_equal({"Eu": 0.5}, {"Eu": "x"})
 
+    def test_malformed_linear_amounts_never_equal(self):
+        for bad in (Linear("2", -1.0, "x"), Linear(2.0, -1.0, ["x"])):
+            assert not compositions_equal({"La": bad}, {"La": Linear(2.0, -1.0, "x")})
+
     def test_symmetry(self):
         rng = random.Random(11)
         pool = [
@@ -263,11 +271,17 @@ class TestCompositionsEqual:
         for comp in ({"Mg": 1}, {"La": "2-x", "Sr": "x"}, {"Eu": 0.35}):
             assert compositions_equal(comp, comp)
 
+    def test_linear_constants_within_tol(self):
+        assert compositions_equal({"La": Linear(2.0, -1.0, "x")}, {"La": "2.0000001-y"})
+        assert not compositions_equal({"La": Linear(2.0, -1.0, "x")}, {"La": "2.001-x"})
+        assert not compositions_equal({"La": Linear(2.0, -1.0, "x")}, {"La": "2+x"})
+
 
 class TestAmountGrammar:
     def test_greek_variable_is_reflexive(self):
         comp = parse_material("YBa2Cu3O7-δ").composition
-        assert comp["O"] == "7-δ"
+        assert comp["O"] == Linear(7.0, -1.0, "δ")
+        assert str(comp["O"]) == "7-δ"
         assert compositions_equal(comp, comp)
 
     @pytest.mark.parametrize("text", ["YBa 2 Cu 3 O 7-δ", "YBa2Cu3O7 - δ", "YBa2Cu3O7-Δ"])
@@ -278,13 +292,25 @@ class TestAmountGrammar:
         with pytest.raises(UnparseableMaterialError):
             parse_material("MgB2 + C")
 
+    def test_clause_letter_must_be_a_variable(self):
+        with pytest.raises(UnparseableMaterialError):
+            parse_material("MgB2 (中 = 1)")  # a letter without case names no variable
+
     @pytest.mark.parametrize("comp,text", [
         ({"S": "n"}, "S(n)"),
         ({"O": 0.00001}, "O0.00001"),
+        ({"Fe": Linear(0.0, 1.0, "x")}, "Fex"),
+        ({"O": Linear(1e-11, 1.0, "x")}, "O0+x"),
+        ({"La": "2.0-x", "Sr": "x"}, "La2-xSrx"),
     ])
     def test_format_reparses(self, comp, text):
         assert format_composition(comp) == text
         assert compositions_equal(parse_material(text).composition, comp)
+
+
+def canonical(text):
+    """The canonical text of an amount read by the one amount grammar."""
+    return str(materials._parse_amount_text(text))
 
 
 class TestCanonicalization:
@@ -294,18 +320,21 @@ class TestCanonicalization:
         ("x", "x"),
         ("2+Y", "2+y"),
         ("7 - Δ", "7-δ"),
+        ("2.0-x", "2-x"),
+        ("0+x", "x"),
+        ("0.50-x", "0.5-x"),
     ])
     def test_canonical_forms(self, text, expected):
-        assert canonicalize_amount(text) == expected
+        assert canonical(text) == expected
 
     def test_idempotent(self):
-        for text in ("1-x", "2+y", "x", " 0.5 - z"):
-            once = canonicalize_amount(text)
-            assert canonicalize_amount(once) == once
+        for text in ("1-x", "2+y", "x", " 0.5 - z", "0-x", "2.00+y"):
+            once = canonical(text)
+            assert canonical(once) == once
 
     def test_rejects_rich_expressions(self):
         with pytest.raises(UnparseableMaterialError):
-            canonicalize_amount("1-x/2")
+            canonical("1-x/2")
 
 
 @st.composite
@@ -372,6 +401,17 @@ class TestProperties:
             parse_material(fused).composition
             == parse_material(spaced_all).composition
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(compositions(), st.integers(min_value=1, max_value=3))
+    def test_constant_spelling_is_irrelevant(self, comp, zeros):
+        fused = format_composition(comp)
+        # "2-x" -> "2.0-x", "0.9-x" -> "0.90-x": the same constants, other text
+        respelled = re.sub(r"\d+(?:\.\d+)?(?=[+-])",
+                           lambda m: m.group(0) + ("" if "." in m.group(0) else ".") + "0" * zeros,
+                           fused)
+        assert parse_material(respelled).composition == parse_material(fused).composition
+        assert compositions_equal(parse_material(respelled).composition, comp)
 
     @settings(max_examples=100, deadline=None)
     @given(compositions())
@@ -461,14 +501,14 @@ def oracle_parse_fragment(token):
             pairs.append((symbol, materials._parse_amount_text(token[i + 1: j])))
             i = j + 1
             continue
-        read = materials._read_amount(token, i)
+        start, read = i, materials._read_amount(token, i)
         amount = None
         if read is not None:
             amount, i = read
-        if isinstance(amount, str) and i < len(token):
-            if len(amount) > 1 and token[i].islower():
+        if isinstance(amount, Linear) and i < len(token):
+            if i - start > 1 and token[i].islower():  # c±v
                 raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
-            if len(amount) == 1 and not (token[i].isupper() or token[i] == "("):
+            if i - start == 1 and not (token[i].isupper() or token[i] == "("):
                 raise UnparseableMaterialError(f"cannot read amount in {token!r}")
         pairs.append((symbol, amount))
     return pairs
