@@ -3,9 +3,9 @@
 Machine-readable JSON always goes to stdout; human-readable tables and
 progress notes go to stderr (or to files). Exit codes: 0 success, 1
 evaluation completed with warnings or skipped matchers, 2 usage error, 3
-runtime failure. Identical invocations on identical inputs produce
-byte-identical outputs; reports embed configuration, never timestamps,
-unless --timestamps is given.
+runtime failure, 4 internal error (a bug; its traceback goes to stderr).
+Identical invocations on identical inputs produce byte-identical outputs;
+reports embed configuration, never timestamps, unless --timestamps is given.
 
 The mateval modules the commands run are bound below but run on their
 first attribute access, so a process runs only what its command uses:
@@ -57,6 +57,7 @@ EXIT_OK = 0
 EXIT_WARNINGS = 1
 EXIT_USAGE = 2
 EXIT_FAILURE = 3
+EXIT_INTERNAL = 4
 
 
 def _write_text(path: str, text: str) -> None:
@@ -459,6 +460,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _note(f"i/o error: {exc}")
         return EXIT_FAILURE
+    except Exception:  # a bug, not a finished run: never the warnings code
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

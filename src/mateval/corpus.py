@@ -8,11 +8,18 @@ differs from the plain field is declared on the field. Reports live in
 :mod:`mateval.report`.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Annotated, Literal, NamedTuple
 
-from .errors import DuplicateIdError, SchemaError, SchemaViolationError, numbered_lines, read_as
+from .errors import (
+    DuplicateIdError,
+    InvalidJSONError,
+    SchemaError,
+    SchemaViolationError,
+    numbered_lines,
+    read_as,
+    read_json,
+)
 
 ENTITY_CLASSES = ("material", "quantity", "tc", "pressure")
 # the entity class each NER task extracts
@@ -136,8 +143,8 @@ def _read_lines(path: str, kind):
         if not line.strip():
             continue
         try:
-            yield lineno, read_as(json.loads(line), kind)
-        except json.JSONDecodeError as exc:
+            yield lineno, read_as(read_json(line), kind)
+        except InvalidJSONError as exc:
             raise bad(lineno, "line", f"invalid JSON: {exc}") from None
         except SchemaError as exc:
             raise bad(lineno, exc.field or "line", exc.reason) from None

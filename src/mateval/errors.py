@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all mateval modules; :func:`read_as`, which
-reads parsed JSON as a record's annotations declare, for corpus, prediction
-and report files alike; and :func:`numbered_lines`, the text-line reader."""
+"""Exception hierarchy shared by all mateval modules; :func:`read_json`, the
+one JSON parser, for every file and reply mateval reads; :func:`read_as`,
+which reads parsed JSON as a record's annotations declare; and
+:func:`numbered_lines`, the text-line reader."""
 
 import functools
 import io
 import itertools
+import json
+import math
 import types
 import typing
 
@@ -125,6 +128,38 @@ class ResponseParseError(MatEvalError):
 
 class EmptyCorpusError(MatEvalError):
     """Fine-tune preparation needs a non-empty corpus."""
+
+
+class InvalidJSONError(MatEvalError):
+    """Text is not strict JSON (see :func:`read_json`); the message says why."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    seen: set = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def read_json(text: str | bytes):
+    """``text`` (str, or bytes decoded as ``json.loads`` does) read as strict
+    RFC 8259 JSON. Bad syntax, a repeated key, ``NaN``, ``Infinity``, a float
+    that overflows, or an integer or nesting past the interpreter's limits
+    raises :class:`InvalidJSONError`; the caller names the file or reply."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys,
+                          parse_constant=_finite, parse_float=_finite)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidJSONError(str(exc)) from exc
 
 
 def numbered_lines(path: str, not_utf8):

@@ -9,7 +9,6 @@ trimming, trailing commas) because deeper repair would quietly corrupt
 evaluations.
 """
 
-import json
 import logging
 import math
 import os
@@ -20,10 +19,12 @@ from pathlib import Path
 from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
 from .errors import (
     EndpointError,
+    InvalidJSONError,
     MatEvalError,
     MissingCredentialError,
     MissingFixtureError,
     ResponseParseError,
+    read_json,
 )
 from .prompts import PromptBundle
 from .transport import NO_REPLY, ChatEndpointConfig, RateLimiter, post_json
@@ -69,8 +70,8 @@ def _http_transport(cfg: ChatEndpointConfig, credential: str, payload: dict) -> 
     if status != 200:
         raise EndpointError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
     try:
-        content = json.loads(body)["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        content = read_json(body)["choices"][0]["message"]["content"]
+    except (InvalidJSONError, KeyError, IndexError, TypeError) as exc:
         raise EndpointError(f"malformed endpoint response: {exc}") from exc
     if not isinstance(content, str):
         raise EndpointError(
@@ -179,8 +180,8 @@ def _loads_with_repair(raw: str, repairs=_REPAIRS):
     for repair in (lambda s: s, *repairs):
         text = repair(text)
         try:
-            return json.loads(text)
-        except json.JSONDecodeError:
+            return read_json(text)
+        except InvalidJSONError:
             continue
     raise ResponseParseError("response is not valid JSON after bounded repair", raw)
 
@@ -312,9 +313,9 @@ def _drop_trailing_object(value: str) -> str:
     object (a citation such as ``{"ref": 3}``) and the whitespace before it."""
     for brace in re.finditer("{", value):
         try:
-            if isinstance(json.loads(value[brace.start():]), dict):
+            if isinstance(read_json(value[brace.start():]), dict):
                 return value[:brace.start()].rstrip()
-        except (ValueError, RecursionError):
+        except InvalidJSONError:
             pass
     return value
 

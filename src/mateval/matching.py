@@ -22,7 +22,6 @@ scans the keys sharing the normalized text or a sorted element tuple:
 binds :mod:`~mateval.materials` unrun, and only the formula tier runs it.
 """
 
-import json
 import operator
 import threading
 from bisect import bisect_left
@@ -32,7 +31,7 @@ from difflib import SequenceMatcher
 from typing import NamedTuple
 
 from . import materials
-from .errors import ConfigError, MatEvalError, ProviderUnavailableError
+from .errors import ConfigError, MatEvalError, ProviderUnavailableError, read_json
 from .transport import NO_REPLY, RateLimiter, post_json
 
 DEFAULT_THRESHOLD = 0.9
@@ -129,9 +128,9 @@ class HttpSimilarityProvider(SimilarityProvider):
     """Client for the similarity service wire contract.
 
     Request body ``{"text_a": ..., "text_b": ...}``, response
-    ``{"score": <decimal>}``. No reply, a non-2xx reply, or a score that is
-    not a number in ``[0, 1]`` raises ProviderUnavailableError, so the
-    matcher is reported as skipped. A shared instance is safe to use from
+    ``{"score": <decimal>}``. No reply, a non-2xx reply, a body that is not
+    strict JSON, or a score that is not a number in ``[0, 1]`` raises
+    ProviderUnavailableError, so the matcher is reported as skipped. A shared instance is safe to use from
     multiple threads; each call enforces ``timeout`` and takes a slot of the
     instance's :class:`~mateval.transport.RateLimiter`, so at most
     ``max_concurrency`` requests are in flight, their starts at least
@@ -156,14 +155,14 @@ class HttpSimilarityProvider(SimilarityProvider):
         try:
             status, _, body = post_json(self.endpoint, {"text_a": a, "text_b": b}, self.timeout)
             if not 200 <= status < 300:
-                raise ValueError(f"HTTP {status}")
-            score = json.loads(body)["score"]
+                raise ProviderUnavailableError(f"HTTP {status}")
+            score = read_json(body)["score"]
             if isinstance(score, bool) or not isinstance(score, (int, float)):
-                raise ValueError(f"score {score!r} is not a JSON number")
-            if not 0.0 <= score <= 1.0:  # NaN fails too
-                raise ValueError(f"score {score} is not in [0, 1]")
+                raise ProviderUnavailableError(f"score {score!r} is not a JSON number")
+            if not 0.0 <= score <= 1.0:
+                raise ProviderUnavailableError(f"score {score} is not in [0, 1]")
             return float(score)
-        except (*NO_REPLY, ValueError, KeyError, TypeError) as exc:
+        except (*NO_REPLY, MatEvalError, KeyError, TypeError) as exc:
             raise ProviderUnavailableError(
                 f"similarity service at {self.endpoint} failed: {exc}"
             ) from exc

@@ -13,7 +13,6 @@ rather than mis-parsed. The periodic table and adjunct lexicon are bundled.
 """
 
 import itertools
-import json
 import math
 import re
 import sys
@@ -27,8 +26,10 @@ from .errors import (
     ConfigError,
     EmptyInputError,
     ExpansionLimitError,
+    InvalidJSONError,
     MixtureNotSupportedError,
     UnparseableMaterialError,
+    read_json,
 )
 
 
@@ -66,7 +67,7 @@ _TEXT_CLAUSE_RE = re.compile(
 
 
 def _bundled(name: str):
-    return json.loads(resources.files("mateval.resources").joinpath(name).read_text())
+    return read_json(resources.files("mateval.resources").joinpath(name).read_text())
 
 
 @lru_cache(maxsize=1)
@@ -84,18 +85,19 @@ def default_adjuncts() -> tuple[str, ...]:
 def load_adjuncts(path: str) -> tuple[str, ...]:
     """Load a replacement adjunct lexicon from a JSON file.
 
-    Accepts either ``{"adjuncts": [...]}`` or a bare JSON list of non-empty
-    strings; anything else raises ConfigError naming the file.
+    Accepts either ``{"adjuncts": [...]}``, with no other key, or a bare JSON
+    list of non-empty strings; anything else raises ConfigError naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError is one too
+            payload = read_json(fh.read())
+        except (UnicodeDecodeError, InvalidJSONError) as exc:
             raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
-    words = payload.get("adjuncts") if isinstance(payload, dict) else payload
-    if not isinstance(words, list) or not all(isinstance(w, str) and w.strip() for w in words):
+    if isinstance(payload, dict) and payload.keys() == {"adjuncts"}:
+        payload = payload["adjuncts"]
+    if not isinstance(payload, list) or not all(isinstance(w, str) and w.strip() for w in payload):
         raise ConfigError(f'{path}: expected {{"adjuncts": [...]}} or a list of non-empty strings')
-    return tuple(words)
+    return tuple(payload)
 
 
 def is_element(symbol: str) -> bool:

@@ -14,7 +14,7 @@ import json
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .errors import ReportSchemaError, SchemaError, read_as
+from .errors import InvalidJSONError, ReportSchemaError, SchemaError, read_as, read_json
 from .scoring import RunAggregate, Scores, aggregate_runs
 
 
@@ -96,8 +96,8 @@ def read_report(path: str) -> EvalReport:
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError is one too
+            payload = read_json(fh.read())
+        except (UnicodeDecodeError, InvalidJSONError) as exc:
             raise ReportSchemaError(f"{path}: not UTF-8 JSON: {exc}") from exc
     try:
         return EvalReport.from_dict(payload)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mateval.materials
 from mateval.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -68,7 +69,10 @@ class TestParseMaterialCommand:
 
     @pytest.mark.parametrize("content", [
         b'{"adjuncts": 5}', b'["caf\xe9"]', b'{"words": []}', b'[1, "bulk"]', b'["", "bulk"]',
-    ], ids=["number", "not utf-8", "no adjuncts key", "number entry", "empty entry"])
+        b'{"adjuncts": ["bulk"], "adjunct": ["film"]}', b"[" * 100_000,
+        b'{"adjuncts": ["bulk"], "adjuncts": []}',
+    ], ids=["number", "not utf-8", "no adjuncts key", "number entry", "empty entry",
+            "misspelt second key", "deep nesting", "repeated key"])
     def test_bad_lexicon_exits_3(self, tmp_path, content):
         lex = tmp_path / "lex.json"
         lex.write_bytes(content)
@@ -185,6 +189,29 @@ class TestUsageErrors:
         result = run_subprocess(["--help"])
         assert result.returncode == 0
         assert "parse-material" in result.stdout
+
+
+class TestInternalErrors:
+    """An exception that is not a MatEvalError or OSError is a bug: exit 4,
+    never 1, which means a run finished with warnings."""
+
+    @staticmethod
+    def _raising(monkeypatch, exc):
+        def parse_material(expression, adjuncts=None):
+            raise exc
+
+        monkeypatch.setattr(mateval.materials, "parse_material", parse_material)
+
+    def test_crash_exits_4_with_the_traceback_on_stderr(self, capsys, monkeypatch):
+        self._raising(monkeypatch, RuntimeError("boom"))
+        code, out, err = run_cli(["parse-material", "MgB2"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
+
+    def test_keyboard_interrupt_is_not_an_internal_error(self, monkeypatch):
+        self._raising(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(["parse-material", "MgB2"])
 
 
 class TestEvalCommands:
@@ -315,6 +342,14 @@ BAD_LINES = {
         {"id": "x2", "text": "MgB2", "entities": None}).encode()),
     "object gold relations": ("corpus", "eval-re", json.dumps(
         {"id": "x2", "text": "MgB2", "relations": {}}).encode()),
+    # not strict JSON
+    "deep prediction line": ("predictions", "eval-ner", b"[" * 100_000),
+    "long integer span": ("corpus", "eval-ner", b'{"id": "x2", "text": "MgB2", "entities": ['
+                          b'{"text": "MgB2", "class": "material", "span": [0, '
+                          + b"7" * 5000 + b"]}]}"),
+    "repeated prediction key": ("predictions", "eval-ner",
+                                b'{"doc_id": "d2", "entities": {"material": ["MgB2"], '
+                                b'"material": []}}'),
 }
 
 

@@ -6,7 +6,8 @@ and the task/slot vocabulary is spelled out once, in ``corpus``; the
 matcher names are the keys of ``matching.TIERS``. The report schema,
 its renderers and its reader live in ``report``, on ``errors`` and
 ``scoring`` alone. Reports, corpora and predictions are all read by the
-one schema reader, ``errors.read_as``, below both. Both HTTP
+one schema reader, ``errors.read_as``, below both, and every JSON text by
+the one parser, ``errors.read_json``. Both HTTP
 clients sit on ``transport``, which also holds the endpoint settings they
 read, on ``errors`` alone, and the package needs nothing outside the
 standard library at run time. Each CLI command runs only the modules it
@@ -105,6 +106,40 @@ def test_errors_is_a_leaf_holding_the_one_schema_reader():
     assert walkers == {"errors", "report"}
 
 
+def _handled(handler: ast.ExceptHandler) -> set[str]:
+    """The exception names one ``except`` clause catches."""
+    caught = handler.type
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught] if caught else []
+    return {ast.unparse(name).split(".")[-1] for name in names}
+
+
+def _calls(nodes, name: str) -> bool:
+    return any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+               for tree in nodes for node in ast.walk(tree))
+
+
+def test_errors_holds_the_one_json_reader():
+    """Only ``errors.read_json`` parses JSON, and only it decides what
+    unreadable JSON is: no other module parses, names the parser's own
+    errors, or catches ValueError around a ``read_json`` call."""
+    parsers = {name for name, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "json" and node.attr in ("load", "loads", "JSONDecoder")}
+    assert parsers == {"errors"}
+    handlers = {name: [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
+                for name, tree in TREES.items() if name != "errors"}
+    caught = {name for tries in handlers.values() for node in tries
+              for handler in node.handlers for name in _handled(handler)}
+    assert not caught & {"RecursionError", "JSONDecodeError"}
+    value_errors = {name for name, tries in handlers.items() for node in tries
+                    if _calls(node.body, "read_json")
+                    and any("ValueError" in _handled(h) for h in node.handlers)}
+    assert value_errors == set()
+    readers = {name for name, tree in TREES.items()
+               for module, names in _imports(tree) if module == "errors" and "read_json" in names}
+    assert readers == {"corpus", "report", "materials", "llm", "matching"}
+
+
 def test_corpus_re_exports_the_one_renderer():
     assert corpus.render_report is report.render_report
 
@@ -124,7 +159,7 @@ def test_only_the_entry_points_import_evaluation():
 # the standard-library modules a function may import, by module
 LAZY_IMPORTS = {
     "transport": {"http.client", "urllib.error", "urllib.parse", "urllib.request"},
-    "cli": {"datetime", "secrets"},
+    "cli": {"datetime", "secrets", "traceback"},
 }
 # the function-local ``from .module import names`` allowed, by module
 LAZY_FROM_IMPORTS = {"corpus": {("report", ("render_report",))}}
@@ -149,7 +184,7 @@ def test_no_function_local_imports(module):
     and ``email``) costs every start-up, --help included, ~40 ms, so
     ``transport`` imports these four modules only when requests are sent.
     ``cli`` imports ``datetime``/``secrets`` only for --timestamps or a drawn
-    seed (the mateval modules it binds at its top run on first use, so
+    seed, and ``traceback`` only to print an internal error (the mateval modules it binds at its top run on first use, so
     ``report`` runs no matcher and ``extract`` no scoring). ``corpus``
     imports its ``render_report`` re-export on first access. Every other
     module imports at its top.

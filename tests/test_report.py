@@ -189,6 +189,12 @@ BAD_REPORTS = {
                        "matchers.strict.aggregate: expected dict, got NoneType"),
     "unknown key": (_edit([*AGGREGATE, "median_f1"], 0.5),
                     "matchers.strict.aggregate.median_f1: unknown key"),
+    # not strict JSON: never read, nor written back as NaN or Infinity
+    "NaN precision": (_edit([*SCORES, "precision"], float("nan")),
+                      "not UTF-8 JSON: NaN is not a finite number"),
+    "overflowing number": (b'{"task": 1e400}', "not UTF-8 JSON: 1e400 is not a finite number"),
+    "repeated key": (b'{"task": "ner", "task": "re"}', "not UTF-8 JSON: repeated key 'task'"),
+    "deep nesting": (b"[" * 100_000, "not UTF-8 JSON: maximum recursion depth"),
 }
 
 
