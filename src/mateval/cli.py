@@ -159,7 +159,7 @@ def _endpoint_config(args) -> "transport.ChatEndpointConfig":
         text = getattr(args, dest, None)
         if text is not None:
             try:
-                cfg.set(key, text)
+                cfg = cfg.with_setting(key, text)
             except ConfigError as exc:
                 raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from exc
     return cfg
@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
     matchers = tuple(m.strip() for m in args.matchers.split(",") if m.strip())
     _refuse_unread_scoring_flags(args, matchers)
     documents = corpus.load_corpus(args.corpus)
-    predictions = corpus.load_predictions(args.predictions)
+    predictions = corpus.load_predictions(args.predictions, {doc.id for doc in documents})
     config = evaluation.EvalConfig(
         task=task,
         matchers=matchers,
@@ -217,7 +217,8 @@ def cmd_eval(args) -> int:
     if args.timestamps:
         import datetime
 
-        result.generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        result = result._replace(
+            generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat())
     rendered = report.render_report(result, "json")  # once: indent runs the pure-Python encoder
     if args.output:
         _write_text(args.output, rendered if args.format in (None, "json")

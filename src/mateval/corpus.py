@@ -1,14 +1,15 @@
 """Corpus and prediction files in line-delimited JSON, and the task/slot vocabulary.
 
 Each corpus line is read as a :class:`Document`, and each prediction line as
-a :class:`PredictionSet`, by :func:`~mateval.errors.read_as`: their fields
-are the schema (spelled out in the README). A key outside it is an error, a
-field with a default may be left out, and a JSON key or a value rule that
-differs from the plain field is declared on the field. Reports live in
+a :class:`PredictionSet`, by :func:`~mateval.errors.read_as`: their
+NamedTuple fields are the schema (spelled out in the README). A key outside
+it is an error, a field with a default may be left out, a value rule that
+differs from the plain field is declared on the field, and a JSON key that
+is no Python name on the record's ``_json_keys``. Reports live in
 :mod:`mateval.report`.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Container
 from typing import Annotated, Literal, NamedTuple
 
 from .errors import (
@@ -16,6 +17,7 @@ from .errors import (
     InvalidJSONError,
     SchemaError,
     SchemaViolationError,
+    UnknownDocumentError,
     numbered_lines,
     read_as,
     read_json,
@@ -51,13 +53,14 @@ def _filled(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     """A gold entity: surface text, class, optional provenance span."""
 
     text: Annotated[str, _filled]
-    class_: EntityClass = field(metadata={"key": "class"})
+    class_: EntityClass
     span: tuple[int, int] | None = None
+
+    _json_keys = {"class_": "class"}
 
 
 class RelationGroup(NamedTuple):
@@ -88,12 +91,21 @@ def _predicted_relation(group: RelationGroup) -> RelationGroup:
     return group
 
 
-@dataclass
-class Document:
+class _DocumentFields(NamedTuple):
     id: str
     text: Annotated[str, _filled]
-    entities: list[EntityMention] = field(default_factory=list)
-    relations: list[Annotated[RelationGroup, _gold_relation]] = field(default_factory=list)
+    entities: list[EntityMention] = None
+    relations: list[Annotated[RelationGroup, _gold_relation]] = None
+
+
+class Document(_DocumentFields):
+    """A corpus document; a list left out is a new empty list, never a shared one."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, text, entities=None, relations=None):
+        return super().__new__(cls, id, text, [] if entities is None else entities,
+                               [] if relations is None else relations)
 
     def entity_texts(self, class_: str) -> list[str]:
         return [e.text for e in self.entities if e.class_ == class_]
@@ -105,19 +117,28 @@ class Document:
         return {slot: texts for slot, texts in lists.items() if texts}
 
 
-@dataclass
-class PredictionSet:
-    """One run's predictions for one document.
+class _PredictionFields(NamedTuple):
+    doc_id: str
+    run_label: str = "run1"
+    entities: dict[EntityClass, list[str]] = None
+    relations: list[Annotated[RelationGroup, _predicted_relation]] = None
+
+    _json_keys = {"run_label": "run"}
+
+
+class PredictionSet(_PredictionFields):
+    """One run's predictions for one document; a dict or list left out is a new empty one.
 
     ``relations`` holds :class:`RelationGroup` blocks whose slots may be
     ``None``, because model output may omit slots; filtering happens in the
     evaluation layer.
     """
 
-    doc_id: str
-    run_label: str = field(default="run1", metadata={"key": "run"})
-    entities: dict[EntityClass, list[str]] = field(default_factory=dict)
-    relations: list[Annotated[RelationGroup, _predicted_relation]] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, doc_id, run_label="run1", entities=None, relations=None):
+        return super().__new__(cls, doc_id, run_label, {} if entities is None else entities,
+                               [] if relations is None else relations)
 
 
 def _reachable(doc: Document) -> Document:
@@ -169,17 +190,22 @@ def load_corpus(path: str) -> list[Document]:
     return documents
 
 
-def load_predictions(path: str) -> list[PredictionSet]:
-    """Load a prediction JSONL file: each line is a :class:`PredictionSet`.
+def load_predictions(path: str, known: Container[str] | None = None) -> list[PredictionSet]:
+    """Load a prediction JSONL file: each line is a :class:`PredictionSet`,
+    whose ``doc_id`` is in ``known`` when that is given.
 
     Raises:
         SchemaViolationError: malformed line, including a run label, entity
             value or relation slot that is not a string.
         DuplicateIdError: a second line for the same (doc_id, run).
+        UnknownDocumentError: a ``doc_id`` not in ``known``, with its line.
     """
     predictions = []
     seen: dict[tuple[str, str], int] = {}
     for lineno, pred in _read_lines(path, PredictionSet):
+        if known is not None and pred.doc_id not in known:
+            raise UnknownDocumentError(f"{path}: line {lineno}: prediction references "
+                                       f"unknown document {pred.doc_id!r}")
         first = seen.setdefault((pred.doc_id, pred.run_label), lineno)
         if first != lineno:
             raise DuplicateIdError(f"{path}: duplicate prediction {pred.doc_id!r}/"

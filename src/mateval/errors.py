@@ -178,9 +178,10 @@ def numbered_lines(path: str, not_utf8):
 def read_as(value, kind):
     """``value``, parsed JSON, read as the annotated type ``kind``, which is its schema:
 
-    - a dataclass or NamedTuple is an object of its fields. A field's key is
-      its name or its ``metadata["key"]``; a field with a default may be left
-      out; any other key is an error.
+    - a record, a NamedTuple, is an object of its fields. A field's key is
+      its name, or its entry in the record's ``_json_keys`` (``class_`` is
+      ``class``); a field with a default may be left out; any other key is an
+      error.
     - ``list[X]`` is a list, ``tuple[X, Y]`` a list of exactly those items,
       and ``dict[K, V]`` an object whose keys read as ``K``;
     - ``X | None`` reads null as None; ``Literal[a, b]`` is one of its values;
@@ -195,17 +196,13 @@ def read_as(value, kind):
     return _reader(kind)(value)
 
 
-def _is_record(kind) -> bool:
-    return hasattr(kind, "__dataclass_fields__") or hasattr(kind, "_fields")
-
-
 @functools.cache
 def _reader(kind):
     """The function that reads a value as ``kind``, built once per type."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is typing.Annotated:
         return _ruled(_reader(args[0]), _plain(args[0]), args[1:])
-    if _is_record(kind):
+    if hasattr(kind, "_fields"):
         return _record(kind)
     if origin is list:
         return _items(_reader(args[0]), _plain(args[0]))
@@ -225,7 +222,7 @@ def _plain(kind):
     """The class whose exact instances ``kind`` reads unchanged, if any (a fast path)."""
     if typing.get_origin(kind) is types.UnionType:
         kind = typing.get_args(kind)[0]
-    return kind if type(kind) is type and not _is_record(kind) else None
+    return kind if type(kind) is type and not hasattr(kind, "_fields") else None
 
 
 def _instance(value, kind):
@@ -299,13 +296,9 @@ def _mapping(read_key, read_value):
 
 def _record(kind):
     hints = typing.get_type_hints(kind, include_extras=True)
-    if hasattr(kind, "_fields"):  # a NamedTuple
-        keys = [(name, name, name not in kind._field_defaults) for name in kind._fields]
-    else:  # a dataclass field without a default has both defaults MISSING
-        keys = [(f.metadata.get("key", f.name), f.name, f.default is f.default_factory)
-                for f in kind.__dataclass_fields__.values()]
-    fields = {key: (name, _plain(hints[name]), _reader(hints[name])) for key, name, _ in keys}
-    required = {name: key for key, name, needed in keys if needed}
+    keys = {name: getattr(kind, "_json_keys", {}).get(name, name) for name in kind._fields}
+    fields = {key: (name, _plain(hints[name]), _reader(hints[name])) for name, key in keys.items()}
+    required = {name: key for name, key in keys.items() if name not in kind._field_defaults}
 
     def read(value):
         found = {}

@@ -7,7 +7,7 @@ when a selected matcher reads it, and ``seed``, echoed as given and unread.
 """
 
 import re
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .corpus import RELATION_SLOTS, TASK_CLASSES, Document, PredictionSet, RelationGroup
 from .errors import (
@@ -33,15 +33,21 @@ from .scoring import aggregate_runs, count_matches, micro_average
 TASKS = (*TASK_CLASSES, "re")
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class _EvalFields(NamedTuple):
     task: str
     matchers: tuple[str, ...] = ("strict",)
     threshold: float = DEFAULT_THRESHOLD
     seed: int = 0  # unread: echoed into the report's config
     runs: int = 1  # unread: a report's config.runs counts its run labels
 
-    def __post_init__(self):
+
+class EvalConfig(_EvalFields):
+    """An evaluation's settings, checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         unknown = set(self.matchers) - TIERS.keys()
@@ -55,6 +61,7 @@ class EvalConfig:
         check_threshold(self.threshold)
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        return self
 
 
 def _filter_with_notes(
@@ -165,7 +172,7 @@ def _evaluate(
     the first in that start order.
     """
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
-    settings = asdict(config)
+    settings = config._asdict()
     if "threshold" not in settings_read(config.matchers):
         del settings["threshold"]
     report = EvalReport(task=config.task, config={
@@ -199,7 +206,7 @@ def _evaluate(
                     scores=micro_average(per_doc_counts),
                     expected_total=sum(len(e) for e, _ in run_items),
                     per_document=[
-                        {"doc_id": doc.id, **vars(counts)}  # flat, so vars is asdict
+                        {"doc_id": doc.id, **counts._asdict()}
                         for doc, counts in zip(ordered_docs, per_doc_counts)
                     ],
                 )

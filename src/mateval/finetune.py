@@ -14,7 +14,7 @@ reorder, so every strategy emits identical NER records.
 
 import json
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import PSEUDO_HEADERS, TASK_CLASSES, Document, RelationGroup
 from .errors import ConfigError, EmptyCorpusError
@@ -26,8 +26,7 @@ STRATEGIES = ("base", "document_order", "augmented")
 _MAX_RESHUFFLES = 8
 
 
-@dataclass(frozen=True)
-class FineTuneRecord:
+class FineTuneRecord(NamedTuple):
     """One conversation-format training example."""
 
     messages: tuple[dict, ...]

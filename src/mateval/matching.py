@@ -26,7 +26,6 @@ import operator
 import threading
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import asdict, dataclass
 from difflib import SequenceMatcher
 from typing import NamedTuple
 
@@ -43,8 +42,7 @@ def check_threshold(threshold: float) -> None:
         raise ConfigError("threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
+class MatchOutcome(NamedTuple):
     """Verdict of a matcher, with the tier that decided it.
 
     ``tier`` is one of ``strict``, ``soft``, ``semantic``, ``formula`` or
@@ -58,7 +56,7 @@ class MatchOutcome:
     detail: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def normalize_whitespace(text: str) -> str:

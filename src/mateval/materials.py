@@ -17,7 +17,6 @@ import math
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
@@ -91,8 +90,10 @@ def load_adjuncts(path: str) -> tuple[str, ...]:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = read_json(fh.read())
-        except (UnicodeDecodeError, InvalidJSONError) as exc:
-            raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
+        except InvalidJSONError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(payload, dict) and payload.keys() == {"adjuncts"}:
         payload = payload["adjuncts"]
     if not isinstance(payload, list) or not all(isinstance(w, str) and w.strip() for w in payload):
@@ -105,8 +106,7 @@ def is_element(symbol: str) -> bool:
     return symbol in periodic_table()
 
 
-@dataclass(frozen=True)
-class SubstitutionSet:
+class SubstitutionSet(NamedTuple):
     """Binds one placeholder variable to its candidate values.
 
     Candidates are homogeneous: either all element symbols (replacing a
@@ -122,20 +122,21 @@ class SubstitutionSet:
         return bool(self.candidates) and isinstance(self.candidates[0], float)
 
 
-@dataclass
-class ParsedMaterial:
+class ParsedMaterial(NamedTuple):
     """Structured form of a material expression."""
 
     source: str
     core_text: str
     composition: Composition
-    substitutions: list[SubstitutionSet] = field(default_factory=list)
-    free_variables: set[str] = field(default_factory=set)
-    adjuncts: list[str] = field(default_factory=list)
+    substitutions: list[SubstitutionSet]
+    free_variables: set[str]
+    adjuncts: list[str]
 
     def to_dict(self) -> dict:
         comp = {k: str(v) if isinstance(v, Linear) else v for k, v in self.composition.items()}
-        return {**asdict(self), "composition": comp, "free_variables": sorted(self.free_variables)}
+        return {**self._asdict(), "composition": comp,
+                "substitutions": [s._asdict() for s in self.substitutions],
+                "free_variables": sorted(self.free_variables)}
 
 
 @lru_cache(maxsize=16)
@@ -478,7 +479,7 @@ def expand_substitutions(
     """
     if not pm.substitutions:
         return [pm]
-    return [replace(pm, composition=c, substitutions=[], free_variables=set(pm.free_variables))
+    return [pm._replace(composition=c, substitutions=[], free_variables=set(pm.free_variables))
             for c in expand_compositions(pm, cap)]
 
 

@@ -13,14 +13,22 @@ training and inference prompts cannot drift.
 Entity shuffling affects prompt construction only, never scoring. It uses
 sub-seeds derived from (seed, doc id, ...) so prompts reproduce across
 platforms and parallel schedules; the PRNG is Python's Mersenne Twister
-seeded from a SHA-256 digest of the sub-seed key.
+seeded from a SHA-256 digest of the sub-seed key, taken from the builtin
+module as ``random`` takes its SHA-512 (``hashlib`` maps OpenSSL's libcrypto).
 """
 
-import hashlib
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyTextError, NoEntitiesError
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 # system prompt shared by all NER requests; the passage rides along as context
 NER_SYSTEM_TEMPLATE = """\
@@ -161,8 +169,7 @@ Apply strictly the following rules:
 RE_ENTITY_LABELS = (("material", "materials"), ("tc", "tcs"), ("pressure", "pressures"))
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     """The prompt text of one chat request, and its task (the fixture key)."""
 
     system: str
@@ -247,7 +254,7 @@ def build_re_prompt(
 def derive_subseed(seed: int, *parts: str) -> int:
     """Stable 64-bit sub-seed from a seed and context parts (e.g. doc id)."""
     key = ":".join([str(seed), *map(str, parts)])
-    return int(hashlib.sha256(key.encode("utf-8")).hexdigest()[:16], 16)
+    return int(sha256(key.encode("utf-8")).hexdigest()[:16], 16)
 
 
 def shuffle_entities(

@@ -2,7 +2,7 @@
 
 A report holds one :class:`MatcherBlock` per matcher that ran (the scores
 of each run and their aggregate), the evaluation's config, the matchers it
-skipped and its warnings. Their dataclass fields are the JSON schema,
+skipped and its warnings. Their NamedTuple fields are the JSON schema,
 documented in the README: ``EvalReport.to_dict`` writes them and
 :func:`read_report` reads them back, so ``render_report(read_report(path),
 "json")`` reproduces a report that mateval wrote, byte for byte.
@@ -12,28 +12,25 @@ import csv
 import io
 import json
 import typing
-from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import NamedTuple
 
 from .errors import InvalidJSONError, ReportSchemaError, SchemaError, read_as, read_json
 from .scoring import RunAggregate, Scores, aggregate_runs
 
 
-@dataclass
-class RunScores:
+class RunScores(NamedTuple):
     run: str
     scores: Scores
     expected_total: int
     per_document: list[dict]
 
 
-@dataclass
-class MatcherBlock:
+class MatcherBlock(NamedTuple):
     runs: list[RunScores]
     aggregate: RunAggregate
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     task: str
     config: dict
     matchers: dict[str, MatcherBlock]
@@ -69,19 +66,17 @@ class EvalReport:
 
 def _write(value, kind):
     """``value``, of the annotated type ``kind``, as the JSON ``read_as`` reads back:
-    dataclasses are walked, what ``read_as`` takes as it is (``config``,
+    a record (a NamedTuple, which ``json`` would write as an array) is
+    walked into an object, what ``read_as`` takes as it is (``config``,
     ``per_document`` entries, strings, numbers) is passed on, and a field
     that is ``None`` (only an optional one may be) is left out."""
-    if is_dataclass(kind):
-        return {
-            f.name: _write(v, f.type)
-            for f in fields(kind)
-            if (v := getattr(value, f.name)) is not None
-        }
+    if hasattr(kind, "_fields"):
+        return {name: _write(v, kind.__annotations__[name])
+                for name, v in zip(kind._fields, value) if v is not None}
     origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is list and is_dataclass(args[0]):
+    if origin is list and hasattr(args[0], "_fields"):
         return [_write(v, args[0]) for v in value]
-    if origin is dict and is_dataclass(args[1]):
+    if origin is dict and hasattr(args[1], "_fields"):
         return {k: _write(v, args[1]) for k, v in value.items()}
     return value
 
@@ -90,15 +85,17 @@ def read_report(path: str) -> EvalReport:
     """Read a stored report JSON file (see :meth:`EvalReport.from_dict`).
 
     Raises:
-        ReportSchemaError: the file is not UTF-8 JSON or not a report; the
-            message names the file and the field.
+        ReportSchemaError: the file is not UTF-8, not JSON or not a report;
+            the message names the file and the field.
         OSError: unreadable path.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = read_json(fh.read())
-        except (UnicodeDecodeError, InvalidJSONError) as exc:
-            raise ReportSchemaError(f"{path}: not UTF-8 JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ReportSchemaError(f"{path}: not UTF-8: {exc}") from exc
+        except InvalidJSONError as exc:
+            raise ReportSchemaError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return EvalReport.from_dict(payload)
     except ReportSchemaError as exc:
@@ -149,7 +146,7 @@ def _render_markdown(report: EvalReport) -> str:
     for name, block in blocks:
         agg = block.aggregate
         # percentages, truncated at table precision
-        mean, std = replace(agg, mean_f1=agg.mean_f1 * 100, std_f1=agg.std_f1 * 100).table_f1()
+        mean, std = agg._replace(mean_f1=agg.mean_f1 * 100, std_f1=agg.std_f1 * 100).table_f1()
         supp = int(agg.avg_support + 0.5)  # rendered half-up
         lines.append(f"| {name} | {mean:.2f} | {std:.2f} | {supp} |")
     for title, notes in (("Skipped:", report.skipped), ("Warnings:", report.warnings)):

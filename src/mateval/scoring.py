@@ -13,14 +13,12 @@ import math
 import statistics
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import EmptyRunsError
 
 
-@dataclass(frozen=True)
-class MatchCounts:
+class MatchCounts(NamedTuple):
     """True positive / false positive / false negative tallies."""
 
     tp: int = 0
@@ -33,8 +31,7 @@ class MatchCounts:
         )
 
 
-@dataclass(frozen=True)
-class Scores:
+class Scores(NamedTuple):
     """Precision/recall/F1 with support (number of predicted entities)."""
 
     precision: float
@@ -43,8 +40,7 @@ class Scores:
     support: int
 
 
-@dataclass(frozen=True)
-class RunAggregate:
+class RunAggregate(NamedTuple):
     """Mean and sample standard deviation of F1 over extraction runs."""
 
     mean_f1: float

@@ -9,7 +9,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError, SchemaError, numbered_lines, read_as
 
@@ -25,16 +25,7 @@ def _is_http_url(text: str) -> bool:
     return bool(sep and rest) and scheme.lower() in ("http", "https")
 
 
-@dataclass
-class ChatEndpointConfig:
-    """Settings of the chat endpoint and the similarity service.
-
-    ``timeout``, ``max_concurrency`` and ``min_interval`` govern both
-    clients. Every chat request names ``model``, at temperature 0.
-    ``credential_env`` names the environment variable holding the API key,
-    which never lives in config files. ``dry_run`` requires ``fixture_dir``.
-    """
-
+class _EndpointFields(NamedTuple):
     base_url: str = "https://api.openai.com/v1"
     credential_env: str = "OPENAI_API_KEY"
     model: str = "gpt-3.5-turbo"
@@ -47,6 +38,18 @@ class ChatEndpointConfig:
     min_interval: float = 0.0
     semantic_endpoint: str | None = None
 
+
+class ChatEndpointConfig(_EndpointFields):
+    """Settings of the chat endpoint and the similarity service.
+
+    ``timeout``, ``max_concurrency`` and ``min_interval`` govern both
+    clients. Every chat request names ``model``, at temperature 0.
+    ``credential_env`` names the environment variable holding the API key,
+    which never lives in config files. ``dry_run`` requires ``fixture_dir``.
+    """
+
+    __slots__ = ()
+
     _VALID = {  # NaN fails every comparison
         "base_url": (_is_http_url, "must be an http(s) URL"),
         "semantic_endpoint": (lambda v: not v or _is_http_url(v), "must be an http(s) URL"),
@@ -57,34 +60,37 @@ class ChatEndpointConfig:
         "max_concurrency": (lambda v: v >= 1, "must be >= 1"),
     }
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
         """Check every field's type as :func:`~mateval.errors.read_as` reads
         it (a bool is no int, an int is a float), then its value as
-        :meth:`set` would, so a config built in code is refused the way a
-        config file is."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        :meth:`with_setting` would, so a config built in code is refused the
+        way a config file is."""
+        self = super().__new__(cls, *args, **kwargs)
+        for key, kind in _EndpointFields.__annotations__.items():
+            value = getattr(self, key)
             try:
-                read_as(value, f.type)
+                read_as(value, kind)
             except SchemaError:
-                name = getattr(f.type, "__name__", f.type)
-                raise ConfigError(f"{f.name} must be of type {name}, got {value!r}") from None
-            self._check(f.name, value)
+                name = getattr(kind, "__name__", kind)
+                raise ConfigError(f"{key} must be of type {name}, got {value!r}") from None
+            self._check(key, value)
+        return self
 
     def _check(self, key: str, value, shown=None) -> None:
         if key in self._VALID and not self._VALID[key][0](value):
             shown = value if shown is None else shown
             raise ConfigError(f"{key} {self._VALID[key][1]}, got {shown!r}")
 
-    def set(self, key: str, text: str) -> None:
-        """Cast ``text`` by field ``key``'s annotation, check it and store it.
+    def with_setting(self, key: str, text: str) -> "ChatEndpointConfig":
+        """This config with field ``key`` set to ``text``, cast by the field's
+        annotation and checked.
 
         Config files and flags both set fields here. An unknown key, a value
         that does not convert, a negative count or interval, no concurrency
         slot, a timeout that is not positive and finite, or an endpoint that
         is not an http(s) URL raises ConfigError.
         """
-        kind = next((f.type for f in fields(self) if f.name == key), None)
+        kind = _EndpointFields.__annotations__.get(key)
         if kind is None:
             raise ConfigError(f"unknown key {key!r}")
         try:
@@ -92,14 +98,14 @@ class ChatEndpointConfig:
         except ValueError as exc:
             raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
         self._check(key, value, text)
-        setattr(self, key, value)
+        return self._replace(**{key: value})
 
     @classmethod
     def from_file(cls, path: str) -> "ChatEndpointConfig":
-        """Read ``key=value`` lines through :meth:`set`.
+        """Read ``key=value`` lines through :meth:`with_setting`.
 
         Text that is not UTF-8, a line without ``=``, or a key or value
-        that :meth:`set` rejects raises ConfigError naming ``path:line``.
+        that :meth:`with_setting` rejects raises ConfigError naming ``path:line``.
         """
         cfg = cls()
         lines = numbered_lines(path, lambda n: ConfigError(f"{path}:{n}: not UTF-8 text"))
@@ -111,7 +117,7 @@ class ChatEndpointConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, text = line.partition("=")
             try:
-                cfg.set(key.strip(), text.strip())
+                cfg = cfg.with_setting(key.strip(), text.strip())
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         return cfg

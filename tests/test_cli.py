@@ -80,6 +80,16 @@ class TestParseMaterialCommand:
         assert result.returncode == 3
         assert result.stderr.startswith(f"error: {lex}: ") and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("content, message", [
+        (b'["caf\xe9"]', "not UTF-8: "),
+        (b'{"adjuncts": ["bulk"], "adjuncts": []}', "invalid JSON: repeated key 'adjuncts'"),
+    ], ids=["not utf-8", "repeated key"])
+    def test_an_unreadable_lexicon_says_why(self, tmp_path, content, message):
+        lex = tmp_path / "lex.json"
+        lex.write_bytes(content)
+        result = run_subprocess(["parse-material", "MgB2", "--adjunct-lexicon", lex])
+        assert result.stderr.startswith(f"error: {lex}: {message}")
+
     def test_output_file_mirrors_stdout(self, capsys, tmp_path):
         target = tmp_path / "parsed.json"
         code, out, _ = run_cli(

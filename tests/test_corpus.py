@@ -9,6 +9,7 @@ from mateval.corpus import (
     RELATION_SLOTS,
     Document,
     EntityMention,
+    PredictionSet,
     RelationGroup,
     load_corpus,
     load_predictions,
@@ -148,6 +149,18 @@ class TestLoadPredictions:
             {"doc_id": "d1", "relations": [{"material": " ", "tc": "4.7 K", "pressure": None}]},
         ])
         assert load_predictions(str(path))[0].relations == [RelationGroup(tc="4.7 K")]
+
+
+def test_a_list_or_dict_left_out_is_each_record_s_own():
+    # records are NamedTuples, whose plain defaults every instance would share
+    a, b = Document("a", "t"), Document("b", "t")
+    a.entities.append(EntityMention("MgB2", "material"))
+    a.relations.append(RelationGroup("MgB2", "39 K"))
+    assert (b.entities, b.relations) == ([], [])
+    p, q = PredictionSet("a"), PredictionSet("b")
+    p.entities["material"] = ["MgB2"]
+    p.relations.append(RelationGroup("MgB2"))
+    assert (q.run_label, q.entities, q.relations) == ("run1", {}, [])
 
 
 def test_relation_group_fields_are_the_relation_slots():

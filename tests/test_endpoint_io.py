@@ -513,8 +513,8 @@ def _all_pairs_report(docs, preds, provider, items, groups=False):
 
     by_key = {(p.run_label, p.doc_id): p for p in preds}
     return {
-        run: [{"doc_id": doc.id, **vars(count_matches(*items(doc, by_key.get((run, doc.id))),
-                                                       match))}
+        run: [{"doc_id": doc.id, **count_matches(*items(doc, by_key.get((run, doc.id))),
+                                                  match)._asdict()}
               for doc in sorted(docs, key=lambda d: d.id)]
         for run in sorted({p.run_label for p in preds})
     }
@@ -1117,8 +1117,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text, value", [("TRUE", True), ("No", False),
                                              ("1", True), ("0", False)])
     def test_booleans_are_read_in_any_case(self, text, value):
-        cfg = ChatEndpointConfig(dry_run=not value)
-        cfg.set("dry_run", text)
+        cfg = ChatEndpointConfig(dry_run=not value).with_setting("dry_run", text)
         assert cfg.dry_run is value
 
     @pytest.mark.parametrize("fields, refused", [
@@ -1246,17 +1245,15 @@ class TestEndpointUrls:
                                      "HTTPS://api.example.com"])
     @pytest.mark.parametrize("key", ["base_url", "semantic_endpoint"])
     def test_http_urls_are_kept(self, key, url):
-        cfg = ChatEndpointConfig()
-        cfg.set(key, url)
+        cfg = ChatEndpointConfig().with_setting(key, url)
         assert getattr(cfg, key) == url
 
     @pytest.mark.parametrize("url", ["localhost:9/v1", "127.0.0.1:8040", "http://",
                                      "ftp://example.com", "file:///tmp/x", ""])
     def test_other_base_urls_are_refused(self, url):
         with pytest.raises(ConfigError, match=r"base_url must be an http\(s\) URL"):
-            ChatEndpointConfig().set("base_url", url)
+            ChatEndpointConfig().with_setting("base_url", url)
 
     def test_an_empty_semantic_endpoint_is_none_given(self):
-        cfg = ChatEndpointConfig()
-        cfg.set("semantic_endpoint", "")
+        cfg = ChatEndpointConfig().with_setting("semantic_endpoint", "")
         assert not cfg.semantic_endpoint

@@ -7,14 +7,24 @@ of the three, so a refactor that claims byte-identical reports is checked on
 every interpreter the suite runs on. The semantic matcher scores through the
 ``conftest`` similarity stub. A digest that changes on purpose is edited here
 and the reason given in ``CHANGES.md``.
+
+The seeded prompt commands are pinned the same way: the fine-tune files
+``prepare-finetune`` writes and the prompts and predictions of a shuffled
+``extract --dry-run``. Their shuffles draw on SHA-256 sub-seeds from the
+interpreter's builtin hash module, whose name differs by version, so each
+interpreter checks its own path against ``hashlib``'s digests.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from mateval import llm
 from mateval.cli import main
+from mateval.prompts import derive_subseed
 
 DATA = Path(__file__).parent / "data"
 
@@ -72,6 +82,24 @@ GOLDEN = {
     ),
 }
 
+# strategy -> SHA-256 of the (train, test) files of prepare-finetune --task re --seed 9137
+GOLDEN_FINETUNE = {
+    "base": (
+        "a4a9555b8146e464dc957bbe170f3c88184b837b9284353503b7fb8ae79a527c",
+        "8b1afab65fd80592fa9872ab08ceb3866680fade3118557426e0ba9f293ada82",
+    ),
+    "augmented": (
+        "682d723e2a5c0995044f8d04387d76a2e88e618a06866e232365b7d9a2a01cc9",
+        "404013d10a386d9a1dddfa320ba896dd5a15d5baff4a83b30d72ba00c235c930",
+    ),
+}
+# SHA-256 of the (user messages sent, predictions written) of
+# extract --task re --shuffle shuffled --seed 9137 --dry-run
+GOLDEN_SHUFFLED_EXTRACT = (
+    "e56f611d85af0eaa52305af5db98cc12eb8877f937292fa08c749bf29421e3ae",
+    "f888b5620d1ffd9ebeef383ab72896bed6e1dab92fa2b224a301918efda1e0b7",
+)
+
 # extract task and run count of each command's predictions
 PREDICTIONS = {"eval-ner": ("ner_material", 3), "eval-re": ("re", 1)}
 
@@ -114,3 +142,36 @@ def test_semantic_report_bytes_are_pinned(tmp_path, capsys, semantic_endpoint, c
     digests = _digests(command, "semantic", tmp_path, capsys,
                        "--semantic-endpoint", semantic_endpoint)
     assert digests == GOLDEN[command, "semantic"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("strategy", GOLDEN_FINETUNE)
+def test_finetune_file_bytes_are_pinned(tmp_path, capsys, strategy):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    _run(["prepare-finetune", "--corpus", DATA / "corpus.jsonl", "--task", "re", "--strategy",
+          strategy, "--seed", 9137, "--train-output", train, "--test-output", test], capsys)
+    assert (_sha256(train.read_bytes()), _sha256(test.read_bytes())) == GOLDEN_FINETUNE[strategy]
+
+
+def test_shuffled_extraction_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # the predictions are the canned replies; the shuffled lists are in the prompts
+    sent, chat_complete = [], llm.chat_complete
+
+    def recording(bundle, cfg, **kwargs):
+        sent.append(bundle.user_message())
+        return chat_complete(bundle, cfg, **kwargs)
+
+    monkeypatch.setattr(llm, "chat_complete", recording)
+    out = _run(["extract", "--corpus", DATA / "corpus.jsonl", "--task", "re", "--shuffle",
+                "shuffled", "--seed", 9137, "--dry-run", "--fixtures", DATA / "fixtures"], capsys)
+    assert (_sha256("".join(sent).encode()), _sha256(out.encode())) == GOLDEN_SHUFFLED_EXTRACT
+
+
+@given(st.integers(), st.lists(st.text(st.characters(blacklist_categories=("Cs",)))))
+@example(9137, ["dépôt", "文書", "run1"])
+def test_a_subseed_is_the_hashlib_sha256_of_its_key(seed, parts):
+    key = ":".join([str(seed), *parts]).encode("utf-8")
+    assert derive_subseed(seed, *parts) == int(hashlib.sha256(key).hexdigest()[:16], 16)

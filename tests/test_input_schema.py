@@ -59,6 +59,16 @@ def test_a_misspelt_key_exits_3_naming_file_line_and_field(tmp_path, command, go
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["eval-ner", "eval-re"])
+def test_an_unknown_document_exits_3_naming_file_and_line(tmp_path, command):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"doc_id": "d1"}\n\n{"doc_id": "nope"}\n')
+    result = _mateval(command, "--corpus", CORPUS, "--predictions", preds)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == (f"error: {preds}: line 3: prediction references "
+                             "unknown document 'nope'\n")
+
+
 GOLD = {"id": "d1", "text": "MgB2 becomes superconducting below 39 K.",
         "entities": [{"text": "MgB2", "class": "material"}, {"text": "39 K", "class": "tc"}]}
 

@@ -156,10 +156,11 @@ def test_only_the_entry_points_import_evaluation():
     assert {name for name, deps in DEPS.items() if "evaluation" in deps} == {"cli", "__init__"}
 
 
-# the standard-library modules a function may import, by module
+# the standard-library modules a function, or a module-level ``try``, may import, by module
 LAZY_IMPORTS = {
     "transport": {"http.client", "urllib.error", "urllib.parse", "urllib.request"},
     "cli": {"datetime", "secrets", "traceback"},
+    "prompts": {"_sha2", "_sha256", "hashlib"},
 }
 # the function-local ``from .module import names`` allowed, by module
 LAZY_FROM_IMPORTS = {"corpus": {("report", ("render_report",))}}
@@ -168,6 +169,8 @@ LAZY_FROM_IMPORTS = {"corpus": {("report", ("render_report",))}}
 def _lazy_import_allowed(module: str, node: ast.Import | ast.ImportFrom) -> bool:
     if isinstance(node, ast.Import):
         return all(alias.name in LAZY_IMPORTS.get(module, set()) for alias in node.names)
+    if node.level == 0:  # from _sha2 import sha256
+        return node.module in LAZY_IMPORTS.get(module, set())
     if node.level != 1:
         return False
     imported = (node.module, tuple(alias.name for alias in node.names))
@@ -186,8 +189,12 @@ def test_no_function_local_imports(module):
     ``cli`` imports ``datetime``/``secrets`` only for --timestamps or a drawn
     seed, and ``traceback`` only to print an internal error (the mateval modules it binds at its top run on first use, so
     ``report`` runs no matcher and ``extract`` no scoring). ``corpus``
-    imports its ``render_report`` re-export on first access. Every other
-    module imports at its top.
+    imports its ``render_report`` re-export on first access. ``prompts``
+    takes SHA-256 in a module-level ``try``, from the interpreter's builtin
+    module (``_sha256`` up to 3.11, ``_sha2`` from 3.12) or, where neither is
+    built, from ``hashlib``, which maps OpenSSL's libcrypto (~3.5 MB
+    resident) into every prompt and fine-tune command. Every other module
+    imports at its top.
     """
     tree = TREES[module]
     top_level = {id(node) for node in tree.body}
@@ -267,9 +274,17 @@ def _top_level_imports(tree: ast.Module) -> set[str]:
     return names
 
 
+# the interpreter's builtin SHA-256 module, by version: sys.stdlib_module_names
+# lists only the one its version ships
+BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_runtime_needs_only_the_standard_library(module):
     outside = _top_level_imports(TREES[module]) - {"mateval"} - sys.stdlib_module_names
+    if module == "prompts":
+        assert BUILTIN_SHA256 & sys.stdlib_module_names
+        outside -= BUILTIN_SHA256
     assert outside == set()
 
 
@@ -337,6 +352,10 @@ _SCORING = {f"mateval.{m}" for m in ("evaluation", "matching", "materials", "sco
 _CHAT = {"mateval.llm", "mateval.prompts", "mateval.finetune", "logging", "hashlib"}
 _PARSER = {"mateval.materials"}
 _OFFLINE = {"http.client", "urllib.request", "datetime", "secrets"}
+# records are NamedTuples (dataclasses loads inspect, ast, dis and tokenize),
+# and sub-seeds come from the builtin SHA-256 (hashlib maps OpenSSL's libcrypto)
+_EVERY = {"dataclasses", "inspect"}
+_OPENSSL = {"hashlib", "_hashlib"}
 
 
 def _run_probe(tmp_path: Path, argv: list, env: dict | None = None) -> tuple[int, set[str]]:
@@ -373,7 +392,7 @@ def _command(name: str, work: Path) -> list:
         "--help": ["--help"],
         "report": ["report", "--input", work / "report.json", "--format", "markdown"],
         "extract --dry-run": ["extract", *corpus, "--task", "re", "--dry-run", "--fixtures",
-                              _DATA / "fixtures", "--seed", "3"],
+                              _DATA / "fixtures", "--seed", "3", "--shuffle", "shuffled"],
         "prepare-finetune": ["prepare-finetune", *corpus, "--task", "re", "--seed", "1",
                              "--train-output", work / "train.jsonl",
                              "--test-output", work / "test.jsonl", "--force"],
@@ -390,17 +409,18 @@ def _command(name: str, work: Path) -> list:
 
 # modules each command must not run: --help and report no library module,
 # the offline prompt and fine-tune commands no scoring, eval-* no chat client,
-# and a command without the formula matcher no formula parser. A semantic
-# evaluation sends requests, and urllib.request loads hashlib
+# a command without the formula matcher no formula parser, no command
+# dataclasses, and the offline prompt and fine-tune commands no OpenSSL. A
+# semantic evaluation sends requests, and urllib.request loads hashlib
 COMMAND_MUST_NOT_LOAD = {
-    "--help": _LIBRARY | _OFFLINE,
-    "report": _LIBRARY | _OFFLINE,
-    "extract --dry-run": _SCORING | {"statistics"} | _OFFLINE,
-    "prepare-finetune": _SCORING | {"statistics"} | _OFFLINE,
-    "eval-ner": _CHAT | _OFFLINE,
-    "eval-re": _CHAT | _PARSER | _OFFLINE,
-    "eval-ner --matchers semantic": (_CHAT - {"hashlib"}) | _PARSER,
-    "match --matcher strict": _CHAT | _PARSER | _OFFLINE,
+    "--help": _LIBRARY | _OFFLINE | _EVERY,
+    "report": _LIBRARY | _OFFLINE | _EVERY,
+    "extract --dry-run": _SCORING | {"statistics"} | _OFFLINE | _EVERY | _OPENSSL,
+    "prepare-finetune": _SCORING | {"statistics"} | _OFFLINE | _EVERY | _OPENSSL,
+    "eval-ner": _CHAT | _OFFLINE | _EVERY,
+    "eval-re": _CHAT | _PARSER | _OFFLINE | _EVERY,
+    "eval-ner --matchers semantic": (_CHAT - {"hashlib"}) | _PARSER | _EVERY,
+    "match --matcher strict": _CHAT | _PARSER | _OFFLINE | _EVERY,
 }
 
 

@@ -1,7 +1,6 @@
 """Tests for prompt assembly, the chat client, response parsing, and
 fine-tune data preparation."""
 
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -216,7 +215,7 @@ class TestChatComplete:
 
     def test_a_bundle_is_prompt_text_and_its_task(self):
         bundle = build_ner_prompt("ner_material", "text")
-        assert [f.name for f in dataclasses.fields(bundle)] == [
+        assert list(bundle._fields) == [
             "system", "user", "format_instructions", "task"]
 
     def test_retries_exhausted(self, monkeypatch):

@@ -2,7 +2,6 @@
 checks ``mateval report --input`` makes on a file."""
 
 import copy
-import dataclasses
 import json
 import subprocess
 import sys
@@ -44,7 +43,7 @@ def reports(tmp_path_factory) -> dict[str, EvalReport]:
         PredictionSet("d2", "run1", relations=[RelationGroup("MgB2", "999 K")]),
     ]
     re_report = evaluate_re(docs, relations, EvalConfig(task="re"))
-    stamped = dataclasses.replace(ner, generated_at="2026-01-02T03:04:05.678901+00:00")
+    stamped = ner._replace(generated_at="2026-01-02T03:04:05.678901+00:00")
     return {"ner": ner, "re": re_report, "stamped": stamped}
 
 
@@ -177,7 +176,7 @@ AGGREGATE = ("matchers", "strict", "aggregate")
 
 # (edit of a good stored report, or the file's bytes; the message after the file name)
 BAD_REPORTS = {
-    "non-utf-8 file": (b'{"task": "caf\xe9"}', "not UTF-8 JSON"),
+    "non-utf-8 file": (b'{"task": "caf\xe9"}', "not UTF-8: "),
     "json list": (b"[]", "expected dict, got list"),
     "no matchers": (_edit(["matchers"]), "matchers: missing"),
     "run without scores": (_edit(SCORES), "matchers.strict.runs[0].scores: missing"),
@@ -191,10 +190,10 @@ BAD_REPORTS = {
                     "matchers.strict.aggregate.median_f1: unknown key"),
     # not strict JSON: never read, nor written back as NaN or Infinity
     "NaN precision": (_edit([*SCORES, "precision"], float("nan")),
-                      "not UTF-8 JSON: NaN is not a finite number"),
-    "overflowing number": (b'{"task": 1e400}', "not UTF-8 JSON: 1e400 is not a finite number"),
-    "repeated key": (b'{"task": "ner", "task": "re"}', "not UTF-8 JSON: repeated key 'task'"),
-    "deep nesting": (b"[" * 100_000, "not UTF-8 JSON: maximum recursion depth"),
+                      "invalid JSON: NaN is not a finite number"),
+    "overflowing number": (b'{"task": 1e400}', "invalid JSON: 1e400 is not a finite number"),
+    "repeated key": (b'{"task": "ner", "task": "re"}', "invalid JSON: repeated key 'task'"),
+    "deep nesting": (b"[" * 100_000, "invalid JSON: maximum recursion depth"),
 }
 
 
