@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, MatEvalError
+from .errors import ConfigError, MatEvalError, write_text
 
 
 def _lazy(name: str):
@@ -60,16 +60,11 @@ EXIT_FAILURE = 3
 EXIT_INTERNAL = 4
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _emit_json(payload, args=None) -> None:
     """Print JSON to stdout, optionally mirroring it to --output."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
-        _write_text(args.output, text)
+        write_text(args.output, text)
     sys.stdout.write(text)
 
 
@@ -221,8 +216,8 @@ def cmd_eval(args) -> int:
             generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat())
     rendered = report.render_report(result, "json")  # once: indent runs the pure-Python encoder
     if args.output:
-        _write_text(args.output, rendered if args.format in (None, "json")
-                    else report.render_report(result, args.format))
+        write_text(args.output, rendered if args.format in (None, "json")
+                   else report.render_report(result, args.format))
     sys.stdout.write(rendered)
     if args.pretty:
         _note(report.render_report(result, "markdown"))
@@ -305,7 +300,7 @@ def cmd_extract(args) -> int:
 
     serialized = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     if args.output:
-        _write_text(args.output, serialized)
+        write_text(args.output, serialized)
     else:
         sys.stdout.write(serialized)
     for failure in failures:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all mateval modules; :func:`read_json`, the
 one JSON parser, for every file and reply mateval reads; :func:`read_as`,
-which reads parsed JSON as a record's annotations declare; and
-:func:`numbered_lines`, the text-line reader."""
+which reads parsed JSON by a record's annotations; and the only code that
+opens a file: :func:`read_text`, with the readers on it, and :func:`write_text`."""
 
 import functools
 import io
@@ -162,17 +162,37 @@ def read_json(text: str | bytes):
         raise InvalidJSONError(str(exc)) from exc
 
 
-def numbered_lines(path: str, not_utf8):
-    """``(line number, line)`` pairs of a UTF-8 text file, counted from 1 and
-    read with universal newlines; text that is not UTF-8 raises the error
-    ``not_utf8(number of the first bad byte's line)``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def read_text(path: str, not_utf8) -> str:
+    """The UTF-8 text file ``path`` with universal newlines (CRLF and CR read
+    as LF); text that is not UTF-8 raises ``not_utf8(line of the first bad byte)``."""
+    with open(path, "rb") as fh:  # CR and LF bytes are never part of a UTF-8 sequence
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise not_utf8(data.count(b"\n", 0, exc.start) + 1) from exc
-    return enumerate(io.StringIO(text, newline=None), 1)
+
+
+def numbered_lines(path: str, not_utf8):
+    """``(line number, line)`` pairs, from 1, of :func:`read_text`'s text: only LF
+    ends a line, not a U+2028 or U+0085 that a JSON string may hold raw."""
+    return enumerate(io.StringIO(read_text(path, not_utf8)), 1)
+
+
+def read_json_file(path: str, error):
+    """:func:`read_json` of the UTF-8 file ``path``; unreadable text raises
+    ``error("<path>: not UTF-8: line N")`` or ``error("<path>: invalid JSON: <why>")``."""
+    text = read_text(path, lambda line: error(f"{path}: not UTF-8: line {line}"))
+    try:
+        return read_json(text)
+    except InvalidJSONError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path`` as UTF-8, replacing what it held."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_as(value, kind):

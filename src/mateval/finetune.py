@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple
 
 from .corpus import PSEUDO_HEADERS, TASK_CLASSES, Document, RelationGroup
-from .errors import ConfigError, EmptyCorpusError
+from .errors import ConfigError, EmptyCorpusError, write_text
 from .prompts import PromptBundle, build_ner_prompt, build_re_prompt, derive_subseed
 
 STRATEGIES = ("base", "document_order", "augmented")
@@ -152,6 +152,4 @@ def prepare_finetune(
 
 def write_finetune_file(records: list[FineTuneRecord], path: str) -> None:
     """Write records in the hosted fine-tuning JSONL format (messages only)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_wire(), ensure_ascii=False) + "\n")
+    write_text(path, "".join(json.dumps(r.to_wire(), ensure_ascii=False) + "\n" for r in records))

@@ -9,12 +9,11 @@ trimming, trailing commas) because deeper repair would quietly corrupt
 evaluations.
 """
 
-import logging
 import math
 import os
 import re
+import sys
 import time
-from pathlib import Path
 
 from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
 from .errors import (
@@ -25,17 +24,21 @@ from .errors import (
     MissingFixtureError,
     ResponseParseError,
     read_json,
+    read_text,
 )
 from .prompts import PromptBundle
 from .transport import NO_REPLY, ChatEndpointConfig, RateLimiter, post_json
-
-logger = logging.getLogger(__name__)
 
 REFUSALS = ("i don't know", "i do not know", "none", "n/a", "no answer")
 
 _KEY_MARKER_RE = re.compile(r"(?:(?<=^)|(?<=,)|(?<=;))\s*([A-Za-z_][A-Za-z0-9_]*)\s*:")
 _BULLET_RE = re.compile(r"^\s*[-*]\s+(.*\S)\s*$")
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*$")
+
+
+def _warn(message: str) -> None:
+    """Note a skipped or retried item on stderr, in one write (helper threads share it)."""
+    sys.stderr.write(message + "\n")
 
 
 class _TransientFailure(Exception):
@@ -103,13 +106,10 @@ def chat_complete(
             raise MissingFixtureError("dry_run requires a fixture directory")
         if doc_id is None or run is None:
             raise MissingFixtureError("dry_run needs doc_id and run to key fixtures")
-        path = Path(cfg.fixture_dir) / doc_id / bundle.task / f"{run}.txt"
-        if not path.is_file():
+        path = os.path.join(cfg.fixture_dir, doc_id, bundle.task, f"{run}.txt")
+        if not os.path.isfile(path):
             raise MissingFixtureError(f"no canned response at {path}")
-        try:
-            return path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise MatEvalError(f"canned response at {path} is not UTF-8: {exc}") from exc
+        return read_text(path, lambda line: MatEvalError(f"{path}: not UTF-8: line {line}"))
 
     credential = os.environ.get(cfg.credential_env, "")
     if not credential:
@@ -137,7 +137,7 @@ def chat_complete(
                     f"endpoint failed after {cfg.max_retries + 1} attempts: {exc}"
                 ) from exc
             wait = max(delay, exc.retry_after)
-            logger.warning("transient endpoint failure (%s), retrying in %.1fs", exc, wait)
+            _warn(f"transient endpoint failure ({exc}), retrying in {wait:.1f}s")
         finally:
             if limiter:
                 limiter.release()
@@ -244,7 +244,7 @@ def _json_items(payload, task: str, raw: str) -> list:
         if value is not None:
             entities.append(value)
         else:
-            logger.warning("ignoring unrecognized %s item: %r", task, item)
+            _warn(f"ignoring unrecognized {task} item: {item!r}")
     return entities
 
 
@@ -284,7 +284,7 @@ def _parse_pseudo_relations(raw: str) -> list[dict]:
         markers = list(_KEY_MARKER_RE.finditer(text))
         for marker in markers:
             if marker.group(1).lower() not in RELATION_SLOTS:
-                logger.warning("ignoring unknown key %r in response", marker.group(1))
+                _warn(f"ignoring unknown key {marker.group(1)!r} in response")
         if not any(m.group(1).lower() in RELATION_SLOTS for m in markers):
             continue
         saw_marker = True
@@ -331,7 +331,7 @@ def _parse_pseudo_entities(raw: str, task: str) -> list[str]:
         if header:
             saw_structure = True
             if header.group(1).lower() != expected_header:
-                logger.warning("ignoring unknown header %r", header.group(1))
+                _warn(f"ignoring unknown header {header.group(1)!r}")
             continue
         bullet = _BULLET_RE.match(line)
         if bullet:

@@ -14,21 +14,21 @@ rather than mis-parsed. The periodic table and adjunct lexicon are bundled.
 
 import itertools
 import math
+import os
 import re
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from .errors import (
     ConfigError,
     EmptyInputError,
     ExpansionLimitError,
-    InvalidJSONError,
+    MatEvalError,
     MixtureNotSupportedError,
     UnparseableMaterialError,
-    read_json,
+    read_json_file,
 )
 
 
@@ -65,8 +65,8 @@ _TEXT_CLAUSE_RE = re.compile(
 )
 
 
-def _bundled(name: str):
-    return read_json(resources.files("mateval.resources").joinpath(name).read_text())
+def _bundled(name: str):  # package data, beside this module
+    return read_json_file(os.path.join(os.path.dirname(__file__), "resources", name), MatEvalError)
 
 
 @lru_cache(maxsize=1)
@@ -87,13 +87,7 @@ def load_adjuncts(path: str) -> tuple[str, ...]:
     Accepts either ``{"adjuncts": [...]}``, with no other key, or a bare JSON
     list of non-empty strings; anything else raises ConfigError naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = read_json(fh.read())
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
-        except InvalidJSONError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json_file(path, ConfigError)
     if isinstance(payload, dict) and payload.keys() == {"adjuncts"}:
         payload = payload["adjuncts"]
     if not isinstance(payload, list) or not all(isinstance(w, str) and w.strip() for w in payload):

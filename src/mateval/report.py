@@ -14,7 +14,7 @@ import json
 import typing
 from typing import NamedTuple
 
-from .errors import InvalidJSONError, ReportSchemaError, SchemaError, read_as, read_json
+from .errors import ReportSchemaError, SchemaError, read_as, read_json_file, write_text
 from .scoring import RunAggregate, Scores, aggregate_runs
 
 
@@ -86,16 +86,10 @@ def read_report(path: str) -> EvalReport:
 
     Raises:
         ReportSchemaError: the file is not UTF-8, not JSON or not a report;
-            the message names the file and the field.
+            the message names the file, and the line or the field.
         OSError: unreadable path.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = read_json(fh.read())
-        except UnicodeDecodeError as exc:
-            raise ReportSchemaError(f"{path}: not UTF-8: {exc}") from exc
-        except InvalidJSONError as exc:
-            raise ReportSchemaError(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json_file(path, ReportSchemaError)
     try:
         return EvalReport.from_dict(payload)
     except ReportSchemaError as exc:
@@ -115,9 +109,7 @@ def render_report(report: EvalReport, format: str = "json") -> str:
 
 def write_report(report: EvalReport, format: str, path: str) -> None:
     """Render and write a report; propagates OSError on I/O failure."""
-    rendered = render_report(report, format)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(rendered)
+    write_text(path, render_report(report, format))
 
 
 def _pct(value: float) -> str:

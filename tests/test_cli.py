@@ -83,7 +83,8 @@ class TestParseMaterialCommand:
     @pytest.mark.parametrize("content, message", [
         (b'["caf\xe9"]', "not UTF-8: "),
         (b'{"adjuncts": ["bulk"], "adjuncts": []}', "invalid JSON: repeated key 'adjuncts'"),
-    ], ids=["not utf-8", "repeated key"])
+        (b'[\n"bulk",\r\n"caf\xe9"]', "not UTF-8: line 3"),
+    ], ids=["not utf-8", "repeated key", "not utf-8 on line 3"])
     def test_an_unreadable_lexicon_says_why(self, tmp_path, content, message):
         lex = tmp_path / "lex.json"
         lex.write_bytes(content)
@@ -569,6 +570,18 @@ class TestExtractCommand:
         assert result.stderr.startswith("error: ") and str(bad) in result.stderr
         assert "Traceback" not in result.stderr
         assert not out_path.exists()
+
+    def test_fixture_that_is_not_utf8_names_the_line(self, capsys, tmp_path):
+        fixture = tmp_path / "fixtures" / "d1" / "ner_material" / "run1.txt"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_bytes(b"materials:\r\n - MgB2\r - caf\xe9\n")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(CORPUS_LINES[0] + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            ["extract", "--corpus", corpus, "--task", "ner_material", "--dry-run",
+             "--fixtures", tmp_path / "fixtures", "--seed", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {fixture}: not UTF-8: line 3\n"
 
     def test_auto_seed_is_printed(self, capsys, tmp_path):
         # a shuffled RE prompt is the one extract prompt that reads a seed

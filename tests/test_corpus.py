@@ -96,6 +96,21 @@ class TestLoadCorpus:
         with pytest.raises(OSError):
             load_corpus(str(tmp_path / "absent.jsonl"))
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"],
+                             ids=["u2028", "u2029", "u0085"])
+    def test_a_raw_line_separator_in_a_string_stays_in_its_line(self, tmp_path, separator):
+        # str.splitlines would end a line there; only LF (or CRLF, CR) does
+        path = tmp_path / "c.jsonl"
+        first = json.dumps({"id": "a", "text": f"MgB2{separator}39 K"}, ensure_ascii=False)
+        assert separator in first
+        path.write_text(first + "\n" + json.dumps({"id": "b", "text": "t"}) + "\n",
+                        encoding="utf-8")
+        assert [doc.text for doc in load_corpus(str(path))] == [f"MgB2{separator}39 K", "t"]
+        path.write_text(first + "\nnot json\n", encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as err:
+            load_corpus(str(path))
+        assert err.value.line == 2
+
 
 class TestLoadPredictions:
     def test_basic(self, tmp_path):

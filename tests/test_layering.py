@@ -7,7 +7,7 @@ matcher names are the keys of ``matching.TIERS``. The report schema,
 its renderers and its reader live in ``report``, on ``errors`` and
 ``scoring`` alone. Reports, corpora and predictions are all read by the
 one schema reader, ``errors.read_as``, below both, and every JSON text by
-the one parser, ``errors.read_json``. Both HTTP
+the one parser, ``errors.read_json``; ``errors`` alone opens files. Both HTTP
 clients sit on ``transport``, which also holds the endpoint settings they
 read, on ``errors`` alone, and the package needs nothing outside the
 standard library at run time. Each CLI command runs only the modules it
@@ -137,7 +137,57 @@ def test_errors_holds_the_one_json_reader():
     assert value_errors == set()
     readers = {name for name, tree in TREES.items()
                for module, names in _imports(tree) if module == "errors" and "read_json" in names}
-    assert readers == {"corpus", "report", "materials", "llm", "matching"}
+    assert readers == {"corpus", "llm", "matching"}  # report and materials read whole files
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Every absolute module an import names, ``from importlib import resources``
+    as ``importlib.resources`` too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _opens_a_file(tree: ast.Module) -> bool:
+    """Whether the module calls the builtin ``open``, an ``io``/``os`` opener
+    or a path object's reader or writer; ``errors``' own ``read_text`` and
+    ``write_text``, imported by name, do not count."""
+    from_errors = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "errors" for alias in node.names}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute):
+            called = node.func.attr
+        elif isinstance(node.func, ast.Name) and node.func.id not in from_errors:
+            called = node.func.id
+        else:
+            continue
+        if called in ("open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes"):
+            return True
+    return False
+
+
+def test_errors_is_the_one_module_that_opens_a_file():
+    """How a file's bytes become text, and what an unreadable file is
+    called, is decided once, in ``errors``: its ``read_text`` (with
+    ``numbered_lines`` and ``read_json_file``) and ``write_text`` serve
+    every file mateval reads or writes, the bundled tables and dry-run
+    fixtures included. No module reaches for ``pathlib``,
+    ``importlib.resources`` (which loads ``zipfile`` and ``tempfile``) or
+    ``logging`` (warnings are one stderr write). Read from the source: the
+    interpreter's ``site`` start-up may load the first two itself."""
+    assert {name for name, tree in TREES.items() if _opens_a_file(tree)} == {"errors"}
+    unwanted = ("pathlib", "importlib.resources", "logging")
+    found = {(name, module) for name, tree in TREES.items() for module in _imported_names(tree)
+             if any(module == u or module.startswith(u + ".") for u in unwanted)}
+    assert found == set()
 
 
 def test_corpus_re_exports_the_one_renderer():
@@ -410,12 +460,13 @@ def _command(name: str, work: Path) -> list:
 # modules each command must not run: --help and report no library module,
 # the offline prompt and fine-tune commands no scoring, eval-* no chat client,
 # a command without the formula matcher no formula parser, no command
-# dataclasses, and the offline prompt and fine-tune commands no OpenSSL. A
-# semantic evaluation sends requests, and urllib.request loads hashlib
+# dataclasses, the offline prompt and fine-tune commands no OpenSSL, and
+# extract no logging (its warnings are stderr writes). A semantic
+# evaluation sends requests, and urllib.request loads hashlib
 COMMAND_MUST_NOT_LOAD = {
     "--help": _LIBRARY | _OFFLINE | _EVERY,
     "report": _LIBRARY | _OFFLINE | _EVERY,
-    "extract --dry-run": _SCORING | {"statistics"} | _OFFLINE | _EVERY | _OPENSSL,
+    "extract --dry-run": _SCORING | {"statistics", "logging"} | _OFFLINE | _EVERY | _OPENSSL,
     "prepare-finetune": _SCORING | {"statistics"} | _OFFLINE | _EVERY | _OPENSSL,
     "eval-ner": _CHAT | _OFFLINE | _EVERY,
     "eval-re": _CHAT | _PARSER | _OFFLINE | _EVERY,

@@ -137,6 +137,16 @@ class TestChatComplete:
         with pytest.raises(MissingFixtureError):
             chat_complete(bundle, cfg, doc_id="ghost", run="run1")
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_dry_run_reads_crlf_and_cr_fixtures_as_lf(self, tmp_path, newline):
+        answer = "materials:\n - MgB2\n - Nb3Sn\n"
+        fixture = tmp_path / "d1" / "ner_material" / "run1.txt"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_bytes(answer.replace("\n", newline).encode("utf-8"))
+        cfg = ChatEndpointConfig(dry_run=True, fixture_dir=str(tmp_path))
+        bundle = build_ner_prompt("ner_material", "text")
+        assert chat_complete(bundle, cfg, doc_id="d1", run="run1") == answer
+
     def test_dry_run_never_touches_network(self):
         def sentinel(cfg, credential, payload):
             raise AssertionError("network transport must not be called in dry run")
@@ -247,6 +257,16 @@ class TestChatComplete:
         assert cfg.model == "test-model"
         assert cfg.max_retries == 5
         assert cfg.dry_run is True
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_config_with_crlf_or_cr_endings_reads_as_its_lf_form(self, tmp_path, newline):
+        text = "# comment\nmodel = test-model\n\nmax_retries=5\ndry_run=true\n"
+        lf, other = tmp_path / "lf.cfg", tmp_path / "other.cfg"
+        lf.write_bytes(text.encode("utf-8"))
+        other.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        cfg = ChatEndpointConfig.from_file(str(lf))
+        assert (cfg.model, cfg.max_retries, cfg.dry_run) == ("test-model", 5, True)
+        assert ChatEndpointConfig.from_file(str(other)) == cfg
 
     def test_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "endpoint.cfg"
@@ -450,6 +470,45 @@ def record_key(record):
         if line.startswith(("materials:", "tcs:", "pressures:"))
     )
     return (record.source_doc, tuple(lines), record.messages[2]["content"])
+
+
+def _retried_once(monkeypatch):
+    from mateval.llm import _TransientFailure
+
+    monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
+    calls = []
+
+    def flaky(cfg, credential, payload):
+        calls.append(1)
+        if len(calls) == 1:
+            raise _TransientFailure("HTTP 503", retry_after=0.1)
+        return "answer"
+
+    cfg = ChatEndpointConfig(credential_env="MATEVAL_TEST_KEY", max_retries=1,
+                             backoff_base=0.001)
+    return chat_complete(build_ner_prompt("ner_material", "text"), cfg, transport=flaky)
+
+
+# (what warns, its result, the bytes it writes to stderr)
+WARNINGS = {
+    "transient failure": (_retried_once, "answer",
+                          "transient endpoint failure (HTTP 503), retrying in 0.1s\n"),
+    "unrecognized item": (
+        lambda _: parse_json_response('[{"name": "MgB2"}, "Nb3Sn"]', "ner_material"),
+        ["Nb3Sn"], "ignoring unrecognized ner_material item: {'name': 'MgB2'}\n"),
+    "unknown key": (lambda _: parse_pseudo_format("material: MgB2, foo: bar, tc: 39 K", "re"),
+                    [{"material": "MgB2", "tc": "39 K"}],
+                    "ignoring unknown key 'foo' in response\n"),
+    "unknown header": (
+        lambda _: parse_pseudo_format("Quantity:\nmaterials:\n - MgB2\n", "ner_material"),
+        ["MgB2"], "ignoring unknown header 'Quantity'\n"),
+}
+
+
+@pytest.mark.parametrize("call, result, warning", WARNINGS.values(), ids=WARNINGS.keys())
+def test_each_warning_is_one_line_on_stderr(monkeypatch, capsys, call, result, warning):
+    assert call(monkeypatch) == result
+    assert capsys.readouterr() == ("", warning)
 
 
 class TestPrepareFinetune:

@@ -1,5 +1,6 @@
 """Tests for material expression parsing, expansion, and comparison."""
 
+import json
 import random
 import re
 
@@ -83,6 +84,14 @@ class TestStripAdjuncts:
     def test_phrase_whose_lowercase_is_longer(self, raw):
         # "İ".lower() is two code points: the text is cut by the phrase's own length
         assert strip_adjuncts(raw, ("İx",)) == ("MgB2", ["İx"])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_lexicon_reads_the_same_with_any_line_ending(tmp_path, newline):
+    lexicon = tmp_path / "lexicon.json"
+    text = json.dumps({"adjuncts": ["shiny", "thin film"]}, indent=2)
+    lexicon.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert materials.load_adjuncts(str(lexicon)) == ("shiny", "thin film")
 
 
 class TestParseMaterial:

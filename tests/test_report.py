@@ -177,6 +177,9 @@ AGGREGATE = ("matchers", "strict", "aggregate")
 # (edit of a good stored report, or the file's bytes; the message after the file name)
 BAD_REPORTS = {
     "non-utf-8 file": (b'{"task": "caf\xe9"}', "not UTF-8: "),
+    "non-utf-8 line 3": (b'{\n"task":\n"caf\xe9"}', "not UTF-8: line 3\n"),
+    "non-utf-8 line 3 after a CRLF and a CR": (b'{\r\n"task":\r"caf\xe9"}',
+                                               "not UTF-8: line 3\n"),
     "json list": (b"[]", "expected dict, got list"),
     "no matchers": (_edit(["matchers"]), "matchers: missing"),
     "run without scores": (_edit(SCORES), "matchers.strict.runs[0].scores: missing"),
@@ -215,6 +218,14 @@ def test_bad_stored_report_exits_3(reports, tmp_path, content, message):
     assert result.stderr.startswith(f"error: {stored}: {message}")
     assert "Traceback" not in result.stderr
     assert not output.exists()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_report_with_crlf_or_cr_endings_reads_as_its_lf_form(reports, tmp_path, newline):
+    rendered = render_report(reports["stamped"], "json")
+    stored = tmp_path / "report.json"
+    stored.write_bytes(rendered.replace("\n", newline).encode("utf-8"))
+    assert render_report(read_report(str(stored)), "json") == rendered
 
 
 def test_read_report_raises_a_mateval_error(tmp_path):
