@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, MatEvalError, write_text
+from .errors import ConfigError, MatEvalError, note, write_text
 
 
 def _lazy(name: str):
@@ -68,17 +68,13 @@ def _emit_json(payload, args=None) -> None:
     sys.stdout.write(text)
 
 
-def _note(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     import secrets
 
     seed = secrets.randbelow(2**31)
-    _note(f"seed: {seed} (selected; pass --seed {seed} to reproduce)")
+    note(f"seed: {seed} (selected; pass --seed {seed} to reproduce)")
     return seed
 
 
@@ -220,7 +216,7 @@ def cmd_eval(args) -> int:
                    else report.render_report(result, args.format))
     sys.stdout.write(rendered)
     if args.pretty:
-        _note(report.render_report(result, "markdown"))
+        note(report.render_report(result, "markdown"))
     return EXIT_WARNINGS if (result.skipped or result.warnings) else EXIT_OK
 
 
@@ -260,7 +256,7 @@ def cmd_extract(args) -> int:
         skipped = [doc.id for doc in docs if not doc.relation_entities()]
         docs = [doc for doc in docs if doc.relation_entities()]
     for doc_id in skipped:
-        _note(f"skipped {doc_id}: no material, tc or pressure entities to relate")
+        note(f"skipped {doc_id}: no material, tc or pressure entities to relate")
     jobs = []  # (doc_id, run_label, bundle) in output order
     for run_index in range(1, args.runs + 1):
         run_label = f"run{run_index}"
@@ -304,7 +300,7 @@ def cmd_extract(args) -> int:
     else:
         sys.stdout.write(serialized)
     for failure in failures:
-        _note(f"unparseable response: {failure}")
+        note(f"unparseable response: {failure}")
     return EXIT_WARNINGS if failures or skipped else EXIT_OK
 
 
@@ -451,10 +447,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise MatEvalError(f"refusing to overwrite {path} (use --force)")
         return args.func(args)
     except MatEvalError as exc:
-        _note(f"error: {exc}")
+        note(f"error: {exc}")
         return EXIT_FAILURE
     except OSError as exc:
-        _note(f"i/o error: {exc}")
+        note(f"i/o error: {exc}")
         return EXIT_FAILURE
     except Exception:  # a bug, not a finished run: never the warnings code
         import traceback

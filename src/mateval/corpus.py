@@ -160,7 +160,7 @@ def _read_lines(path: str, kind):
     def bad(lineno: int, field: str, message: str) -> SchemaViolationError:
         return SchemaViolationError(lineno, field, message, path)
 
-    for lineno, line in numbered_lines(path, lambda n: bad(n, "line", "not UTF-8 text")):
+    for lineno, line in numbered_lines(path, lambda n, why: bad(n, "line", why)):
         if not line.strip():
             continue
         try:

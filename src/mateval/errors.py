@@ -1,13 +1,14 @@
-"""Exception hierarchy shared by all mateval modules; :func:`read_json`, the
-one JSON parser, for every file and reply mateval reads; :func:`read_as`,
-which reads parsed JSON by a record's annotations; and the only code that
-opens a file: :func:`read_text`, with the readers on it, and :func:`write_text`."""
+"""Exception hierarchy shared by all mateval modules; :func:`read_json`, the one JSON
+parser, for every file and reply mateval reads; :func:`read_as`, which reads parsed JSON
+by a record's annotations; the only code that opens a file: :func:`read_text`, with the
+readers on it, and :func:`write_text`; and :func:`note`, the one writer to stderr."""
 
 import functools
 import io
 import itertools
 import json
 import math
+import sys
 import types
 import typing
 
@@ -162,31 +163,40 @@ def read_json(text: str | bytes):
         raise InvalidJSONError(str(exc)) from exc
 
 
-def read_text(path: str, not_utf8) -> str:
-    """The UTF-8 text file ``path`` with universal newlines (CRLF and CR read
-    as LF); text that is not UTF-8 raises ``not_utf8(line of the first bad byte)``."""
+def _text(path: str, bad) -> str:
     with open(path, "rb") as fh:  # CR and LF bytes are never part of a UTF-8 sequence
         data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise not_utf8(data.count(b"\n", 0, exc.start) + 1) from exc
+        raise bad(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
 
 
-def numbered_lines(path: str, not_utf8):
-    """``(line number, line)`` pairs, from 1, of :func:`read_text`'s text: only LF
-    ends a line, not a U+2028 or U+0085 that a JSON string may hold raw."""
-    return enumerate(io.StringIO(read_text(path, not_utf8)), 1)
+def read_text(path: str, error) -> str:
+    """The UTF-8 file ``path``, CRLF and CR read as LF; text that is not UTF-8
+    raises ``error("<path>: not UTF-8: line N")``, N the first bad byte's line."""
+    return _text(path, lambda line, why: error(f"{path}: {why}: line {line}"))
+
+
+def numbered_lines(path: str, bad):
+    """``(line number, line)`` pairs, from 1, of :func:`read_text`'s text; text that
+    is not UTF-8 raises ``bad(N, "not UTF-8")``. Only LF ends a line, not a raw
+    U+2028 or U+0085 that a JSON string may hold."""
+    return enumerate(io.StringIO(_text(path, bad)), 1)
 
 
 def read_json_file(path: str, error):
     """:func:`read_json` of the UTF-8 file ``path``; unreadable text raises
     ``error("<path>: not UTF-8: line N")`` or ``error("<path>: invalid JSON: <why>")``."""
-    text = read_text(path, lambda line: error(f"{path}: not UTF-8: line {line}"))
     try:
-        return read_json(text)
+        return read_json(read_text(path, error))
     except InvalidJSONError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def note(message: str) -> None:
+    """Write ``message`` and a newline to stderr in one write (threads share it)."""
+    sys.stderr.write(message + "\n")
 
 
 def write_text(path: str, text: str) -> None:

@@ -12,7 +12,6 @@ evaluations.
 import math
 import os
 import re
-import sys
 import time
 
 from .corpus import PSEUDO_HEADERS, RELATION_SLOTS, TASK_CLASSES
@@ -23,6 +22,7 @@ from .errors import (
     MissingCredentialError,
     MissingFixtureError,
     ResponseParseError,
+    note,
     read_json,
     read_text,
 )
@@ -34,11 +34,6 @@ REFUSALS = ("i don't know", "i do not know", "none", "n/a", "no answer")
 _KEY_MARKER_RE = re.compile(r"(?:(?<=^)|(?<=,)|(?<=;))\s*([A-Za-z_][A-Za-z0-9_]*)\s*:")
 _BULLET_RE = re.compile(r"^\s*[-*]\s+(.*\S)\s*$")
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*$")
-
-
-def _warn(message: str) -> None:
-    """Note a skipped or retried item on stderr, in one write (helper threads share it)."""
-    sys.stderr.write(message + "\n")
 
 
 class _TransientFailure(Exception):
@@ -109,7 +104,7 @@ def chat_complete(
         path = os.path.join(cfg.fixture_dir, doc_id, bundle.task, f"{run}.txt")
         if not os.path.isfile(path):
             raise MissingFixtureError(f"no canned response at {path}")
-        return read_text(path, lambda line: MatEvalError(f"{path}: not UTF-8: line {line}"))
+        return read_text(path, MatEvalError)
 
     credential = os.environ.get(cfg.credential_env, "")
     if not credential:
@@ -137,7 +132,7 @@ def chat_complete(
                     f"endpoint failed after {cfg.max_retries + 1} attempts: {exc}"
                 ) from exc
             wait = max(delay, exc.retry_after)
-            _warn(f"transient endpoint failure ({exc}), retrying in {wait:.1f}s")
+            note(f"transient endpoint failure ({exc}), retrying in {wait:.1f}s")
         finally:
             if limiter:
                 limiter.release()
@@ -244,7 +239,7 @@ def _json_items(payload, task: str, raw: str) -> list:
         if value is not None:
             entities.append(value)
         else:
-            _warn(f"ignoring unrecognized {task} item: {item!r}")
+            note(f"ignoring unrecognized {task} item: {item!r}")
     return entities
 
 
@@ -284,7 +279,7 @@ def _parse_pseudo_relations(raw: str) -> list[dict]:
         markers = list(_KEY_MARKER_RE.finditer(text))
         for marker in markers:
             if marker.group(1).lower() not in RELATION_SLOTS:
-                _warn(f"ignoring unknown key {marker.group(1)!r} in response")
+                note(f"ignoring unknown key {marker.group(1)!r} in response")
         if not any(m.group(1).lower() in RELATION_SLOTS for m in markers):
             continue
         saw_marker = True
@@ -331,7 +326,7 @@ def _parse_pseudo_entities(raw: str, task: str) -> list[str]:
         if header:
             saw_structure = True
             if header.group(1).lower() != expected_header:
-                _warn(f"ignoring unknown header {header.group(1)!r}")
+                note(f"ignoring unknown header {header.group(1)!r}")
             continue
         bullet = _BULLET_RE.match(line)
         if bullet:

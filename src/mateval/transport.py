@@ -108,8 +108,7 @@ class ChatEndpointConfig(_EndpointFields):
         that :meth:`with_setting` rejects raises ConfigError naming ``path:line``.
         """
         cfg = cls()
-        lines = numbered_lines(path, lambda n: ConfigError(f"{path}:{n}: not UTF-8 text"))
-        for lineno, line in lines:
+        for lineno, line in numbered_lines(path, lambda n, why: ConfigError(f"{path}:{n}: {why}")):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -174,16 +174,27 @@ def _opens_a_file(tree: ast.Module) -> bool:
     return False
 
 
+def _names_utf8(tree: ast.Module) -> bool:
+    """Whether a string of the module's code, docstrings aside, says ``UTF-8``."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and "UTF-8" in node.value and id(node) not in docstrings
+               for node in ast.walk(tree))
+
+
 def test_errors_is_the_one_module_that_opens_a_file():
     """How a file's bytes become text, and what an unreadable file is
     called, is decided once, in ``errors``: its ``read_text`` (with
     ``numbered_lines`` and ``read_json_file``) and ``write_text`` serve
     every file mateval reads or writes, the bundled tables and dry-run
-    fixtures included. No module reaches for ``pathlib``,
+    fixtures included, and only ``errors`` says "not UTF-8". No module reaches for ``pathlib``,
     ``importlib.resources`` (which loads ``zipfile`` and ``tempfile``) or
     ``logging`` (warnings are one stderr write). Read from the source: the
     interpreter's ``site`` start-up may load the first two itself."""
     assert {name for name, tree in TREES.items() if _opens_a_file(tree)} == {"errors"}
+    assert {name for name, tree in TREES.items() if _names_utf8(tree)} == {"errors"}
     unwanted = ("pathlib", "importlib.resources", "logging")
     found = {(name, module) for name, tree in TREES.items() for module in _imported_names(tree)
              if any(module == u or module.startswith(u + ".") for u in unwanted)}
