@@ -7,9 +7,21 @@ A composition maps element symbols (or single-letter placeholders such as
 Substitution clauses such as ``(X = Sb, Pb, Sn)`` or ``with x = 0.35, 0.45
 and 0.5`` are captured separately and can be expanded into concrete variants.
 
-Spaced (``La 2-x Sr x CuO 4``) and fused (``La2-xSrxCuO4``) renderings parse
-to identical compositions. Mixtures (``A/B in molar ratio``) are rejected
-rather than mis-parsed. The periodic table and adjunct lexicon are bundled.
+The text left splits at whitespace into words, after a sign spaced between a
+decimal and a lowercase letter is joined (``O 7 - δ``), and each word into
+tokens: a decimal (of any Unicode decimal digits) or one other character. One
+amount grammar, ``c``, ``c±v`` or ``v`` (a decimal ``c``, a cased letter
+``v``, lowercase when bare), reads all three places an amount stands: a
+spaced amount, which is a whole word and belongs to the symbol before it; an
+amount fused to its symbol; and a parenthesised amount, or an amount given as
+text, whose whitespace is dropped but never joins a decimal. A word of a
+decimal and ``%`` is an adjunct. Any other word is a run of units: a symbol
+(two letters when they name an element, else one uppercase character, a
+placeholder when it names no element), then a parenthesised amount, a fused
+amount or none. So spaced (``La 2-x Sr x CuO 4``) and fused
+(``La2-xSrxCuO4``) renderings parse to identical compositions. Mixtures
+(``A/B in molar ratio``) are rejected rather than mis-parsed. The periodic
+table and adjunct lexicon are bundled.
 """
 
 import itertools
@@ -52,7 +64,8 @@ EXPANSION_CAP = 256
 DEFAULT_TOL = 1e-6
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
-_PERCENT_TOKEN_RE = re.compile(r"\d+(?:\.\d+)?\s*%$")
+# a token: a whitespace run, a decimal (of any Unicode digits) or one other character
+_TOKEN_RE = re.compile(r"\s+|\d+(?:\.\d+)?|.", re.DOTALL)
 # a sign spaced between a decimal and a lone letter, as in "O 7 - δ"
 _SPACED_SIGN_RE = re.compile(r"(\d)\s*([+-])\s*([^\W\d_])(?![^\W\d_])")
 # trailing "(X = Sb, Pb and Sn)" style clause
@@ -193,10 +206,11 @@ def strip_adjuncts(
 
 
 def _parse_amount_text(text: str) -> Amount:
-    """A whole amount (``c``, ``c±v`` or ``v``); whitespace is ignored."""
-    squeezed = re.sub(r"\s+", "", text).lower()
-    read = _read_amount(squeezed, 0)
-    if read is None or read[1] != len(squeezed):
+    """A whole amount read from the lowered text's tokens, whitespace dropped:
+    ``" 1 - X "`` is ``1-x``, and ``"1 2"`` is refused, not read as ``12``."""
+    tokens = [t for t in _TOKEN_RE.findall(text.lower()) if not t.isspace()]
+    read = _read_amount(tokens, 0)
+    if read is None or read[1] != len(tokens):
         raise UnparseableMaterialError(f"unsupported amount expression: {text!r}")
     return read[0]
 
@@ -215,24 +229,21 @@ def _finite(value: float) -> float:
     return value
 
 
-def _read_amount(text: str, i: int) -> tuple[Amount, int] | None:
-    """Read the one amount grammar at ``text[i:]``: ``c``, ``c±v`` or ``v``.
-
-    ``c`` is a decimal and ``v`` any cased letter; a bare ``v`` must be
-    lowercase, since an uppercase letter starts the next element symbol.
-    Returns the amount (a float or a :class:`Linear`) and the end index.
-    """
-    m = _NUMBER_RE.match(text, i)
-    if m is None:
-        if i < len(text) and _variable(text[i]) == text[i]:
-            return Linear(0.0, 1.0, text[i]), i + 1
+def _read_amount(tokens: list[str], k: int) -> tuple[Amount, int] | None:
+    """Read the one amount grammar at ``tokens[k:]``: ``c``, ``c±v`` or ``v``,
+    where a bare ``v`` is lowercase, since an uppercase letter starts the next
+    symbol. Returns the amount and the index after it, or None."""
+    if k >= len(tokens):
         return None
-    j = m.end()
-    value = _finite(float(m.group(0)))
-    var = _variable(text[j + 1]) if j + 1 < len(text) and text[j] in "+-" else None
+    token = tokens[k]
+    if not token[0].isdecimal():  # the tokenizer's \d: a decimal token
+        return (Linear(0.0, 1.0, token), k + 1) if _variable(token) == token else None
+    value = _finite(float(token))
+    sign = tokens[k + 1] if k + 2 < len(tokens) else None
+    var = _variable(tokens[k + 2]) if sign in ("+", "-") else None
     if var:
-        return Linear(value, -1.0 if text[j] == "-" else 1.0, var), j + 2
-    return value, j
+        return Linear(value, -1.0 if sign == "-" else 1.0, var), k + 3
+    return value, k + 1
 
 
 def _join_spaced_sign(m: re.Match) -> str:
@@ -240,48 +251,33 @@ def _join_spaced_sign(m: re.Match) -> str:
     return "".join(m.groups()) if _variable(m.group(3)) == m.group(3) else m.group(0)
 
 
-@lru_cache(maxsize=1)
-def _unit_pattern() -> re.Pattern:
-    """A fused unit: a symbol (two letters when they name an element), then
-    ``(text)``, ``c``, ``c±letter`` or one more character."""
-    two = itertools.groupby(sorted(s for s in periodic_table() if len(s) == 2), lambda s: s[0])
-    symbol = "|".join(f"{a}[{''.join(s[1] for s in g)}]" for a, g in two)
-    return re.compile(rf"({symbol}|.)(?:\(([^)]*)\)|(\d+(?:\.\d+)?)(?:([+-])(.))?|(.))?", re.DOTALL)
-
-
-def _parse_fragment(token: str) -> list[tuple[str, Amount | None]]:
-    """Parse a fused fragment like ``CuO``, ``La2O3`` or ``Cu1-xNixO2``; an
-    uppercase letter that names no element is a placeholder."""
-    pairs: list[tuple[str, Amount | None]] = []
-    unit, i = _unit_pattern().match, 0
-    while i < len(token):
-        m = unit(token, i)
-        symbol, inner, number, sign, after, var = m.groups()
-        if not symbol[0].isupper():
-            raise UnparseableMaterialError(f"expected element symbol at {token[i:]!r}")
-        symbol, i = sys.intern(symbol), m.end()  # every key shares one copy
-        if inner is not None:
-            pairs.append((symbol, _parse_amount_text(inner)))
-            continue
-        if number is not None:
-            amount: Amount | None = _finite(float(number))
-            letter = after and _variable(after)
-            if letter:
-                amount = Linear(amount, -1.0 if sign == "-" else 1.0, letter)
-                if i < len(token) and token[i].islower():
-                    raise UnparseableMaterialError(f"ambiguous variable in amount: {token!r}")
-            else:
-                i = m.end(3)
-        elif var is not None and _variable(var) == var:
-            amount = Linear(0.0, 1.0, var)
-            if i < len(token) and not (token[i].isupper() or token[i] == "("):
-                raise UnparseableMaterialError(f"cannot read amount in {token!r}")
-        elif var == "(":
-            raise UnparseableMaterialError(f"unbalanced parenthesis in {token!r}")
+def _read_word(tokens: list[str], pairs: list[tuple[str, Amount | None]]) -> None:
+    """Append the ``(symbol, amount or None)`` units of a word such as ``CuO``,
+    ``La2O3`` or ``Cu1-xNixO2`` to ``pairs``."""
+    table, word, k, n = periodic_table(), "".join(tokens), 0, len(tokens)
+    while k < n:
+        symbol = tokens[k]
+        if k + 1 < n and symbol + tokens[k + 1] in table:
+            symbol, k = symbol + tokens[k + 1], k + 2
+        elif symbol.isupper():
+            k += 1
         else:
-            amount, i = None, m.end(1)
+            raise UnparseableMaterialError(f"expected element symbol at {''.join(tokens[k:])!r}")
+        symbol, amount = sys.intern(symbol), None  # every key shares one copy
+        if k < n and tokens[k] == "(":
+            if ")" not in tokens[k:]:
+                raise UnparseableMaterialError(f"unbalanced parenthesis in {word!r}")
+            close = tokens.index(")", k)
+            amount, k = _parse_amount_text("".join(tokens[k + 1:close])), close + 1
+        elif read := _read_amount(tokens, k):
+            amount, end = read
+            if isinstance(amount, Linear) and end < n:
+                if end - k > 1 and tokens[end].islower():  # c±v
+                    raise UnparseableMaterialError(f"ambiguous variable in amount: {word!r}")
+                if end - k == 1 and not (tokens[end].isupper() or tokens[end] == "("):  # v
+                    raise UnparseableMaterialError(f"cannot read amount in {word!r}")
+            k = end
         pairs.append((symbol, amount))
-    return pairs
 
 
 def _split_candidates(body: str) -> list[str]:
@@ -369,22 +365,20 @@ def parse_material(
         core = core[: m.start()].strip()
 
     pairs: list[tuple[str, Amount | None]] = []
-    for token in _SPACED_SIGN_RE.sub(_join_spaced_sign, core).split():
-        if token[0].isupper():  # a symbol: neither a percentage nor an amount
-            pairs.extend(_parse_fragment(token))
+    for word in _SPACED_SIGN_RE.sub(_join_spaced_sign, core).split():
+        tokens = _TOKEN_RE.findall(word)
+        if len(tokens) == 2 and tokens[1] == "%" and tokens[0][0].isdecimal():
+            adjuncts.append(word)
             continue
-        if _PERCENT_TOKEN_RE.fullmatch(token):
-            adjuncts.append(token)
-            continue
-        read = _read_amount(token, 0)
-        if read is not None and read[1] == len(token):
+        read = None if word[0].isupper() else _read_amount(tokens, 0)  # a symbol starts no amount
+        if read is not None and read[1] == len(tokens):  # a spaced amount is a whole word
             if not pairs or pairs[-1][1] is not None:
                 raise UnparseableMaterialError(
-                    f"amount {token!r} has no element to attach to in {raw!r}"
+                    f"amount {word!r} has no element to attach to in {raw!r}"
                 )
             pairs[-1] = (pairs[-1][0], read[0])
             continue
-        pairs.extend(_parse_fragment(token))
+        _read_word(tokens, pairs)
 
     composition: Composition = {}
     for symbol, amount in pairs:

@@ -1,8 +1,10 @@
 """Tests for material expression parsing, expansion, and comparison."""
 
 import json
+import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -342,8 +344,13 @@ class TestCanonicalization:
             assert canonical(once) == once
 
     def test_rejects_rich_expressions(self):
-        with pytest.raises(UnparseableMaterialError):
-            canonical("1-x/2")
+        for text in ("1-x/2", "1 2", "0. 5"):  # whitespace never joins a decimal
+            with pytest.raises(UnparseableMaterialError):
+                canonical(text)
+
+    def test_whitespace_inside_a_decimal_never_compares_equal(self):
+        assert not compositions_equal({"Cu": "1 2"}, {"Cu": 12.0})
+        assert not compositions_equal({"Cu": "0. 5"}, {"Cu": 0.5})
 
 
 @st.composite
@@ -490,6 +497,45 @@ def oracle_strip_adjuncts(raw, lexicon=None):
     return text, adjuncts
 
 
+ORACLE_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+
+
+def oracle_variable(ch):
+    low = ch.lower()
+    return low if len(low) == 1 and low.islower() else None
+
+
+def oracle_finite(value):
+    if not math.isfinite(value):
+        raise UnparseableMaterialError(f"amount out of range: {value}")
+    return value
+
+
+def oracle_read_amount(text, i):
+    """The string-index amount reader: ``c``, ``c±v`` or ``v`` at ``text[i:]``."""
+    m = ORACLE_NUMBER_RE.match(text, i)
+    if m is None:
+        if i < len(text) and oracle_variable(text[i]) == text[i]:
+            return Linear(0.0, 1.0, text[i]), i + 1
+        return None
+    j = m.end()
+    value = oracle_finite(float(m.group(0)))
+    var = oracle_variable(text[j + 1]) if j + 1 < len(text) and text[j] in "+-" else None
+    if var:
+        return Linear(value, -1.0 if text[j] == "-" else 1.0, var), j + 2
+    return value, j
+
+
+def oracle_parse_amount_text(text):
+    """A whole amount read from the text with all whitespace squeezed out
+    (so it is only a reference where the text holds none)."""
+    squeezed = re.sub(r"\s+", "", text).lower()
+    read = oracle_read_amount(squeezed, 0)
+    if read is None or read[1] != len(squeezed):
+        raise UnparseableMaterialError(f"unsupported amount expression: {text!r}")
+    return read[0]
+
+
 def oracle_parse_fragment(token):
     """The character-by-character fused-fragment reader."""
     pairs = []
@@ -507,10 +553,10 @@ def oracle_parse_fragment(token):
             j = token.find(")", i)
             if j == -1:
                 raise UnparseableMaterialError(f"unbalanced parenthesis in {token!r}")
-            pairs.append((symbol, materials._parse_amount_text(token[i + 1: j])))
+            pairs.append((symbol, oracle_parse_amount_text(token[i + 1: j])))
             i = j + 1
             continue
-        start, read = i, materials._read_amount(token, i)
+        start, read = i, oracle_read_amount(token, i)
         amount = None
         if read is not None:
             amount, i = read
@@ -520,6 +566,13 @@ def oracle_parse_fragment(token):
             if i - start == 1 and not (token[i].isupper() or token[i] == "("):
                 raise UnparseableMaterialError(f"cannot read amount in {token!r}")
         pairs.append((symbol, amount))
+    return pairs
+
+
+def read_word(token):
+    """The parser's unit reader over one word's tokens."""
+    pairs = []
+    materials._read_word(materials._TOKEN_RE.findall(token), pairs)
     return pairs
 
 
@@ -560,8 +613,8 @@ fused_tokens = st.lists(st.sampled_from(FUSED_PIECES), min_size=1, max_size=6).m
 
 
 class TestReaderOracles:
-    """The per-length strip and the one-pattern fragment reader against the
-    loops they replaced."""
+    """The per-length strip and the token-based word reader against the
+    loops they replaced, and the tokenizer they read."""
 
     @settings(max_examples=500, deadline=None)
     @given(edge_texts, lexicons)
@@ -591,7 +644,22 @@ class TestReaderOracles:
     @example("Cu1-X")
     @example("Mg(")
     def test_fragment_reader_equals_character_loop(self, token):
-        assert outcome(materials._parse_fragment, token) == outcome(oracle_parse_fragment, token)
+        assert outcome(read_word, token) == outcome(oracle_parse_fragment, token)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text())
+    @example("Cu1.5.2 \t\n\u0661\u0662.\u0663x\xa0%")
+    def test_tokenizer_loses_no_character(self, text):
+        tokens = materials._TOKEN_RE.findall(text)
+        assert "".join(tokens) == text  # a dropped character is a misread formula
+        for token, after in zip(tokens, tokens[1:] + [""]):
+            if token.isspace():  # one whole whitespace run
+                assert not after[:1].isspace()
+            elif token[0].isdecimal():  # one whole decimal
+                assert all(part.isdecimal() for part in token.split(".", 1))
+                assert not after[:1].isdecimal()
+            else:
+                assert len(token) == 1
 
 
 class TestAmountMerge:
@@ -626,3 +694,27 @@ class TestAmountMerge:
         assert materials._add_amount(composition, "Cu", 1.0) is False
         assert materials._add_amount(composition, "O", "y") is False
         assert composition == {"Cu": "x", "O": 1.0}
+
+
+def golden_formula_rows():
+    """The rows of ``tests/data/formulas.tsv``; lines starting "#" are comments."""
+    path = Path(__file__).parent / "data" / "formulas.tsv"
+    lines = [line for line in path.read_text(encoding="utf-8").split("\n")
+             if line and not line.startswith("#")]
+    header, *rows = (line.split("\t") for line in lines)
+    assert header == ["input", "formula", "adjuncts", "error", "message", "known"]
+    return [pytest.param(*row, id=row[0].strip() or "whitespace") for row in rows]
+
+
+@pytest.mark.parametrize("text, formula, adjuncts, error, message, known", golden_formula_rows())
+def test_golden_formula_table(text, formula, adjuncts, error, message, known):
+    assert re.fullmatch(r"(item \d+)?", known)
+    if not error:
+        pm = parse_material(text)
+        expected = adjuncts.split("|") if adjuncts else []
+        assert (format_composition(pm.composition), pm.adjuncts) == (formula, expected)
+        return
+    with pytest.raises(MatEvalError) as err:
+        parse_material(text)
+    assert type(err.value).__name__ == error
+    assert not message or str(err.value) == message
