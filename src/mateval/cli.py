@@ -220,10 +220,11 @@ def cmd_eval(args) -> int:
     return EXIT_WARNINGS if (result.skipped or result.warnings) else EXIT_OK
 
 
-def _load_hints(path: str, class_: str) -> dict[str, list[str]]:
-    """Each document's ``class_`` entities in a hints file of one line per document."""
+def _load_hints(path: str, class_: str, known: set[str]) -> dict[str, list[str]]:
+    """Each document's ``class_`` entities in a hints file of one line per
+    document, each a document in ``known``."""
     hints: dict[str, list[str]] = {}
-    for pred in corpus.load_predictions(path):
+    for pred in corpus.load_predictions(path, known):
         if pred.doc_id in hints:
             raise ConfigError(f"--hints {path}: document {pred.doc_id!r} has more than "
                               f"one line (one run per document)")
@@ -245,7 +246,7 @@ def cmd_extract(args) -> int:
     # only a shuffled RE prompt reads a seed
     seed = _resolve_seed(args) if args.task == "re" and args.shuffle == "shuffled" else None
     class_ = corpus.TASK_CLASSES.get(args.task)
-    hints = _load_hints(args.hints, class_) if args.hints else {}
+    hints = _load_hints(args.hints, class_, {doc.id for doc in documents}) if args.hints else {}
     # dry-run reads local fixtures: no endpoint to wait on, so threads only
     # contend for the interpreter lock
     limiter = llm.RateLimiter(1 if cfg.dry_run else cfg.max_concurrency, cfg.min_interval)

@@ -121,11 +121,9 @@ class _GroupTier(Tier):
         return all(map(self.slot_matches, ka, kb))
 
     def scan_orders(self, expected: list, predicted: list) -> list:
-        """The slot tier's scan order on the material slot, an absent material
-        keyed as the slot's key of "", whose candidates hold every absent one."""
-        absent = self.slot.key("")
-        return self.slot.scan_orders([k[0] or absent for k in expected],
-                                     [k[0] or absent for k in predicted])
+        """The slot tier's scan order on the material slot, which every
+        counted group holds: gold by schema, predicted by the filter."""
+        return self.slot.scan_orders([k[0] for k in expected], [k[0] for k in predicted])
 
 
 def _group_predictions(
@@ -155,7 +153,7 @@ def _natural_key(label: str) -> tuple:
 
 def _evaluate(
     documents: list[Document],
-    by_run: dict[str, dict[str, PredictionSet]],
+    predictions: list[PredictionSet],
     config: EvalConfig,
     provider: SimilarityProvider | None,
     doc_items,
@@ -163,7 +161,7 @@ def _evaluate(
 ) -> EvalReport:
     """Shared run/matcher/document loop for NER and RE evaluation.
 
-    ``doc_items(doc, prediction, report)`` gives a document's expected and
+    ``doc_items(doc, prediction)`` gives a document's expected and
     predicted lists, once per run; ``lift(tier)`` is the tier they are
     counted with. A semantic tier counts the documents of all runs through
     the provider's ``map``, when it has one, so they wait on the service
@@ -171,6 +169,7 @@ def _evaluate(
     then document order); a failure skips the matcher, and the one named is
     the first in that start order.
     """
+    by_run = _group_predictions(documents, predictions)
     run_labels = sorted(by_run, key=_natural_key) or ["run1"]
     settings = config._asdict()
     if "threshold" not in settings_read(config.matchers):
@@ -180,7 +179,7 @@ def _evaluate(
         "run_labels": run_labels, "runs": len(run_labels)}, matchers={}, skipped=[], warnings=[])
     ordered_docs = sorted(documents, key=lambda d: d.id)
     items = [
-        doc_items(doc, by_run.get(run_label, {}).get(doc.id), report)
+        doc_items(doc, by_run.get(run_label, {}).get(doc.id))
         for run_label in run_labels
         for doc in ordered_docs
     ]
@@ -199,12 +198,12 @@ def _evaluate(
             continue
         runs, n = [], len(ordered_docs)
         for k, run_label in enumerate(run_labels):
-            run_items, per_doc_counts = items[k * n:k * n + n], all_counts[k * n:k * n + n]
+            per_doc_counts = all_counts[k * n:k * n + n]
             runs.append(
                 RunScores(
                     run=run_label,
                     scores=micro_average(per_doc_counts),
-                    expected_total=sum(len(e) for e, _ in run_items),
+                    expected_total=sum(c.tp + c.fn for c in per_doc_counts),
                     per_document=[
                         {"doc_id": doc.id, **counts._asdict()}
                         for doc, counts in zip(ordered_docs, per_doc_counts)
@@ -212,7 +211,6 @@ def _evaluate(
                 )
             )
         report.matchers[name] = MatcherBlock(runs, aggregate_runs([r.scores for r in runs]))
-    report.verify()
     return report
 
 
@@ -231,12 +229,11 @@ def evaluate_ner(
     if config.task not in TASK_CLASSES:
         raise ValueError("evaluate_ner requires a ner_* task")
     class_ = TASK_CLASSES[config.task]
-    by_run = _group_predictions(documents, predictions)
 
-    def doc_items(doc, pred, report):
+    def doc_items(doc, pred):
         return doc.entity_texts(class_), pred.entities.get(class_, []) if pred else []
 
-    return _evaluate(documents, by_run, config, provider, doc_items)
+    return _evaluate(documents, predictions, config, provider, doc_items)
 
 
 def evaluate_re(
@@ -248,23 +245,19 @@ def evaluate_re(
     """Score relation-extraction predictions.
 
     Predicted blocks are filtered against the entities supplied in the
-    prompt (the document's gold lists) before matching; dropped blocks are
-    recorded as warnings. Slot comparison uses the configured matcher tier
-    (strict for the headline scores); scoring is order-invariant.
+    prompt (the document's gold lists) before matching; the warnings are
+    the first 50 distinct drop notes, in run and then document order. Slot
+    comparison uses the configured matcher tier (strict for the headline
+    scores); scoring is order-invariant.
     """
     if config.task != "re":
         raise ValueError("evaluate_re requires task 're'")
-    by_run = _group_predictions(documents, predictions)
-    max_warnings = 50
+    notes = []  # every drop, in (run, document) order
 
-    def doc_items(doc, pred, report):
-        blocks = pred.relations if pred else []
-        kept, notes = _filter_with_notes(blocks, doc.relation_entities())
-        for note in notes:
-            if len(report.warnings) < max_warnings:
-                message = f"doc {doc.id}: {note}"
-                if message not in report.warnings:
-                    report.warnings.append(message)
+    def doc_items(doc, pred):
+        kept, dropped = _filter_with_notes(pred.relations if pred else [], doc.relation_entities())
+        notes.extend(f"doc {doc.id}: {note}" for note in dropped)
         return doc.relations, kept
 
-    return _evaluate(documents, by_run, config, provider, doc_items, _GroupTier)
+    report = _evaluate(documents, predictions, config, provider, doc_items, _GroupTier)
+    return report._replace(warnings=list(dict.fromkeys(notes))[:50])

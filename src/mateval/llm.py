@@ -89,18 +89,24 @@ def chat_complete(
     """Send one chat request and return the assistant text.
 
     Dry-run mode returns the canned fixture for ``(doc_id, task, run)``
-    verbatim and performs no network activity. Live mode resolves the
-    credential before any request, retries transient failures (connection
-    errors, 429, 5xx) with exponential backoff, and raises EndpointError
-    once retries are exhausted. A numeric ``Retry-After`` on a 429 or 503
-    lengthens that wait to what the server asked for. With a ``limiter``,
-    each attempt holds one of its slots, never a backoff wait.
+    verbatim and performs no network activity; a ``doc_id`` or ``run``
+    that is not one plain path component raises MissingFixtureError. Live
+    mode resolves the credential before any request, retries transient
+    failures (connection errors, 429, 5xx) with exponential backoff, and
+    raises EndpointError once retries are exhausted. A numeric
+    ``Retry-After`` on a 429 or 503 lengthens that wait to what the server
+    asked for. With a ``limiter``, each attempt holds one of its slots,
+    never a backoff wait.
     """
     if cfg.dry_run:
         if not cfg.fixture_dir:
             raise MissingFixtureError("dry_run requires a fixture directory")
         if doc_id is None or run is None:
             raise MissingFixtureError("dry_run needs doc_id and run to key fixtures")
+        for value in (doc_id, run):
+            if value in ("", ".", "..") or os.path.isabs(value) or any(
+                    sep and sep in value for sep in ("/", os.sep, os.altsep)):
+                raise MissingFixtureError(f"fixture key {value!r} is not one path component")
         path = os.path.join(cfg.fixture_dir, doc_id, bundle.task, f"{run}.txt")
         if not os.path.isfile(path):
             raise MissingFixtureError(f"no canned response at {path}")

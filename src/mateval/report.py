@@ -15,7 +15,7 @@ import typing
 from typing import NamedTuple
 
 from .errors import ReportSchemaError, SchemaError, read_as, read_json_file, write_text
-from .scoring import RunAggregate, Scores, aggregate_runs
+from .scoring import RunAggregate, Scores
 
 
 class RunScores(NamedTuple):
@@ -56,12 +56,6 @@ class EvalReport(NamedTuple):
             return read_as(payload, cls)
         except SchemaError as exc:
             raise ReportSchemaError(str(exc)) from None
-
-    def verify(self) -> None:
-        """Assert that every aggregate derives exactly from its run scores."""
-        for name, block in self.matchers.items():
-            if aggregate_runs([r.scores for r in block.runs]) != block.aggregate:
-                raise AssertionError(f"inconsistent aggregate for {name!r}")
 
 
 def _write(value, kind):

@@ -791,6 +791,19 @@ class TestFewShotHints:
         assert (code, written) == (3, False)
         assert err.startswith("error: ") and str(hints[3]) in err and "'d1'" in err
 
+    def test_a_line_for_an_unknown_document_exits_3_naming_file_and_line(
+            self, capsys, tmp_path, hints):
+        unknown = tmp_path / "unknown.jsonl"
+        unknown.write_text(hints[1].read_text(encoding="utf-8") + json.dumps(
+            {"doc_id": "no-such-doc", "run": "run1", "entities": {"material": ["MgB2"]}}) + "\n",
+            encoding="utf-8")
+        lines = len(unknown.read_text(encoding="utf-8").splitlines())
+        code, err, written = self._extract(
+            capsys, tmp_path, "--task", "ner_material", "--mode", "few", "--hints", unknown)
+        assert (code, written) == (3, False)
+        assert err.startswith("error: ") and f"{unknown}: line {lines}:" in err
+        assert "'no-such-doc'" in err
+
     def test_one_line_per_document_is_read(self, capsys, tmp_path, hints):
         code, err, written = self._extract(
             capsys, tmp_path, "--task", "ner_material", "--mode", "few", "--hints", hints[1])

@@ -28,7 +28,7 @@ from mateval.evaluation import (
 )
 from mateval.matching import TIERS, StrictTier
 from mateval.prompts import shuffle_entities
-from mateval.scoring import MatchCounts, count_matches
+from mateval.scoring import MatchCounts, aggregate_runs, count_matches
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,8 +120,11 @@ class TestEvaluateNer:
             ner_pred("d1", ["MgB2"], run="run1"),
             ner_pred("d1", [], run="run2"),
         ]
-        report = evaluate_ner(docs, preds, EvalConfig(task="ner_material"))
-        report.verify()
+        config = EvalConfig(task="ner_material", matchers=("strict", "soft", "formula"))
+        report = evaluate_ner(docs, preds, config)
+        assert list(report.matchers) == ["strict", "soft", "formula"]
+        for block in report.matchers.values():
+            assert block.aggregate == aggregate_runs([r.scores for r in block.runs])
 
     def test_run_labels_sort_naturally(self):
         docs = [Document(id="d1", text="t", entities=[EntityMention("MgB2", "material")])]
@@ -303,6 +306,29 @@ class TestEvaluateRe:
         preds = [re_pred("d1", [RelationGroup(material="MgB2", tc="999 K")])]
         report = evaluate_re(docs, preds, EvalConfig(task="re"))
         assert any("999 K" in w for w in report.warnings)
+
+    def test_warnings_are_the_first_50_distinct_drop_notes_in_run_then_document_order(self):
+        ids = [f"d{i:02d}" for i in range(20)]
+        supplied = [EntityMention("MgB2", "material"), EntityMention("39 K", "tc")]
+        docs = [Document(d, "t", supplied, [RelationGroup("MgB2", "39 K")]) for d in ids]
+        tcs = {"run1": "10 K", "run2": "20 K", "run3": "30 K"}
+        preds = [
+            re_pred(d, [RelationGroup(None, "39 K"), RelationGroup("MgB2", tc),
+                        RelationGroup(None, "39 K")], run=run)
+            for run, tc in tcs.items() for d in ids
+        ]
+
+        def without_material(d):
+            return f"doc {d}: dropped block without material"
+
+        def unsupplied(d, tc):
+            return f"doc {d}: dropped block: tc {tc!r} was not among the supplied entities"
+
+        # 60 drops per run, 80 distinct notes in all; a material-less block
+        # repeats within a document and across runs
+        report = evaluate_re(docs[::-1], preds[::-1], EvalConfig(task="re"))
+        first_run = [note for d in ids for note in (without_material(d), unsupplied(d, "10 K"))]
+        assert report.warnings == first_run + [unsupplied(d, "20 K") for d in ids[:10]]
 
     def test_order_invariance(self):
         docs = self.fixture_docs()

@@ -542,11 +542,14 @@ def test_formula_evaluation_runs_the_parser_before_counting(pipeline_files):
     assert code in (0, 1) and ran == [True]
 
 
-@pytest.mark.parametrize("command", ["extract", "eval-ner --matchers semantic"])
+@pytest.mark.parametrize("command", [
+    "extract", "eval-ner --matchers semantic", "eval-ner --matchers semantic,formula",
+    "eval-re --matchers semantic,formula"])
 def test_helper_threads_run_no_module_first(
         command, chat_stub, semantic_endpoint, pipeline_files, tmp_path):
     # four requests in flight: each command must run, on the main thread,
-    # every module its helper threads use before it starts them
+    # every module its helper threads use before it starts them (a formula
+    # matcher's parser included)
     config = tmp_path / "endpoint.cfg"
     config.write_text(f"base_url = {chat_stub.url}\ncredential_env = MATEVAL_PROBE_KEY\n"
                       f"max_concurrency = 4\nsemantic_endpoint = {semantic_endpoint}\n")
@@ -556,6 +559,12 @@ def test_helper_threads_run_no_module_first(
         "eval-ner --matchers semantic": ["eval-ner", *inputs, "--predictions",
                                          pipeline_files / "ner_material.jsonl",
                                          "--matchers", "semantic"],
+        "eval-ner --matchers semantic,formula": [
+            "eval-ner", *inputs, "--predictions", pipeline_files / "ner_material.jsonl",
+            "--matchers", "semantic,formula"],
+        "eval-re --matchers semantic,formula": [
+            "eval-re", *inputs, "--predictions", pipeline_files / "re.jsonl",
+            "--matchers", "semantic,formula"],
     }[command]
     code, _ = _run_probe(tmp_path, argv, {"MATEVAL_PROBE_KEY": "probe-key"})
     started, *late = (tmp_path / "modules.txt.late").read_text(encoding="utf-8").split("\n")

@@ -2,6 +2,7 @@
 fine-tune data preparation."""
 
 import json
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -136,6 +137,24 @@ class TestChatComplete:
         bundle = build_ner_prompt("ner_material", "text")
         with pytest.raises(MissingFixtureError):
             chat_complete(bundle, cfg, doc_id="ghost", run="run1")
+
+    @pytest.mark.parametrize("doc_id, run", [
+        ("../outside", "run1"), ("d1", "../run1"), ("..", "run1"), (".", "run1"),
+        ("", "run1"), ("d1", ""), ("d1/..", "run1"), ("/tmp", "run1"),
+        (os.path.abspath("d1"), "run1"), ("d1", f"x{os.sep}run1"),
+    ])
+    def test_dry_run_keys_stay_inside_the_fixture_directory(self, tmp_path, doc_id, run):
+        # a fixture beside the fixture directory that each escape would reach
+        fixtures = tmp_path / "fx"
+        fixtures.mkdir()
+        outside = tmp_path / "outside" / "ner_material" / "run1.txt"
+        outside.parent.mkdir(parents=True)
+        outside.write_text("[]", encoding="utf-8")
+        cfg = ChatEndpointConfig(dry_run=True, fixture_dir=str(fixtures))
+        bundle = build_ner_prompt("ner_material", "text")
+        with pytest.raises(MissingFixtureError, match="is not one path component") as caught:
+            chat_complete(bundle, cfg, doc_id=doc_id, run=run)
+        assert repr(doc_id if run == "run1" else run) in str(caught.value)
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_dry_run_reads_crlf_and_cr_fixtures_as_lf(self, tmp_path, newline):
