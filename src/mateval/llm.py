@@ -187,17 +187,16 @@ def _loads_with_repair(raw: str, repairs=_REPAIRS):
     raise ResponseParseError("response is not valid JSON after bounded repair", raw)
 
 
-def _entity_from_obj(obj, keys: tuple[str, ...]) -> str | None:
+def _entity_from_obj(obj, key: str) -> str | None:
     if isinstance(obj, str):
         return obj
     if isinstance(obj, dict):
-        for key in keys:
-            value = obj.get(key)
-            if isinstance(value, str) and value.strip():
-                return value
-        # quantities may arrive split into value and unit
+        value = obj.get(key)
+        if isinstance(value, str) and value.strip():
+            return value
+        # quantities may arrive split into value and unit; a bool is no number
         value, unit = obj.get("value"), obj.get("unit")
-        if isinstance(value, (str, int, float)):
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
             value = str(value)
             return f"{value} {unit}" if isinstance(unit, str) and unit else value
     return None
@@ -238,10 +237,9 @@ def _json_items(payload, task: str, raw: str) -> list:
             }
             blocks.append(block)
         return blocks
-    keys = (TASK_CLASSES[task],)
     entities = []
     for item in payload:
-        value = _entity_from_obj(item, keys)
+        value = _entity_from_obj(item, TASK_CLASSES[task])
         if value is not None:
             entities.append(value)
         else:

@@ -21,12 +21,11 @@ placeholder when it names no element), then a parenthesised amount, a fused
 amount or none. So spaced (``La 2-x Sr x CuO 4``) and fused
 (``La2-xSrxCuO4``) renderings parse to identical compositions. Mixtures
 (``A/B in molar ratio``) are rejected rather than mis-parsed. The periodic
-table and adjunct lexicon are bundled.
+table and the default adjunct lexicon are constants of this module.
 """
 
 import itertools
 import math
-import os
 import re
 import sys
 from collections.abc import Iterator
@@ -37,7 +36,6 @@ from .errors import (
     ConfigError,
     EmptyInputError,
     ExpansionLimitError,
-    MatEvalError,
     MixtureNotSupportedError,
     UnparseableMaterialError,
     read_json_file,
@@ -78,20 +76,20 @@ _TEXT_CLAUSE_RE = re.compile(
 )
 
 
-def _bundled(name: str):  # package data, beside this module
-    return read_json_file(os.path.join(os.path.dirname(__file__), "resources", name), MatEvalError)
+# the 118 element symbols, in atomic-number order
+ELEMENTS = frozenset(
+    "H He Li Be B C N O F Ne Na Mg Al Si P S Cl Ar K Ca Sc Ti V Cr Mn Fe Co Ni Cu Zn Ga Ge"
+    " As Se Br Kr Rb Sr Y Zr Nb Mo Tc Ru Rh Pd Ag Cd In Sn Sb Te I Xe Cs Ba La Ce Pr Nd Pm"
+    " Sm Eu Gd Tb Dy Ho Er Tm Yb Lu Hf Ta W Re Os Ir Pt Au Hg Tl Pb Bi Po At Rn Fr Ra Ac Th"
+    " Pa U Np Pu Am Cm Bk Cf Es Fm Md No Lr Rf Db Sg Bh Hs Mt Ds Rg Cn Nh Fl Mc Lv Ts Og".split()
+)
 
-
-@lru_cache(maxsize=1)
-def periodic_table() -> frozenset[str]:
-    """Return the 118 element symbols bundled with the package."""
-    return frozenset(_bundled("periodic_table.json")["symbols"])
-
-
-@lru_cache(maxsize=1)
-def default_adjuncts() -> tuple[str, ...]:
-    """Descriptor words stripped from material expressions before parsing."""
-    return tuple(_bundled("adjunct_lexicon.json")["adjuncts"])
+# descriptor phrases stripped from material expressions before parsing
+DEFAULT_ADJUNCTS = (
+    "hole-doped", "electron-doped", "doped", "infinite-layer", "superconductor",
+    "superconductors", "single crystal", "thin film", "polycrystalline", "samples",
+    "sample", "bulk",
+)
 
 
 def load_adjuncts(path: str) -> tuple[str, ...]:
@@ -110,7 +108,7 @@ def load_adjuncts(path: str) -> tuple[str, ...]:
 
 def is_element(symbol: str) -> bool:
     """True for a valid periodic-table symbol (case-sensitive: 'Ca', not 'CA')."""
-    return symbol in periodic_table()
+    return symbol in ELEMENTS
 
 
 class SubstitutionSet(NamedTuple):
@@ -149,10 +147,10 @@ class ParsedMaterial(NamedTuple):
 @lru_cache(maxsize=16)
 def _edge_phrases(lexicon: tuple[str, ...] | None) -> tuple[tuple[int, frozenset[str]], ...]:
     """``(length, the lowered phrases of that length)``, longest first; ``None``:
-    bundled. The text is cut at a phrase's own length, then lowered: lowering
-    can change a length (``"İ".lower()`` is two code points)."""
+    ``DEFAULT_ADJUNCTS``. The text is cut at a phrase's own length, then
+    lowered: lowering can change a length (``"İ".lower()`` is two code points)."""
     lowered: dict[int, set[str]] = {}
-    for p in default_adjuncts() if lexicon is None else lexicon:
+    for p in DEFAULT_ADJUNCTS if lexicon is None else lexicon:
         lowered.setdefault(len(p), set()).add(p.lower())
     return tuple(sorted(((n, frozenset(ps)) for n, ps in lowered.items()), reverse=True))
 
@@ -170,7 +168,7 @@ def strip_adjuncts(
 
     Args:
         raw: material expression, e.g. ``"hole-doped La 2-x Sr x CuO 4"``.
-        lexicon: descriptor phrases; ``None`` means the bundled list, and
+        lexicon: descriptor phrases; ``None`` means ``DEFAULT_ADJUNCTS``, and
             an empty lexicon strips nothing.
 
     Returns:
@@ -254,10 +252,10 @@ def _join_spaced_sign(m: re.Match) -> str:
 def _read_word(tokens: list[str], pairs: list[tuple[str, Amount | None]]) -> None:
     """Append the ``(symbol, amount or None)`` units of a word such as ``CuO``,
     ``La2O3`` or ``Cu1-xNixO2`` to ``pairs``."""
-    table, word, k, n = periodic_table(), "".join(tokens), 0, len(tokens)
+    word, k, n = "".join(tokens), 0, len(tokens)
     while k < n:
         symbol = tokens[k]
-        if k + 1 < n and symbol + tokens[k + 1] in table:
+        if k + 1 < n and symbol + tokens[k + 1] in ELEMENTS:
             symbol, k = symbol + tokens[k + 1], k + 2
         elif symbol.isupper():
             k += 1
@@ -386,7 +384,7 @@ def parse_material(
             raise UnparseableMaterialError(
                 f"repeated element {symbol!r} with symbolic amounts in {raw!r}"
             )
-    if periodic_table().isdisjoint(composition):
+    if ELEMENTS.isdisjoint(composition):
         raise UnparseableMaterialError(f"no valid element token in {raw!r}")
 
     amount_vars = {v.var for v in composition.values() if isinstance(v, Linear)}

@@ -237,9 +237,8 @@ def build_re_prompt(
         raise ValueError(f"unknown prompt mode {mode!r}")
     if shuffle_seed is not None:
         entities = shuffle_entities(entities, shuffle_seed)
-    user = RE_USER_TEMPLATE.replace("{text}", text).replace(
-        "{entities}", render_entity_lists(entities)
-    )
+    # one pass: a passage holding "{entities}" (or an entity "{text}") stays as written
+    user = RE_USER_TEMPLATE.format(text=text, entities=render_entity_lists(entities))
     if mode == "few":
         user = f"{user}\n\n{RE_EXAMPLES_BLOCK}"
     user = f"{user}\n\n{RE_RULES_BLOCK}"

@@ -1,9 +1,11 @@
 """Tests for the command-line interface (exit codes, outputs, determinism)."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,6 @@ import mateval.materials
 from mateval.cli import main
 
 DATA = Path(__file__).parent / "data"
-BUNDLED_LEXICON = DATA.parent.parent / "src" / "mateval" / "resources" / "adjunct_lexicon.json"
 
 
 def run_cli(argv, capsys):
@@ -200,6 +201,36 @@ class TestUsageErrors:
         result = run_subprocess(["--help"])
         assert result.returncode == 0
         assert "parse-material" in result.stdout
+
+
+class TestRunsFromAZip:
+    """The package runs from a zip on ``PYTHONPATH``: the formula parser
+    reads no file of its own. ``-S`` leaves site-packages out, so the zip
+    is the only mateval the interpreter can find."""
+
+    def test_formula_commands_exit_0(self, capsys, tmp_path):
+        archive = tmp_path / "mateval.zip"
+        package = Path(mateval.materials.__file__).parent
+        with zipfile.ZipFile(archive, "w") as zf:
+            for source in sorted(package.rglob("*.py")):
+                zf.write(source, Path("mateval") / source.relative_to(package))
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"doc_id": "d1", "run": "run1",
+                                     "entities": {"material": ["MgB2"]}}) + "\n")
+        eval_ner = ["eval-ner", "--corpus", DATA / "corpus.jsonl", "--predictions", preds,
+                    "--matchers", "strict,formula"]
+        outputs = []
+        for argv in (["parse-material", "La 2-x Sr x CuO 4"],
+                     ["match", "--matcher", "formula", "MgB2", "Mg B 2"], eval_ner):
+            result = subprocess.run(
+                [sys.executable, "-S", "-B", "-m", "mateval.cli", *map(str, argv)],
+                env={**os.environ, "PYTHONPATH": str(archive)}, cwd=tmp_path,
+                capture_output=True, text=True)
+            assert (result.returncode, result.stderr) == (0, ""), argv
+            outputs.append(result.stdout)
+        assert json.loads(outputs[0])["composition"]["La"] == "2-x"
+        assert json.loads(outputs[1])["matched"] is True
+        assert outputs[2] == run_cli(eval_ner, capsys)[1]
 
 
 class TestInternalErrors:
@@ -412,8 +443,9 @@ REJECTED_VALUES = {
     "threshold with formula": ["eval-ner", "--matchers", "formula", "--threshold", "0.5"],
     "match threshold with strict": ["match", "--matcher", "strict", "--threshold", "0.5",
                                     "MgB2", "MgB2"],
-    "match lexicon with soft": ["match", "--matcher", "soft", "--adjunct-lexicon", BUNDLED_LEXICON,
-                                "MgB2", "MgB2"],
+    # refused before any file is opened: any existing file will do
+    "match lexicon with soft": ["match", "--matcher", "soft", "--adjunct-lexicon",
+                                DATA / "formulas.tsv", "MgB2", "MgB2"],
     "match missing lexicon with strict": ["match", "--matcher", "strict", "--adjunct-lexicon",
                                           "/nonexistent.json", "MgB2", "MgB2"],
 }

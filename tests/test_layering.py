@@ -188,8 +188,8 @@ def test_errors_is_the_one_module_that_opens_a_file():
     """How a file's bytes become text, and what an unreadable file is
     called, is decided once, in ``errors``: its ``read_text`` (with
     ``numbered_lines`` and ``read_json_file``) and ``write_text`` serve
-    every file mateval reads or writes, the bundled tables and dry-run
-    fixtures included, and only ``errors`` says "not UTF-8". No module reaches for ``pathlib``,
+    every file mateval reads or writes, dry-run fixtures included, and
+    only ``errors`` says "not UTF-8". No module reaches for ``pathlib``,
     ``importlib.resources`` (which loads ``zipfile`` and ``tempfile``) or
     ``logging`` (warnings are one stderr write). Read from the source: the
     interpreter's ``site`` start-up may load the first two itself."""

@@ -124,6 +124,17 @@ class TestRePrompt:
         bundle = build_re_prompt("text", RE_ENTITIES)
         assert 'just answer "None"' in bundle.system
 
+    @pytest.mark.parametrize("text, entities", [
+        ("A film {entities} at 39 K", {"material": ["MgB2"], "tc": ["39 K"]}),
+        ("MgB2 at 39 K", {"material": ["MgB2 {text}"], "tc": ["39 K"]}),
+    ], ids=["placeholder in passage", "placeholder in entity"])
+    def test_template_is_filled_in_one_pass(self, text, entities):
+        # neither placeholder is read again inside what filled the other
+        user = build_re_prompt(text, entities).user
+        assert user.count(text) == 1
+        assert user.count(entities["material"][0]) == 1
+        assert user.count("materials: ") == 1
+
 
 class TestChatComplete:
     def test_dry_run_returns_fixture_verbatim(self):
@@ -352,6 +363,11 @@ class TestParseJsonResponse:
     def test_quantity_value_unit_join(self):
         raw = '[{"value": 355, "unit": "ml"}, {"quantity": "4.2 K"}]'
         assert parse_json_response(raw, "ner_quantity") == ["355 ml", "4.2 K"]
+
+    def test_boolean_value_is_no_quantity(self, capsys):
+        assert parse_response('[{"value": true, "unit": "K"}]', "ner_quantity") == []
+        assert capsys.readouterr().err == (
+            "ignoring unrecognized ner_quantity item: {'value': True, 'unit': 'K'}\n")
 
     def test_roundtrip_of_serialized_entities(self):
         entities = ["MgB2", "La 2-x Sr x CuO 4"]

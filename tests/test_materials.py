@@ -1,5 +1,6 @@
 """Tests for material expression parsing, expansion, and comparison."""
 
+import hashlib
 import json
 import math
 import random
@@ -19,10 +20,11 @@ from mateval.errors import (
     UnparseableMaterialError,
 )
 from mateval.materials import (
+    DEFAULT_ADJUNCTS,
+    ELEMENTS,
     Linear,
     SubstitutionSet,
     compositions_equal,
-    default_adjuncts,
     expand_substitutions,
     format_composition,
     is_element,
@@ -36,6 +38,21 @@ MIXTURE = (
 )
 X = Linear(0.0, 1.0, "x")
 ONE_MINUS_X = Linear(1.0, -1.0, "x")
+
+
+class TestConstants:
+    """The periodic table and the default lexicon, pinned to the package
+    data they replaced: digests of the symbols sorted and of the phrases
+    in order."""
+
+    def test_elements_are_the_118_symbols(self):
+        assert len(ELEMENTS) == 118
+        digest = hashlib.sha256(" ".join(sorted(ELEMENTS)).encode()).hexdigest()
+        assert digest == "d3838a8b22cb49e39d94e357e1019572f475dbfa5cef56cdcaaa88fff48b690b"
+
+    def test_default_adjuncts_are_the_12_phrases_in_order(self):
+        digest = hashlib.sha256(json.dumps(list(DEFAULT_ADJUNCTS)).encode()).hexdigest()
+        assert digest == "2ad78939ac76b25e67756603c01a3b6242ef7455c5b5587cfd3d6a68efc4717c"
 
 
 class TestStripAdjuncts:
@@ -474,7 +491,7 @@ def oracle_strip_adjuncts(raw, lexicon=None):
     text = raw.strip()
     if not text:
         raise EmptyInputError("material expression is empty")
-    phrases = sorted(default_adjuncts() if lexicon is None else lexicon, key=len, reverse=True)
+    phrases = sorted(DEFAULT_ADJUNCTS if lexicon is None else lexicon, key=len, reverse=True)
     phrases = [(p.lower(), len(p)) for p in phrases]
     adjuncts = []
 
