@@ -36,14 +36,6 @@ _BULLET_RE = re.compile(r"^\s*[-*]\s+(.*\S)\s*$")
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*$")
 
 
-class _TransientFailure(Exception):
-    """A failure worth retrying; ``retry_after`` is the wait (s) the server asked for."""
-
-    def __init__(self, message: str, retry_after: float = 0.0):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 def _retry_after(status: int, headers) -> float:
     """A numeric ``Retry-After`` on a 429 or 503 reply, else 0 (dates are ignored)."""
     if status not in (429, 503):
@@ -55,18 +47,8 @@ def _retry_after(status: int, headers) -> float:
     return seconds if 0 <= seconds < math.inf else 0.0
 
 
-def _http_transport(cfg: ChatEndpointConfig, credential: str, payload: dict) -> str:
-    url = cfg.base_url.rstrip("/") + "/chat/completions"
-    try:
-        status, headers, body = post_json(
-            url, payload, cfg.timeout, {"Authorization": f"Bearer {credential}"}
-        )
-    except NO_REPLY as exc:
-        raise _TransientFailure(str(exc)) from exc
-    if status == 429 or status >= 500:
-        raise _TransientFailure(f"HTTP {status}", _retry_after(status, headers))
-    if status != 200:
-        raise EndpointError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
+def _content(body: bytes) -> str:
+    """The assistant text of a 200 reply's body."""
     try:
         content = read_json(body)["choices"][0]["message"]["content"]
     except (InvalidJSONError, KeyError, IndexError, TypeError) as exc:
@@ -83,7 +65,6 @@ def chat_complete(
     cfg: ChatEndpointConfig,
     doc_id: str | None = None,
     run: str | None = None,
-    transport=None,
     limiter: RateLimiter | None = None,
 ) -> str:
     """Send one chat request and return the assistant text.
@@ -91,12 +72,12 @@ def chat_complete(
     Dry-run mode returns the canned fixture for ``(doc_id, task, run)``
     verbatim and performs no network activity; a ``doc_id`` or ``run``
     that is not one plain path component raises MissingFixtureError. Live
-    mode resolves the credential before any request, retries transient
-    failures (connection errors, 429, 5xx) with exponential backoff, and
-    raises EndpointError once retries are exhausted. A numeric
-    ``Retry-After`` on a 429 or 503 lengthens that wait to what the server
-    asked for. With a ``limiter``, each attempt holds one of its slots,
-    never a backoff wait.
+    mode resolves the credential before any request and retries the
+    transient failures (no reply, 429 and 5xx) with exponential backoff,
+    raising EndpointError once retries are exhausted; any other status than
+    200 fails at once. A numeric ``Retry-After`` on a 429 or 503 lengthens
+    that wait to what the server asked for. With a ``limiter``, each
+    attempt holds one of its slots, never a backoff wait.
     """
     if cfg.dry_run:
         if not cfg.fixture_dir:
@@ -125,23 +106,31 @@ def chat_complete(
             {"role": "user", "content": bundle.user_message()},
         ],
     }
-    send = transport or _http_transport
+    url = cfg.base_url.rstrip("/") + "/chat/completions"
+    headers = {"Authorization": f"Bearer {credential}"}
     delay = cfg.backoff_base
     for attempt in range(cfg.max_retries + 1):
         if limiter:
             limiter.acquire()
         try:
-            return send(cfg, credential, payload)
-        except _TransientFailure as exc:
-            if attempt == cfg.max_retries:
-                raise EndpointError(
-                    f"endpoint failed after {cfg.max_retries + 1} attempts: {exc}"
-                ) from exc
-            wait = max(delay, exc.retry_after)
-            note(f"transient endpoint failure ({exc}), retrying in {wait:.1f}s")
+            status, reply_headers, body = post_json(url, payload, cfg.timeout, headers)
+        except NO_REPLY as exc:
+            failure, cause, wait = str(exc), exc, delay
+        else:
+            if status == 200:
+                return _content(body)
+            if status != 429 and status < 500:
+                raise EndpointError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
+            failure, cause = f"HTTP {status}", None
+            wait = max(delay, _retry_after(status, reply_headers))
         finally:
             if limiter:
                 limiter.release()
+        if attempt == cfg.max_retries:
+            raise EndpointError(
+                f"endpoint failed after {cfg.max_retries + 1} attempts: {failure}"
+            ) from cause
+        note(f"transient endpoint failure ({failure}), retrying in {wait:.1f}s")
         time.sleep(wait)  # outside the slot, which other requests may take meanwhile
         delay *= 2
     raise AssertionError("unreachable")
@@ -178,7 +167,7 @@ _REPAIRS = (_strip_code_fences, _outer_bracketed, _drop_trailing_commas)
 
 def _loads_with_repair(raw: str, repairs=_REPAIRS):
     text = raw
-    for repair in (lambda s: s, *repairs):
+    for repair in repairs:
         text = repair(text)
         try:
             return read_json(text)
@@ -187,19 +176,27 @@ def _loads_with_repair(raw: str, repairs=_REPAIRS):
     raise ResponseParseError("response is not valid JSON after bounded repair", raw)
 
 
-def _entity_from_obj(obj, key: str) -> str | None:
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        value = obj.get(key)
-        if isinstance(value, str) and value.strip():
-            return value
-        # quantities may arrive split into value and unit; a bool is no number
-        value, unit = obj.get("value"), obj.get("unit")
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            value = str(value)
-            return f"{value} {unit}" if isinstance(unit, str) and unit else value
+def _text(value) -> str | None:
+    """An answer value read as text: non-blank text, or a number that is not a
+    bool. Anything else (blank text, a bool, a list, an object) is None."""
+    if isinstance(value, str):
+        return value if value.strip() else None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
     return None
+
+
+def _entity_from_obj(obj, key: str) -> str | None:
+    if isinstance(obj, dict):
+        named = obj.get(key)
+        if isinstance(named, str) and named.strip():
+            return named
+        # quantities may arrive split into value and unit; a blank unit is none
+        value, unit = _text(obj.get("value")), obj.get("unit")
+        if value and isinstance(unit, str) and unit.strip():
+            return f"{value} {unit}"
+        return value
+    return obj if isinstance(obj, str) and obj.strip() else None
 
 
 def parse_json_response(raw: str, task: str):
@@ -231,11 +228,10 @@ def _json_items(payload, task: str, raw: str) -> list:
         for item in payload:
             if not isinstance(item, dict):
                 raise ResponseParseError("relation blocks must be objects", raw)
-            block = {
-                k: str(v) for k, v in item.items()
-                if k in RELATION_SLOTS and v is not None
-            }
-            blocks.append(block)
+            blocks.append({
+                k: text for k, v in item.items()
+                if k in RELATION_SLOTS and (text := _text(v)) is not None
+            })
         return blocks
     entities = []
     for item in payload:

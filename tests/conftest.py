@@ -57,6 +57,34 @@ def semantic_endpoint():
     server.server_close()
 
 
+@pytest.fixture
+def fake_post(monkeypatch):
+    """Fake the chat client's POST: ``fake_post(*replies)`` makes each call of
+    ``llm.post_json`` take the next reply, the last one repeating, and returns
+    the list of each call's ``(url, payload, timeout, headers)``. A reply is a
+    ``(status, headers, body)`` tuple, an OSError to raise, or a str: a 200
+    whose assistant text it is."""
+    from mateval import llm
+
+    def install(*replies):
+        calls = []
+
+        def post_json(url, payload, timeout, headers):
+            calls.append((url, payload, timeout, headers))
+            reply = replies[min(len(calls), len(replies)) - 1]
+            if isinstance(reply, OSError):
+                raise reply
+            if isinstance(reply, str):
+                body = {"choices": [{"message": {"content": reply}}]}
+                return 200, {}, json.dumps(body).encode()
+            return reply
+
+        monkeypatch.setattr(llm, "post_json", post_json)
+        return calls
+
+    return install
+
+
 def digest_reply(prompt: str) -> tuple[int, str]:
     """Default chat reply: one block naming a digest of the prompt, so every
     prompt gets its own answer and a reordering shows in the output."""

@@ -35,7 +35,7 @@ from mateval.evaluation import (
     evaluate_re,
     filter_relation_blocks,
 )
-from mateval.llm import ChatEndpointConfig, RateLimiter, _TransientFailure, chat_complete
+from mateval.llm import ChatEndpointConfig, RateLimiter, chat_complete
 from mateval.matching import (
     DEFAULT_THRESHOLD,
     HttpSimilarityProvider,
@@ -150,7 +150,7 @@ def sleeps(monkeypatch):
 
 
 class TestBackoff:
-    def test_slot_is_free_during_backoff(self, monkeypatch):
+    def test_slot_is_free_during_backoff(self, monkeypatch, fake_post):
         monkeypatch.setenv(KEY_ENV, "k")
         limiter = RateLimiter(max_concurrency=1)
         free_while_waiting = []
@@ -162,40 +162,60 @@ class TestBackoff:
             free_while_waiting.append(got)
 
         monkeypatch.setattr(llm, "time", SimpleNamespace(sleep=sleep, monotonic=time.monotonic))
-        attempts = iter([_TransientFailure("HTTP 503"), _TransientFailure("HTTP 500")])
-
-        def flaky(cfg, credential, payload):
-            failure = next(attempts, None)
-            if failure:
-                raise failure
-            return "answer"
-
+        fake_post((503, {}, b""), (500, {}, b""), "answer")
         bundle = build_ner_prompt("ner_material", "text")
         cfg = _live_config(max_retries=3, backoff_base=0.5)
-        assert chat_complete(bundle, cfg, transport=flaky, limiter=limiter) == "answer"
+        assert chat_complete(bundle, cfg, limiter=limiter) == "answer"
         assert free_while_waiting == [True, True]
 
-    def test_wait_is_the_longer_of_backoff_and_retry_after(self, sleeps):
-        attempts = iter([
-            _TransientFailure("HTTP 429", retry_after=3.0),
-            _TransientFailure("HTTP 503", retry_after=0.1),
-            _TransientFailure("HTTP 500"),
-        ])
-
-        def flaky(cfg, credential, payload):
-            failure = next(attempts, None)
-            if failure:
-                raise failure
-            return "answer"
-
+    def test_wait_is_the_longer_of_backoff_and_retry_after(self, sleeps, fake_post):
+        fake_post(
+            (429, {"Retry-After": "3"}, b""),
+            (503, {"Retry-After": "0.1"}, b""),
+            (500, {}, b""),
+            "answer",
+        )
         bundle = build_ner_prompt("ner_material", "text")
         cfg = _live_config(max_retries=3, backoff_base=0.5)
-        assert chat_complete(bundle, cfg, transport=flaky) == "answer"
+        assert chat_complete(bundle, cfg) == "answer"
         assert sleeps == [3.0, 1.0, 2.0]
 
 
+class TestStatusPolicy:
+    """What ``chat_complete`` does with each reply of a faked ``post_json``."""
+
+    @pytest.mark.parametrize("status", [201, 204, 301, 404, 428])
+    def test_a_status_other_than_200_429_or_5xx_fails_at_once(
+            self, sleeps, fake_post, capsys, status):
+        calls = fake_post((status, {}, b"no chat here"), "answer")
+        bundle = build_ner_prompt("ner_material", "text")
+        with pytest.raises(EndpointError) as failure:
+            chat_complete(bundle, _live_config(max_retries=2))
+        assert str(failure.value) == f"HTTP {status}: no chat here"
+        assert len(calls) == 1 and sleeps == [] and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("status", [429, 500, 502, 599])
+    def test_429_and_5xx_are_retried(self, sleeps, fake_post, capsys, status):
+        calls = fake_post((status, {}, b""), "answer")
+        bundle = build_ner_prompt("ner_material", "text")
+        assert chat_complete(bundle, _live_config(max_retries=2, backoff_base=0.5)) == "answer"
+        assert len(calls) == 2 and sleeps == [0.5]
+        assert capsys.readouterr().err == (
+            f"transient endpoint failure (HTTP {status}), retrying in 0.5s\n")
+
+    def test_no_reply_on_every_attempt_is_the_errors_cause(self, sleeps, fake_post):
+        refused = ConnectionRefusedError("connection refused")
+        calls = fake_post(refused)
+        bundle = build_ner_prompt("ner_material", "text")
+        with pytest.raises(EndpointError) as failure:
+            chat_complete(bundle, _live_config(max_retries=2, backoff_base=0.5))
+        assert str(failure.value) == "endpoint failed after 3 attempts: connection refused"
+        assert failure.value.__cause__ is refused
+        assert len(calls) == 3 and sleeps == [0.5, 1.0]
+
+
 class TestHttpTransport:
-    """``_http_transport`` over real HTTP, against the scripted chat stub."""
+    """``chat_complete`` over real HTTP, against the scripted chat stub."""
 
     def test_reply_and_request_shape(self, chat_stub, sleeps):
         bundle = build_ner_prompt("ner_material", "MgB2 at 39 K")

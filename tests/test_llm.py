@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mateval import llm
 from mateval.corpus import (
     ENTITY_CLASSES,
     TASK_CLASSES,
@@ -27,6 +28,7 @@ from mateval.errors import (
     MissingFixtureError,
     NoEntitiesError,
     ResponseParseError,
+    read_json,
 )
 from mateval.finetune import (
     FineTuneRecord,
@@ -37,6 +39,7 @@ from mateval.finetune import (
 )
 from mateval.llm import (
     ChatEndpointConfig,
+    _strip_code_fences,
     chat_complete,
     parse_json_response,
     parse_pseudo_format,
@@ -177,100 +180,73 @@ class TestChatComplete:
         bundle = build_ner_prompt("ner_material", "text")
         assert chat_complete(bundle, cfg, doc_id="d1", run="run1") == answer
 
-    def test_dry_run_never_touches_network(self):
-        def sentinel(cfg, credential, payload):
-            raise AssertionError("network transport must not be called in dry run")
-
+    def test_dry_run_never_touches_network(self, fake_post):
+        calls = fake_post("answer")
         cfg = ChatEndpointConfig(dry_run=True, fixture_dir=str(DATA / "fixtures"))
         bundle = build_ner_prompt("ner_material", "text")
-        raw = chat_complete(bundle, cfg, doc_id="d1", run="run1", transport=sentinel)
-        assert raw
+        raw = chat_complete(bundle, cfg, doc_id="d1", run="run1")
+        assert raw and calls == []
 
-    def test_missing_credential_before_any_request(self, monkeypatch):
+    def test_missing_credential_before_any_request(self, monkeypatch, fake_post):
         monkeypatch.delenv("MATEVAL_TEST_KEY", raising=False)
-
-        def sentinel(cfg, credential, payload):
-            raise AssertionError("must fail before transport")
-
+        calls = fake_post("answer")
         cfg = ChatEndpointConfig(credential_env="MATEVAL_TEST_KEY")
         bundle = build_ner_prompt("ner_material", "text")
         with pytest.raises(MissingCredentialError):
-            chat_complete(bundle, cfg, transport=sentinel)
+            chat_complete(bundle, cfg)
+        assert calls == []
 
-    def test_retries_then_succeeds(self, monkeypatch):
+    def test_retries_then_succeeds(self, monkeypatch, fake_post):
         monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
-        from mateval.llm import _TransientFailure
-
-        calls = []
-
-        def flaky(cfg, credential, payload):
-            calls.append(1)
-            if len(calls) < 3:
-                raise _TransientFailure("503")
-            return "answer"
-
+        calls = fake_post((503, {}, b""), (503, {}, b""), "answer")
         cfg = ChatEndpointConfig(
             credential_env="MATEVAL_TEST_KEY", max_retries=3, backoff_base=0.001
         )
         bundle = build_ner_prompt("ner_material", "text")
-        assert chat_complete(bundle, cfg, transport=flaky) == "answer"
+        assert chat_complete(bundle, cfg) == "answer"
         assert len(calls) == 3
 
     @pytest.mark.parametrize("task", ["ner_material", "ner_quantity", "re"])
-    def test_sent_messages_are_the_bundle(self, monkeypatch, task):
+    def test_sent_messages_are_the_bundle(self, monkeypatch, fake_post, task):
         monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
-        sent = []
-
-        def capture(cfg, credential, payload):
-            sent.append(payload["messages"])
-            return "answer"
-
+        calls = fake_post("answer")
         if task == "re":
             bundle = build_re_prompt("text", {"material": ["MgB2"], "tc": ["39 K"]})
         else:
             bundle = build_ner_prompt(task, "text")
         cfg = ChatEndpointConfig(credential_env="MATEVAL_TEST_KEY")
-        chat_complete(bundle, cfg, transport=capture)
-        assert sent == [[
+        chat_complete(bundle, cfg)
+        assert [payload["messages"] for _, payload, _, _ in calls] == [[
             {"role": "system", "content": bundle.system},
             {"role": "user", "content": bundle.user + "\n\n" + bundle.format_instructions},
         ]]
 
     @pytest.mark.parametrize("task", ["ner_material", "re"])
-    def test_model_is_the_configs(self, monkeypatch, task):
+    def test_model_is_the_configs(self, monkeypatch, fake_post, task):
         monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
-        sent = []
-
-        def capture(cfg, credential, payload):
-            sent.append((payload["model"], payload["temperature"]))
-            return "answer"
-
+        calls = fake_post("answer")
         if task == "re":
             bundle = build_re_prompt("text", {"material": ["MgB2"], "tc": ["39 K"]})
         else:
             bundle = build_ner_prompt(task, "text")
         cfg = ChatEndpointConfig(credential_env="MATEVAL_TEST_KEY", model="gpt-4")
-        chat_complete(bundle, cfg, transport=capture)
-        assert sent == [("gpt-4", 0.0)]
+        chat_complete(bundle, cfg)
+        assert [(p["model"], p["temperature"]) for _, p, _, _ in calls] == [("gpt-4", 0.0)]
 
     def test_a_bundle_is_prompt_text_and_its_task(self):
         bundle = build_ner_prompt("ner_material", "text")
         assert list(bundle._fields) == [
             "system", "user", "format_instructions", "task"]
 
-    def test_retries_exhausted(self, monkeypatch):
+    def test_retries_exhausted(self, monkeypatch, fake_post):
         monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
-        from mateval.llm import _TransientFailure
-
-        def always_down(cfg, credential, payload):
-            raise _TransientFailure("connection refused")
-
+        fake_post(ConnectionRefusedError("connection refused"))
         cfg = ChatEndpointConfig(
             credential_env="MATEVAL_TEST_KEY", max_retries=2, backoff_base=0.001
         )
         bundle = build_ner_prompt("ner_material", "text")
         with pytest.raises(EndpointError):
-            chat_complete(bundle, cfg, transport=always_down)
+            chat_complete(bundle, cfg)
 
     def test_config_from_file(self, tmp_path):
         path = tmp_path / "endpoint.cfg"
@@ -369,6 +345,24 @@ class TestParseJsonResponse:
         assert capsys.readouterr().err == (
             "ignoring unrecognized ner_quantity item: {'value': True, 'unit': 'K'}\n")
 
+    @pytest.mark.parametrize("raw, task, entities, ignored", [
+        ('["", "  "]', "ner_material", [], ["''", "'  '"]),
+        ('[{"value": "", "unit": "K"}, {"value": ""}]', "ner_quantity", [],
+         ["{'value': '', 'unit': 'K'}", "{'value': ''}"]),
+        ('[{"value": "39", "unit": "  "}]', "ner_quantity", ["39"], []),
+    ], ids=["blank-items", "blank-values", "blank-unit"])
+    def test_blank_text_is_no_entity(self, capsys, raw, task, entities, ignored):
+        assert parse_response(raw, task) == entities
+        assert capsys.readouterr().err == "".join(
+            f"ignoring unrecognized {task} item: {item}\n" for item in ignored)
+
+    def test_a_relation_slot_is_text_or_a_number(self):
+        raw = ('[{"material": ["MgB2"], "tc": {"v": 39}}, '
+               '{"material": "MgB2", "tc": "39 K", "pressure": true}, '
+               '{"material": "  ", "tc": 39, "pressure": 1.5}]')
+        assert parse_response(raw, "re") == [
+            {}, {"material": "MgB2", "tc": "39 K"}, {"tc": "39", "pressure": "1.5"}]
+
     def test_roundtrip_of_serialized_entities(self):
         entities = ["MgB2", "La 2-x Sr x CuO 4"]
         raw = json.dumps([{"material": m} for m in entities])
@@ -383,6 +377,26 @@ class TestParseJsonResponse:
     def test_roundtrip_identity_property(self, entities):
         raw = json.dumps([{"material": m} for m in entities])
         assert parse_json_response(raw, "ner_material") == entities
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+JSON_WHITESPACE = st.text(alphabet=" \t\n\r", max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES, before=JSON_WHITESPACE, after=JSON_WHITESPACE,
+       indent=st.none() | st.integers(0, 2))
+def test_fence_stripping_keeps_every_json_text_as_it_reads(value, before, after, indent):
+    """The bounded repair has no identity pass: its first pass already reads
+    every JSON text, whatever JSON whitespace surrounds it, as it is."""
+    text = before + json.dumps(value, indent=indent) + after
+    assert read_json(_strip_code_fences(text)) == read_json(text)
 
 
 class TestParsePseudoFormat:
@@ -508,20 +522,13 @@ def record_key(record):
 
 
 def _retried_once(monkeypatch):
-    from mateval.llm import _TransientFailure
-
     monkeypatch.setenv("MATEVAL_TEST_KEY", "k")
-    calls = []
-
-    def flaky(cfg, credential, payload):
-        calls.append(1)
-        if len(calls) == 1:
-            raise _TransientFailure("HTTP 503", retry_after=0.1)
-        return "answer"
-
+    replies = iter([(503, {"Retry-After": "0.1"}, b""),
+                    (200, {}, b'{"choices": [{"message": {"content": "answer"}}]}')])
+    monkeypatch.setattr(llm, "post_json", lambda url, payload, timeout, headers: next(replies))
     cfg = ChatEndpointConfig(credential_env="MATEVAL_TEST_KEY", max_retries=1,
                              backoff_base=0.001)
-    return chat_complete(build_ner_prompt("ner_material", "text"), cfg, transport=flaky)
+    return chat_complete(build_ner_prompt("ner_material", "text"), cfg)
 
 
 # (what warns, its result, the bytes it writes to stderr)
